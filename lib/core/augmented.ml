@@ -40,202 +40,90 @@ let build ?jobs r =
              else Sparse.row_product (Sparse.row r i) (Sparse.row r j))));
   Sparse.create ~cols:nc rows
 
-(* --- matrix-free operator ----------------------------------------------- *)
+(* --- the non-empty pairs ------------------------------------------------ *)
 
-(* Band width of the 2-D pair tiles: a band of CSR rows is a few KB, so a
-   tile's j-band stays hot in cache while i walks its own band instead of
-   re-streaming the whole matrix once per i as the flat pair order does. *)
-let tile_rows = 256
+(* First position of [x] or above in the increasing array [c]. *)
+let first_at_least c x =
+  let lo = ref 0 and hi = ref (Array.length c) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if c.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let matfree ?jobs ?mask r =
+let pairs ?jobs r =
   let np = Sparse.rows r in
-  let nc = Sparse.cols r in
-  let nrows = row_count ~np in
-  (match mask with
-  | Some m when Bytes.length m <> nrows ->
-      invalid_arg "Augmented.matfree: mask length mismatch"
-  | _ -> ());
-  let csr = Sparse.to_csr r in
-  let ptr = csr.Sparse.ptr and idx = csr.Sparse.idx in
-  let live =
-    match mask with
-    | None -> fun _ -> true
-    | Some m -> fun k -> Bytes.unsafe_get m k <> '\000'
-  in
-  let ntiles = Parallel.Chunk.tile_count ~tile:tile_rows ~np in
-  let blocks = Parallel.Chunk.block_count ~min_block:1 ntiles in
-  (* Both products visit each tile's pairs as (i, j) with j inner; the
-     flat row index k advances by one as j does, so row_index runs once
-     per (tile, i). Every k belongs to exactly one tile, hence exactly
-     one block: apply is trivially jobs-invariant, and apply_t merges
-     its per-block partials in block index order below. *)
-  let apply v =
-    if Array.length v <> nc then
-      invalid_arg "Augmented.matfree: apply dimension mismatch";
-    let y = Array.make nrows 0. in
-    Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-        let tlo, thi = Parallel.Chunk.range ~blocks ~n:ntiles bk in
-        for t = tlo to thi - 1 do
-          let (ilo, ihi), (jlo, jhi) =
-            Parallel.Chunk.tile_bounds ~tile:tile_rows ~np t
-          in
-          for i = ilo to ihi - 1 do
-            let si = Bigarray.Array1.unsafe_get ptr i in
-            let ei = Bigarray.Array1.unsafe_get ptr (i + 1) in
-            let j0 = if jlo <= i then i else jlo in
-            let k = ref (row_index ~np ~i ~j:j0) in
-            for j = j0 to jhi - 1 do
-              (if live !k then begin
-                 let acc = ref 0. in
-                 if j = i then
-                   for a = si to ei - 1 do
-                     acc :=
-                       !acc
-                       +. Array.unsafe_get v (Bigarray.Array1.unsafe_get idx a)
-                   done
-                 else begin
-                   let a = ref si in
-                   let b = ref (Bigarray.Array1.unsafe_get ptr j) in
-                   let eb = Bigarray.Array1.unsafe_get ptr (j + 1) in
-                   while !a < ei && !b < eb do
-                     let ca = Bigarray.Array1.unsafe_get idx !a in
-                     let cb = Bigarray.Array1.unsafe_get idx !b in
-                     if ca = cb then begin
-                       acc := !acc +. Array.unsafe_get v ca;
-                       incr a;
-                       incr b
-                     end
-                     else if ca < cb then incr a
-                     else incr b
-                   done
-                 end;
-                 Array.unsafe_set y !k !acc
-               end);
-              incr k
-            done
-          done
-        done);
-    y
-  in
-  let apply_t w =
-    if Array.length w <> nrows then
-      invalid_arg "Augmented.matfree: apply_t dimension mismatch";
-    let partials = Array.init blocks (fun _ -> Array.make nc 0.) in
-    Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-        let p = partials.(bk) in
-        let tlo, thi = Parallel.Chunk.range ~blocks ~n:ntiles bk in
-        for t = tlo to thi - 1 do
-          let (ilo, ihi), (jlo, jhi) =
-            Parallel.Chunk.tile_bounds ~tile:tile_rows ~np t
-          in
-          for i = ilo to ihi - 1 do
-            let si = Bigarray.Array1.unsafe_get ptr i in
-            let ei = Bigarray.Array1.unsafe_get ptr (i + 1) in
-            let j0 = if jlo <= i then i else jlo in
-            let k = ref (row_index ~np ~i ~j:j0) in
-            for j = j0 to jhi - 1 do
-              (if live !k then begin
-                 let wk = Array.unsafe_get w !k in
-                 if wk <> 0. then
-                   if j = i then
-                     for a = si to ei - 1 do
-                       let c = Bigarray.Array1.unsafe_get idx a in
-                       Array.unsafe_set p c (Array.unsafe_get p c +. wk)
-                     done
-                   else begin
-                     let a = ref si in
-                     let b = ref (Bigarray.Array1.unsafe_get ptr j) in
-                     let eb = Bigarray.Array1.unsafe_get ptr (j + 1) in
-                     while !a < ei && !b < eb do
-                       let ca = Bigarray.Array1.unsafe_get idx !a in
-                       let cb = Bigarray.Array1.unsafe_get idx !b in
-                       if ca = cb then begin
-                         Array.unsafe_set p ca (Array.unsafe_get p ca +. wk);
-                         incr a;
-                         incr b
-                       end
-                       else if ca < cb then incr a
-                       else incr b
-                     done
-                   end
-               end);
-              incr k
-            done
-          done
-        done);
-    let x = Array.make nc 0. in
+  let cols = Sparse.cols_index r in
+  (* [iter_links i f] calls [f j e] for every link [e] of path [i], in
+     increasing order, and every path [j >= i] that crosses it *)
+  let iter_links i f =
     Array.iter
-      (fun p ->
-        for e = 0 to nc - 1 do
-          x.(e) <- x.(e) +. p.(e)
+      (fun e ->
+        let c = cols.(e) in
+        for t = first_at_least c i to Array.length c - 1 do
+          f c.(t) e
         done)
-      partials;
-    x
+      (Sparse.row r i)
   in
-  { Linalg.Lsqr.rows = nrows; cols = nc; apply; apply_t }
-
-let matfree_column_counts ?jobs ?mask r =
-  (* 0/1 entries make diag(AᵀA) the live-row count per column, which is
-     exactly Aᵀ applied to the all-ones vector *)
-  let op = matfree ?jobs ?mask r in
-  op.Linalg.Lsqr.apply_t (Array.make op.Linalg.Lsqr.rows 1.)
-
-let gram_blocks ?jobs ?mask r ~groups =
-  let np = Sparse.rows r in
-  let nc = Sparse.cols r in
-  let nrows = row_count ~np in
-  (match mask with
-  | Some m when Bytes.length m <> nrows ->
-      invalid_arg "Augmented.gram_blocks: mask length mismatch"
-  | _ -> ());
-  Array.iter
-    (Array.iter (fun j ->
-         if j < 0 || j >= nc then
-           invalid_arg "Augmented.gram_blocks: column index out of bounds"))
-    groups;
-  let live =
-    match mask with
-    | None -> fun _ -> true
-    | Some m -> fun k -> Bytes.unsafe_get m k <> '\000'
+  (* Per-domain scratch, all zero between paths: [hits.(j)] counts the
+     links path j shares with the current path, and [seen] lists those
+     partners in first-hit order. *)
+  let scratch =
+    Parallel.Pool.Buffers.create (fun () -> (Array.make np 0, Array.make np 0))
   in
-  let out = Array.make (Array.length groups) (Linalg.Matrix.zeros 0 0) in
-  (* Restricting a pair row to a column group commutes with the ⊗ of
-     Definition 1: (Ri∗ ⊗ Rj∗)|g = Ri∗|g ⊗ Rj∗|g. So each diagonal Gram
-     block needs only the group-restricted routing rows, and only the
-     paths whose restriction is nonempty can contribute. Every group
-     fills its own matrix from exact integer counts: jobs-invariant. *)
-  Parallel.Pool.parallel_for ?jobs ~min_block:1 ~n:(Array.length groups)
-    (fun gi ->
-      let idx = groups.(gi) in
-      let s = Array.length idx in
-      let rr = Sparse.select_cols r idx in
-      let touch = ref [] in
-      for i = np - 1 downto 0 do
-        if Array.length (Sparse.row rr i) > 0 then touch := i :: !touch
-      done;
-      let touch = Array.of_list !touch in
-      let nt = Array.length touch in
-      let g = Linalg.Matrix.zeros s s in
-      for a = 0 to nt - 1 do
-        let i = touch.(a) in
-        let ri = Sparse.row rr i in
-        for b = a to nt - 1 do
-          let j = touch.(b) in
-          let supp =
-            if i = j then ri else Sparse.row_product ri (Sparse.row rr j)
-          in
-          if Array.length supp > 0 && live (row_index ~np ~i ~j) then
-            Array.iter
-              (fun x ->
-                Array.iter
-                  (fun y ->
-                    Linalg.Matrix.set g x y (Linalg.Matrix.get g x y +. 1.))
-                  supp)
-              supp
-        done
-      done;
-      out.(gi) <- g);
-  out
+  let blocks = Parallel.Chunk.block_count ~min_block:64 np in
+  let for_paths f =
+    Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
+        let lo, hi = Parallel.Chunk.range ~blocks ~n:np bk in
+        let sc = Parallel.Pool.Buffers.borrow scratch in
+        for i = lo to hi - 1 do
+          f sc i
+        done;
+        Parallel.Pool.Buffers.return scratch sc)
+  in
+  let partners (hits, seen) i =
+    let n = ref 0 in
+    iter_links i (fun j _ ->
+        if hits.(j) = 0 then begin
+          seen.(!n) <- j;
+          incr n
+        end;
+        hits.(j) <- hits.(j) + 1);
+    Array.sub seen 0 !n
+  in
+  (* Count, then fill exactly sized arrays. Every path writes only its own
+     slots, so the result is the same for every [jobs]. *)
+  let count = Array.make np 0 in
+  for_paths (fun ((hits, _) as sc) i ->
+      let p = partners sc i in
+      Array.iter (fun j -> hits.(j) <- 0) p;
+      count.(i) <- Array.length p);
+  let offset = Array.make (np + 1) 0 in
+  for i = 0 to np - 1 do
+    offset.(i + 1) <- offset.(i) + count.(i)
+  done;
+  let total = offset.(np) in
+  let is = Array.make total 0 and js = Array.make total 0 in
+  let supports = Array.make total [||] in
+  for_paths (fun ((hits, seen) as sc) i ->
+      let p = partners sc i in
+      Array.sort Int.compare p;
+      (* from here [seen.(j)] is partner j's slot and [hits.(j)] the fill
+         position of its support, which grows in increasing link order *)
+      Array.iteri
+        (fun t j ->
+          let slot = offset.(i) + t in
+          is.(slot) <- i;
+          js.(slot) <- j;
+          supports.(slot) <- Array.make hits.(j) 0;
+          seen.(j) <- slot;
+          hits.(j) <- 0)
+        p;
+      iter_links i (fun j e ->
+          supports.(seen.(j)).(hits.(j)) <- e;
+          hits.(j) <- hits.(j) + 1);
+      Array.iter (fun j -> hits.(j) <- 0) p);
+  (is, js, Sparse.create ~cols:(Sparse.cols r) supports)
 
 let sample_mask ~np ~fraction ~seed =
   if not (fraction >= 0. && fraction <= 1.) then

@@ -25,65 +25,28 @@ val build : ?jobs:int -> Linalg.Sparse.t -> Linalg.Sparse.t
     (default [Parallel.Pool.default_jobs ()]); each row is produced by
     exactly one block, so the result is identical for every [jobs]. *)
 
-(** {1 Matrix-free operator}
+(** {1 The non-empty rows}
 
-    [build] stores one sparse row per path pair, which is fine to ~10³
-    paths and hopeless at 10⁵ (5·10⁹ rows). The operator below computes
-    the products [v ↦ A v] and [w ↦ Aᵀ w] straight from the routing
-    matrix: a pair row's support is [Ri∗ ⊗ Rj∗], so each product streams
-    over the pair triangle intersecting CSR rows on the fly — O(nnz of
-    [R] work per band sweep, zero per-pair allocation, and memory that
-    never exceeds the vectors themselves. This is what an iterative
-    least-squares solver ({!Linalg.Lsqr.cgls}) needs to solve
-    [Σ* = A v] at path counts where even forming [AᵀA] row-by-row is
-    the bottleneck. *)
+    A pair of paths that shares no link has an all-zero row in [A], so it
+    adds nothing to [Σ̂* = A v]. On PlanetLab-like overlays only 4–13% of
+    the n_p(n_p+1)/2 pairs share a link (2–36% across the other
+    topology generators), so both Phase-1 estimators work on the list of
+    non-empty rows rather than on the whole pair triangle. *)
 
-val matfree :
-  ?jobs:int -> ?mask:Bytes.t -> Linalg.Sparse.t -> Linalg.Lsqr.operator
-(** [matfree r] is the implicit augmented matrix of [r] as an
-    {!Linalg.Lsqr.operator} ([rows = row_count], [cols = Sparse.cols r]).
+val pairs :
+  ?jobs:int -> Linalg.Sparse.t -> int array * int array * Linalg.Sparse.t
+(** [pairs r] is [(is, js, s)]: entry [p] is the pair [(is.(p), js.(p))],
+    [is.(p) <= js.(p)], whose routing rows intersect, and row [p] of [s]
+    is that intersection — row {!row_index}[ ~i:is.(p) ~j:js.(p)] of
+    {!build}. Every such pair appears once, in increasing {!row_index}
+    order; pairs with an empty intersection do not appear.
 
-    [mask], when given, must have {!row_count} bytes: rows whose byte is
-    ['\000'] are treated as deleted — their product entries are 0 and
-    their adjoint contributions are skipped. This is how the estimator
-    expresses both the paper's drop-negative-covariance rule and the
-    seeded row-sampling sketch without changing the operator shape.
-
-    Both products sweep the pair triangle in cache-blocked 2-D tiles
-    ({!Parallel.Chunk.tile_bounds}) over flat [Bigarray] CSR storage
-    ({!Linalg.Sparse.to_csr}): the tile's [j]-band rows stay hot in
-    cache while [i] walks its band, and no intersection is ever
-    materialized. Tiles are distributed over [jobs] domains in blocks
-    whose count depends only on the problem size; [apply] writes each
-    output entry from exactly one tile and [apply_t] merges per-block
-    private accumulators in block index order, so both products are
-    bit-for-bit identical for every [jobs] value. *)
-
-val matfree_column_counts :
-  ?jobs:int -> ?mask:Bytes.t -> Linalg.Sparse.t -> float array
-(** Diagonal of [AᵀA] for the (masked) implicit matrix: entry [e] counts
-    the live pair rows whose support contains link [e]. Exact integer
-    counts (in floats), one tiled sweep, jobs-invariant. This is the
-    Jacobi preconditioner weight for {!Linalg.Lsqr.scaled_columns}. *)
-
-val gram_blocks :
-  ?jobs:int ->
-  ?mask:Bytes.t ->
-  Linalg.Sparse.t ->
-  groups:int array array ->
-  Linalg.Matrix.t array
-(** [gram_blocks r ~groups] builds, for each column group, the dense
-    diagonal block [(AᵀA)_{g,g}] of the (masked) implicit augmented
-    matrix's Gram — entry [(a, b)] counts the live pair rows whose
-    support contains both group columns. Because the pair product [⊗]
-    commutes with column restriction, each block is computed from the
-    group-restricted routing rows alone, never touching the other
-    columns: this is the per-AS factorization unit of the hierarchical
-    solve path ({!Linalg.Precond.block_jacobi}). Groups are processed in
-    parallel over [jobs] domains, each writing only its own output slot;
-    entries are exact integer counts, so results are bit-for-bit
-    identical for every [jobs]. [mask] has the same semantics as in
-    {!matfree}. *)
+    The pairs are found through the link→paths index
+    ({!Linalg.Sparse.cols_index}), so the cost follows the number of
+    non-empty pairs and their supports, not n_p². Paths are enumerated in
+    blocks over [jobs] domains (default [Parallel.Pool.default_jobs ()]);
+    each path fills only its own slots of exactly sized arrays, so the
+    result is identical for every [jobs]. *)
 
 val sample_mask : np:int -> fraction:float -> seed:int -> Bytes.t
 (** A deterministic row-sampling sketch mask: row [k] is kept iff a

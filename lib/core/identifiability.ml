@@ -1,29 +1,14 @@
 module Sparse = Linalg.Sparse
-module Matrix = Linalg.Matrix
 module Qr = Linalg.Qr
 
 type verdict = Identifiable | Dependent of int list
 
-(* Gram matrix of the augmented matrix, assembled without materializing A:
-   G[k,l] counts the path pairs (i <= j) in which both k and l appear in
-   Ri ⊗ Rj. *)
+(* Gram matrix of the augmented matrix over its non-empty rows: G[k,l]
+   counts the path pairs (i <= j) in which both k and l appear in
+   Ri ⊗ Rj. Empty rows add nothing to it. *)
 let augmented_gram r =
-  let np = Sparse.rows r and nc = Sparse.cols r in
-  let g = Array.init nc (fun _ -> Array.make nc 0.) in
-  for i = 0 to np - 1 do
-    let ri = Sparse.row r i in
-    for j = i to np - 1 do
-      let row = if i = j then ri else Sparse.row_product ri (Sparse.row r j) in
-      let len = Array.length row in
-      for a = 0 to len - 1 do
-        let ga = g.(row.(a)) in
-        for b = 0 to len - 1 do
-          ga.(row.(b)) <- ga.(row.(b)) +. 1.
-        done
-      done
-    done
-  done;
-  Matrix.init nc nc (fun k l -> g.(k).(l))
+  let _, _, a = Augmented.pairs r in
+  Sparse.normal_matrix a
 
 let check r =
   let nc = Sparse.cols r in

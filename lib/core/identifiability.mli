@@ -16,9 +16,10 @@ type verdict =
           separated from the others with the given paths *)
 
 val check : Linalg.Sparse.t -> verdict
-(** [check r] builds the augmented columns implicitly and greedily tests
-    independence (highest column id first, so the reported dependent set
-    is the low-id entangled links). O(rows(A) × nc × rank). *)
+(** [check r] forms the Gram matrix of the augmented matrix over its
+    non-empty rows ({!Augmented.pairs}) and tests the independence of
+    its columns with a pivoted QR; the columns past the numerical rank
+    are reported as dependent. *)
 
 val is_identifiable : Linalg.Sparse.t -> bool
 

@@ -48,12 +48,12 @@ type solver =
               backend; the other choices leave Phase 2 on the historical
               raw CGLS. *)
     }
-      (** matrix-free: Phase 1 runs preconditioned CGLS against the
-          implicit augmented operator ({!Augmented.matfree}), Phase 2
-          solves through the sparse [R*] ({!Plan.backend}). Memory stays
-          O(non-zeros + vectors) — the only path that scales past the
-          n_p² wall — and agrees with [Dense] to solver tolerance on
-          full-rank systems. *)
+      (** iterative: Phase 1 runs preconditioned CGLS over the live
+          rows of the augmented matrix — the pairs that share a link
+          ({!Augmented.pairs}) — and Phase 2 solves through the sparse
+          [R*] ({!Plan.backend}). It never forms a Gram matrix, and
+          agrees with [Dense] to solver tolerance on full-rank
+          systems. *)
 
 val default_cgls : solver
 (** [Cgls { tol = 1e-10; max_iter = None; sample = None;

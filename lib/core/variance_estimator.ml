@@ -129,80 +129,115 @@ let pair_cov ~m centered has_missing i j =
     if !n < 2 then (Float.nan, !n) else (!acc /. float_of_int (!n - 1), !n)
   end
 
-let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
-    ?(min_pair_samples = 2) ~r ~y () =
-  let np = Sparse.rows r and nc = Sparse.cols r in
-  let m = Linalg.Matrix.rows y in
-  if Linalg.Matrix.cols y <> np then
-    invalid_arg "Variance_estimator.estimate_streaming: width mismatch";
-  if m < 2 then
-    invalid_arg "Variance_estimator.estimate_streaming: need at least 2 snapshots";
-  if min_pair_samples < 2 then
-    invalid_arg "Variance_estimator.estimate_streaming: min_pair_samples < 2";
+(* What both estimators start from: the non-empty pair rows of [r]
+   ({!Augmented.pairs}, in flat row order) with each pair's
+   pairwise-complete covariance and overlap count. Every slot is written
+   once, so the arrays are the same for every [jobs]. *)
+let pair_sweep ?jobs ~r y =
+  let np = Sparse.rows r and m = Linalg.Matrix.rows y in
+  let centered, has_missing = center_columns ?jobs ~np ~m y in
+  let is, js, supports = Augmented.pairs ?jobs r in
+  let n = Array.length is in
+  let cov = Array.make n 0. and overlap = Array.make n 0 in
+  Parallel.Pool.parallel_for ?jobs ~min_block:2048 ~n (fun p ->
+      let s, o = pair_cov ~m centered has_missing is.(p) js.(p) in
+      cov.(p) <- s;
+      overlap.(p) <- o);
+  (is, js, supports, cov, overlap)
+
+(* A pair row enters the system iff its pair has enough overlapping
+   snapshots (otherwise its covariance carries no usable signal) and its
+   covariance passes the drop-negative rule. *)
+let kept ~drop_negative ~min_pair_samples cov overlap p =
+  overlap.(p) >= min_pair_samples && (cov.(p) >= 0. || not drop_negative)
+
+(* Effective-sample-size accounting over the non-empty pairs. *)
+let ess_of ~min_pair_samples overlap =
+  let skipped = ref 0 and samples_min = ref max_int in
+  Array.iter
+    (fun o ->
+      if o < min_pair_samples then incr skipped
+      else if o < !samples_min then samples_min := o)
+    overlap;
+  let pairs_total = Array.length overlap in
+  Obs.Metrics.add m_pairs_skipped !skipped;
+  let samples_min = if !samples_min = max_int then 0 else !samples_min in
+  Obs.Metrics.set g_samples_min (float_of_int samples_min);
+  { pairs_total; pairs_used = pairs_total - !skipped; samples_min }
+
+let check_inputs name ~min_pair_samples ~r ~y =
+  let fail msg =
+    invalid_arg (Printf.sprintf "Variance_estimator.%s: %s" name msg)
+  in
+  if Linalg.Matrix.cols y <> Sparse.rows r then fail "width mismatch";
+  if Linalg.Matrix.rows y < 2 then fail "need at least 2 snapshots";
+  if min_pair_samples < 2 then fail "min_pair_samples < 2"
+
+let phase1_kernel name ~r ~y f =
+  let np = Sparse.rows r in
   Obs.Metrics.add m_pairs (np * (np + 1) / 2);
   Obs.Probe.kernel ~hist:m_phase1
     ~args:
-      [ ("np", Obs.Field.Int np); ("nc", Obs.Field.Int nc); ("m", Obs.Field.Int m) ]
-    "variance_estimator.estimate_streaming"
-  @@ fun () ->
-  let centered, has_missing = center_columns ?jobs ~np ~m y in
-  let cov i j = pair_cov ~m centered has_missing i j in
-  (* Accumulate G = AᵀA and b = AᵀΣ̂* over the non-empty augmented rows of
-     the pair triangle, cut into blocks whose count depends only on the
-     problem size (never on [jobs]). Determinism:
+      [
+        ("np", Obs.Field.Int np);
+        ("nc", Obs.Field.Int (Sparse.cols r));
+        ("m", Obs.Field.Int (Linalg.Matrix.rows y));
+      ]
+    ("variance_estimator." ^ name)
+    f
+
+let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
+    ?(min_pair_samples = 2) ~r ~y () =
+  check_inputs "estimate_streaming" ~min_pair_samples ~r ~y;
+  phase1_kernel "estimate_streaming" ~r ~y @@ fun () ->
+  let np = Sparse.rows r and nc = Sparse.cols r in
+  let is, js, supports, cov, overlap = pair_sweep ?jobs ~r y in
+  let kept = kept ~drop_negative ~min_pair_samples cov overlap in
+  (* Accumulate G = AᵀA and b = AᵀΣ̂* over the kept rows, cut into blocks
+     of the flat row range whose count depends only on the problem size
+     (never on [jobs]). Determinism:
      - G's entries are counts of 1.0 increments — exact in floating
        point — so per-domain accumulators merge to the same bits in any
        order;
      - b sums real covariances, so each block owns a private partial
-       vector and the partials are merged in block index order below.
+       vector, sums its rows in flat row order, and the partials are
+       merged in block index order below.
      The same floating-point operations therefore run in the same order
-     for every [jobs] value, and the result is bit-for-bit identical. *)
-  let npairs = np * (np + 1) / 2 in
+     for every [jobs] value, and in the same order as a sweep over the
+     whole pair triangle, whose empty rows add nothing. *)
+  let npairs = Augmented.row_count ~np in
   let blocks = Parallel.Chunk.block_count npairs in
+  let first = Array.make (blocks + 1) (Array.length is) in
+  let p = ref 0 in
+  for bk = 0 to blocks - 1 do
+    let lo, _ = Parallel.Chunk.range ~blocks ~n:npairs bk in
+    while
+      !p < Array.length is && Augmented.row_index ~np ~i:is.(!p) ~j:js.(!p) < lo
+    do
+      incr p
+    done;
+    first.(bk) <- !p
+  done;
   let partial_b = Array.init blocks (fun _ -> Array.make nc 0.) in
-  (* per-block effective-sample-size tallies (exact integers, so their
-     merge below is independent of domain scheduling) *)
-  let blk_nonempty = Array.make blocks 0 in
-  let blk_skipped = Array.make blocks 0 in
-  let blk_min_n = Array.make blocks max_int in
   let gbufs = Parallel.Pool.Buffers.create (fun () -> Array.make (nc * nc) 0.) in
   Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-      let lo, hi = Parallel.Chunk.range ~blocks ~n:npairs bk in
       let b = partial_b.(bk) in
       let g = Parallel.Pool.Buffers.borrow gbufs in
-      let last_i = ref (-1) in
-      let ri = ref [||] in
-      Parallel.Chunk.iter_pairs ~np ~lo ~hi (fun _ i j ->
-          if i <> !last_i then begin
-            last_i := i;
-            ri := Sparse.row r i
-          end;
-          let row =
-            if i = j then !ri else Sparse.row_product !ri (Sparse.row r j)
-          in
-          if Array.length row > 0 then begin
-            blk_nonempty.(bk) <- blk_nonempty.(bk) + 1;
-            let s, n = cov i j in
-            if n < min_pair_samples then
-              (* too few overlapping snapshots: this pair's covariance
-                 carries no usable signal, drop its augmented row *)
-              blk_skipped.(bk) <- blk_skipped.(bk) + 1
-            else begin
-              if n < blk_min_n.(bk) then blk_min_n.(bk) <- n;
-              if s >= 0. || not drop_negative then begin
-                let len = Array.length row in
-                for a = 0 to len - 1 do
-                  let ja = row.(a) in
-                  b.(ja) <- b.(ja) +. s;
-                  let base = ja * nc in
-                  for c = 0 to len - 1 do
-                    let k = base + row.(c) in
-                    g.(k) <- g.(k) +. 1.
-                  done
-                done
-              end
-            end
-          end);
+      for p = first.(bk) to first.(bk + 1) - 1 do
+        if kept p then begin
+          let row = Sparse.row supports p and s = cov.(p) in
+          let len = Array.length row in
+          for a = 0 to len - 1 do
+            let ja = row.(a) in
+            b.(ja) <- b.(ja) +. s;
+            let base = ja * nc in
+            for c = 0 to len - 1 do
+              let k = base + row.(c) in
+              g.(k) <- g.(k) +. 1.
+            done
+          done
+        end
+      done;
       Parallel.Pool.Buffers.return gbufs g);
   let g = Array.make (nc * nc) 0. in
   List.iter
@@ -222,158 +257,98 @@ let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
   let f = Linalg.Cholesky.factorize_regularized gm in
   let v = Linalg.Cholesky.solve_vec f b in
   let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
-  let pairs_total = Array.fold_left ( + ) 0 blk_nonempty in
-  let pairs_skipped = Array.fold_left ( + ) 0 blk_skipped in
-  let samples_min = Array.fold_left min max_int blk_min_n in
-  let ess =
-    {
-      pairs_total;
-      pairs_used = pairs_total - pairs_skipped;
-      samples_min = (if samples_min = max_int then 0 else samples_min);
-    }
-  in
-  Obs.Metrics.add m_pairs_skipped pairs_skipped;
-  Obs.Metrics.set g_samples_min (float_of_int ess.samples_min);
-  (v, ess)
+  (v, ess_of ~min_pair_samples overlap)
 
 let estimate_streaming ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y () =
   fst
     (estimate_streaming_ess ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y
        ())
 
+(* the indices [p] in [0 .. n-1] with [f p], increasing *)
+let indices n f =
+  let count = ref 0 in
+  for p = 0 to n - 1 do
+    if f p then incr count
+  done;
+  let out = Array.make !count 0 in
+  let t = ref 0 in
+  for p = 0 to n - 1 do
+    if f p then begin
+      out.(!t) <- p;
+      incr t
+    end
+  done;
+  out
+
 let estimate_matfree_ess ?(options = default_matfree_options) ?jobs ~r ~y () =
+  let min_pair_samples = options.mf_min_pair_samples in
+  check_inputs "estimate_matfree" ~min_pair_samples ~r ~y;
+  phase1_kernel "estimate_matfree" ~r ~y @@ fun () ->
   let np = Sparse.rows r and nc = Sparse.cols r in
-  let m = Linalg.Matrix.rows y in
-  if Linalg.Matrix.cols y <> np then
-    invalid_arg "Variance_estimator.estimate_matfree: width mismatch";
-  if m < 2 then
-    invalid_arg "Variance_estimator.estimate_matfree: need at least 2 snapshots";
-  if options.mf_min_pair_samples < 2 then
-    invalid_arg "Variance_estimator.estimate_matfree: min_pair_samples < 2";
-  Obs.Metrics.add m_pairs (np * (np + 1) / 2);
-  Obs.Probe.kernel ~hist:m_phase1
-    ~args:
-      [ ("np", Obs.Field.Int np); ("nc", Obs.Field.Int nc); ("m", Obs.Field.Int m) ]
-    "variance_estimator.estimate_matfree"
-  @@ fun () ->
-  let centered, has_missing = center_columns ?jobs ~np ~m y in
-  let smask =
+  let is, js, supports, cov, overlap = pair_sweep ?jobs ~r y in
+  let sampled =
     match options.sample with
-    | None -> None
-    | Some (fraction, seed) -> Some (Augmented.sample_mask ~np ~fraction ~seed)
+    | None -> fun _ -> true
+    | Some (fraction, seed) ->
+        let sm = Augmented.sample_mask ~np ~fraction ~seed in
+        fun p ->
+          Bytes.get sm (Augmented.row_index ~np ~i:is.(p) ~j:js.(p)) <> '\000'
   in
-  (* One tiled sweep builds the right-hand side Σ̂* and the row mask:
-     a row survives iff its pair has enough overlapping snapshots, its
-     covariance passes the drop-negative rule, and (when sketching) the
-     sampling hash keeps it. Tiles are cut into blocks whose count
-     depends only on the problem size, each flat row index belongs to
-     exactly one tile, and the effective-sample-size tallies are exact
-     integers merged per block — so rhs, mask and ess are identical for
-     every [jobs] value, and match the streaming estimator's accounting
-     pair for pair. *)
-  let nrows = Augmented.row_count ~np in
-  let rhs = Array.make nrows 0. in
-  let mask = Bytes.make nrows '\000' in
-  let csr = Sparse.to_csr r in
-  let ptr = csr.Sparse.ptr and idx = csr.Sparse.idx in
-  let tile = 256 in
-  let ntiles = Parallel.Chunk.tile_count ~tile ~np in
-  let blocks = Parallel.Chunk.block_count ~min_block:1 ntiles in
-  let blk_nonempty = Array.make (max 1 blocks) 0 in
-  let blk_skipped = Array.make (max 1 blocks) 0 in
-  let blk_min_n = Array.make (max 1 blocks) max_int in
-  Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-      let tlo, thi = Parallel.Chunk.range ~blocks ~n:ntiles bk in
-      for t = tlo to thi - 1 do
-        let (ilo, ihi), (jlo, jhi) = Parallel.Chunk.tile_bounds ~tile ~np t in
-        for i = ilo to ihi - 1 do
-          let si = Bigarray.Array1.unsafe_get ptr i in
-          let ei = Bigarray.Array1.unsafe_get ptr (i + 1) in
-          let j0 = if jlo <= i then i else jlo in
-          let k = ref (Augmented.row_index ~np ~i ~j:j0) in
-          for j = j0 to jhi - 1 do
-            let nonempty =
-              if j = i then ei > si
-              else begin
-                let a = ref si in
-                let b = ref (Bigarray.Array1.unsafe_get ptr j) in
-                let eb = Bigarray.Array1.unsafe_get ptr (j + 1) in
-                let hit = ref false in
-                while (not !hit) && !a < ei && !b < eb do
-                  let ca = Bigarray.Array1.unsafe_get idx !a in
-                  let cb = Bigarray.Array1.unsafe_get idx !b in
-                  if ca = cb then hit := true
-                  else if ca < cb then incr a
-                  else incr b
-                done;
-                !hit
-              end
-            in
-            if nonempty then begin
-              blk_nonempty.(bk) <- blk_nonempty.(bk) + 1;
-              let s, n = pair_cov ~m centered has_missing i j in
-              if n < options.mf_min_pair_samples then
-                blk_skipped.(bk) <- blk_skipped.(bk) + 1
-              else begin
-                if n < blk_min_n.(bk) then blk_min_n.(bk) <- n;
-                let sampled =
-                  match smask with
-                  | None -> true
-                  | Some sm -> Bytes.unsafe_get sm !k <> '\000'
-                in
-                if (s >= 0. || not options.mf_drop_negative) && sampled then begin
-                  rhs.(!k) <- s;
-                  Bytes.unsafe_set mask !k '\001'
-                end
-              end
-            end;
-            incr k
-          done
-        done
-      done);
+  (* The live rows, in flat row order: the kept pairs that the sampling
+     sketch (when on) also keeps. CGLS runs on them alone; a deleted row
+     of the full system contributes nothing to either product. *)
+  let live =
+    indices (Array.length is) (fun p ->
+        kept ~drop_negative:options.mf_drop_negative ~min_pair_samples cov
+          overlap p
+        && sampled p)
+  in
+  let a = Sparse.select_rows supports live in
+  let rhs = Array.map (fun p -> cov.(p)) live in
+  let cgls ?precond op precond_name =
+    Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter ?precond
+      ~context:
+        [
+          ("phase", Obs.Field.Str "phase1");
+          ("precond", Obs.Field.Str precond_name);
+        ]
+      op rhs
+  in
   let v, stats =
     match options.mf_precond with
-    | Pc_none ->
-        Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter
-          ~context:
-            [
-              ("phase", Obs.Field.Str "phase1");
-              ("precond", Obs.Field.Str "none");
-            ]
-          (Augmented.matfree ?jobs ~mask r)
-          rhs
+    | Pc_none -> cgls (Linalg.Lsqr.of_sparse a) "none"
     | Pc_jacobi ->
         (* Jacobi right preconditioner: equalize the wildly uneven column
            counts of the augmented matrix (a backbone link appears in
            almost every pair row, a leaf link in n_p of them). The
            explicit scaled_columns + w∘z recovery is kept verbatim: it is
-           the historical arithmetic, bit-for-bit. *)
-        let op = Augmented.matfree ?jobs ~mask r in
-        let counts = Augmented.matfree_column_counts ?jobs ~mask r in
-        let w = Array.map (fun c -> 1. /. sqrt (Float.max 1. c)) counts in
+           the historical arithmetic. *)
+        let w =
+          Array.map
+            (fun c -> 1. /. sqrt (Float.max 1. (float_of_int c)))
+            (Sparse.column_counts a)
+        in
         let z, stats =
-          Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter
-            ~context:
-              [
-                ("phase", Obs.Field.Str "phase1");
-                ("precond", Obs.Field.Str "jacobi");
-              ]
-            (Linalg.Lsqr.scaled_columns op w)
-            rhs
+          cgls (Linalg.Lsqr.scaled_columns (Linalg.Lsqr.of_sparse a) w) "jacobi"
         in
         (Array.mapi (fun e ze -> w.(e) *. ze) z, stats)
     | Pc_block_jacobi groups ->
         (* Hierarchical path: reorder the columns into doubly-bordered
            block-diagonal form (each group contiguous, border last — the
-           permutation only renumbers columns, so rhs and mask are
-           untouched), factor the per-group Gram blocks independently,
-           and run CGLS on the permuted operator under the block-Jacobi
-           right preconditioner. The solution is scattered back through
-           the same permutation. *)
+           permutation only renumbers columns, so the rows and rhs are
+           untouched), factor the per-group Gram blocks of the live rows
+           independently, and run CGLS on the permuted operator under the
+           block-Jacobi right preconditioner. The solution is scattered
+           back through the same permutation. Gram entries are exact
+           integer counts, so every group fills its own block the same
+           way for every [jobs]. *)
         let order = Array.concat (Array.to_list groups) in
-        let rp = Sparse.permute_cols r order in
-        let op = Augmented.matfree ?jobs ~mask rp in
-        let gblocks = Augmented.gram_blocks ?jobs ~mask r ~groups in
+        let op = Linalg.Lsqr.of_sparse (Sparse.permute_cols a order) in
+        let grams =
+          Array.make (Array.length groups) (Linalg.Matrix.zeros 0 0)
+        in
+        Parallel.Pool.parallel_for ?jobs ~min_block:1 ~n:(Array.length groups)
+          (fun g -> grams.(g) <- Sparse.gram_block a groups.(g));
         let blocks =
           let off = ref 0 in
           Array.map2
@@ -382,41 +357,20 @@ let estimate_matfree_ess ?(options = default_matfree_options) ?jobs ~r ~y () =
               let contiguous = Array.init s (fun t -> !off + t) in
               off := !off + s;
               (contiguous, g))
-            groups gblocks
+            groups grams
           |> Array.to_list
           |> List.filter (fun (idx, _) -> Array.length idx > 0)
           |> Array.of_list
         in
         let pc = Linalg.Precond.block_jacobi ?jobs ~cols:nc blocks in
-        let zp, stats =
-          Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter
-            ~precond:pc
-            ~context:
-              [
-                ("phase", Obs.Field.Str "phase1");
-                ("precond", Obs.Field.Str "block_jacobi");
-              ]
-            op rhs
-        in
+        let zp, stats = cgls ~precond:pc op "block_jacobi" in
         let v = Array.make nc 0. in
         Array.iteri (fun k j -> v.(j) <- zp.(k)) order;
         (v, stats)
   in
   let v = if options.mf_clamp then Array.map (fun x -> Float.max 0. x) v else v in
   Obs.Metrics.add m_cgls_iters stats.Linalg.Conjugate_gradient.iterations;
-  let pairs_total = Array.fold_left ( + ) 0 blk_nonempty in
-  let pairs_skipped = Array.fold_left ( + ) 0 blk_skipped in
-  let samples_min = Array.fold_left min max_int blk_min_n in
-  let ess =
-    {
-      pairs_total;
-      pairs_used = pairs_total - pairs_skipped;
-      samples_min = (if samples_min = max_int then 0 else samples_min);
-    }
-  in
-  Obs.Metrics.add m_pairs_skipped pairs_skipped;
-  Obs.Metrics.set g_samples_min (float_of_int ess.samples_min);
-  (v, ess, stats)
+  (v, ess_of ~min_pair_samples overlap, stats)
 
 let estimate ?(options = default_options) ?jobs ~r ~y () =
   match options.method_ with

@@ -16,7 +16,18 @@
     present entries, and pairs with fewer than [min_pair_samples]
     overlapping snapshots are excluded from the system. On a complete
     matrix the guarded path is never entered and the result is
-    bit-for-bit the historical estimator. *)
+    bit-for-bit the historical estimator.
+
+    {b Only the pairs that share a link.} A pair of paths with disjoint
+    routes has an all-zero row in [A] and adds nothing to the system.
+    Both estimators below ({!estimate_streaming_ess},
+    {!estimate_matfree_ess}) therefore list the non-empty pairs once per
+    call ({!Augmented.pairs}) and compute covariances and accumulate
+    only over that list: [P*] pairs instead of n_p(n_p+1)/2. On
+    PlanetLab-like overlays [P*] is 4–13% of the triangle; on the other
+    generators at 250–870 paths it is 2–4% (Waxman), 8–9% (BA), 8–12%
+    (DIMES), 18–36% (tree), about 31% (transit-stub) and 32–35%
+    (hier-td). *)
 
 type method_ = Normal_equations | Dense_qr
 
@@ -70,17 +81,21 @@ val estimate_streaming :
   y:Linalg.Matrix.t ->
   unit ->
   Linalg.Vector.t
-(** Solves the normal equations of [Σ̂* = A v] in one pass over the path
-    pairs, accumulating [AᵀA] and [AᵀΣ̂*] directly: pairs of paths that
-    share no link contribute nothing and are skipped, so memory is
-    O(n_c²) regardless of the n_p(n_p+1)/2 virtual rows. This is what
-    makes the PlanetLab-scale systems (hundreds of thousands of path
-    pairs) solvable in seconds, as reported in Section 6.4.
+(** Solves the normal equations of [Σ̂* = A v] in one pass over the
+    non-empty pair rows ({!Augmented.pairs}), accumulating [AᵀA] and
+    [AᵀΣ̂*] directly: work is O(P*·(m + L²)) for [P*] pairs sharing a
+    link, [m] snapshots and support length [L], and memory O(n_c²) plus
+    the O(P*·L) pair list. This is what makes the PlanetLab-scale
+    systems (hundreds of thousands of path pairs) solvable in seconds,
+    as reported in Section 6.4.
 
-    The pair triangle is partitioned into balanced blocks processed by
-    [jobs] domains (default [Parallel.Pool.default_jobs ()], so 1 on a
-    single-core host); per-block partials are merged in a fixed order, so
-    the result is bit-for-bit identical for every [jobs] value.
+    [AᵀΣ̂*] is summed in blocks of the flat row range (the pair
+    triangle's canonical order), each block in row order, and the block
+    partials are merged in block order, over [jobs] domains (default
+    [Parallel.Pool.default_jobs ()], so 1 on a single-core host). The
+    blocks depend only on n_p, so the result is bit-for-bit identical
+    for every [jobs] value — and to a sweep over the whole triangle,
+    whose empty rows add nothing.
 
     [min_pair_samples] (default 2) is the effective-sample-size guard of
     the pairwise-complete path: pairs with fewer overlapping snapshots
@@ -100,16 +115,14 @@ val estimate_streaming_ess :
     returned variances are bit-for-bit those of {!estimate_streaming}.
     The [ess] integers are exact and identical for every [jobs] value. *)
 
-(** {1 Matrix-free path}
+(** {1 Iterative path}
 
-    {!estimate_streaming} never materializes [A] but still forms the
-    dense [n_c × n_c] Gram matrix and, above all, touches every one of
-    the n_p(n_p+1)/2 pair rows with a per-row allocation. The matrix-free
-    path goes further: the augmented system is solved iteratively
-    ({!Linalg.Lsqr.cgls} over {!Augmented.matfree}) with memory bounded
-    by a handful of length-[n_c] and length-n_p(n_p+1)/2 vectors, which
-    is what survives at path counts where even the streaming Gram
-    assembly is the wall. *)
+    {!estimate_streaming} forms the dense [n_c × n_c] Gram matrix and
+    factors it. The iterative path never forms it: the live rows — the
+    non-empty pairs that pass the min-overlap, drop-negative and
+    sketch rules — become a sparse matrix, and {!Linalg.Lsqr.cgls}
+    solves the least-squares system over it. Each iteration costs
+    O(P*·L) and the pair list takes O(P*·L) memory. *)
 
 type precond_spec =
   | Pc_none  (** raw CGLS, no scaling *)
@@ -147,13 +160,17 @@ val estimate_matfree_ess :
   y:Linalg.Matrix.t ->
   unit ->
   Linalg.Vector.t * ess * Linalg.Lsqr.stats
-(** The matrix-free estimator: builds the right-hand side [Σ̂*] and a row
-    mask (drop-negative rule, effective-sample-size guard, optional
-    sampling sketch) in one cache-tiled sweep, then runs Jacobi-scaled
-    CGLS against the implicit augmented operator. Solves the same
-    least-squares problem as the streaming path over the same surviving
-    rows, so on full-column-rank systems the minimizer agrees to solver
-    tolerance. The [ess] accounting matches {!estimate_streaming_ess}
-    pair for pair; the CGLS iteration count is added to the
-    [lia_cgls_iterations] counter. Bit-for-bit identical for every
-    [jobs] value. Raises [Invalid_argument] as {!estimate_streaming}. *)
+(** The iterative estimator: lists the non-empty pairs
+    ({!Augmented.pairs}), keeps the live rows (drop-negative rule,
+    effective-sample-size guard, optional sampling sketch) in flat row
+    order with their covariances as the right-hand side, and runs
+    preconditioned CGLS on {!Linalg.Lsqr.of_sparse} of those rows.
+    Jacobi weights are the live rows' {!Linalg.Sparse.column_counts};
+    block-Jacobi factors their {!Linalg.Sparse.gram_block}s. Solves the
+    same least-squares problem as the streaming path over the same
+    surviving rows, so on full-column-rank systems the minimizer agrees
+    to solver tolerance. The [ess] accounting matches
+    {!estimate_streaming_ess} pair for pair; the CGLS iteration count is
+    added to the [lia_cgls_iterations] counter. Bit-for-bit identical
+    for every [jobs] value. Raises [Invalid_argument] as
+    {!estimate_streaming}. *)

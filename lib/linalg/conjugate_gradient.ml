@@ -79,6 +79,8 @@ let solve_matfree ?(tol = 1e-10) ?max_iter ?(context = []) ~dim ~mul b =
   if Array.length b <> dim then
     invalid_arg "Conjugate_gradient.solve_matfree: dimension mismatch";
   if tol <= 0. then invalid_arg "Conjugate_gradient: non-positive tolerance";
+  if not (tol < 1.) then
+    invalid_arg "Conjugate_gradient: tolerance not a number in (0, 1)";
   let max_iter = Option.value max_iter ~default:(max 1 dim) in
   let probes = instrumented () in
   let solve_id = if probes then new_solve_id () else 0 in

@@ -33,7 +33,8 @@ val solve :
 (** [solve m b] for SPD [m]. Stops when the residual 2-norm falls below
     [tol * norm b] (default [tol = 1e-10]) or after [max_iter] iterations
     (default: dimension of the system). Raises [Invalid_argument] on
-    non-square or mismatched inputs. [context] labels the solve's
+    non-square or mismatched inputs, or a [tol] that is not a number in
+    (0, 1). [context] labels the solve's
     telemetry (see {!note_iteration}); it never affects the solution. *)
 
 val solve_matfree :

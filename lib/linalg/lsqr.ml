@@ -45,6 +45,10 @@ let scaled_columns op w =
 let cgls ?(tol = 1e-10) ?max_iter ?x0 ?precond ?(context = []) op b =
   if Array.length b <> op.rows then invalid_arg "Lsqr.cgls: rhs length mismatch";
   if tol <= 0. then invalid_arg "Lsqr.cgls: non-positive tolerance";
+  (* an infinite, NaN or >= 1 tolerance would stop before the first
+     iteration and pass the zero start off as a converged solve *)
+  if not (tol < 1.) then
+    invalid_arg "Lsqr.cgls: tolerance not a number in (0, 1)";
   let n = op.cols in
   (match precond with
   | Some p when Precond.cols p <> n ->

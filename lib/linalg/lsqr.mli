@@ -2,10 +2,9 @@
 
     Solves [min ‖A x − b‖₂] for an operator given only as the pair of
     products [x ↦ A x] and [y ↦ Aᵀ y], without ever forming [A] or
-    [AᵀA]. This is the estimator path that breaks the n_p² wall of the
-    augmented system (Definition 1): the matrix has n_p(n_p+1)/2 rows —
-    5·10⁷ at 10⁴ paths — so materializing it (or its Gram matrix, or a
-    dense QR) stops being an option long before the products do. CGLS
+    [AᵀA]. This is the estimator path that avoids the Gram matrix of
+    the augmented system (Definition 1), whose non-empty rows — the path
+    pairs that share a link — it runs over ({!of_sparse}). CGLS
     runs the {!Conjugate_gradient} recurrence on the normal equations
     implicitly, with the well-known stabilized form that applies [A] and
     [Aᵀ] once each per iteration and never squares the conditioning.
@@ -28,8 +27,10 @@ type operator = {
 
 val of_sparse : Sparse.t -> operator
 (** The operator of an explicit sparse 0/1 matrix ({!Sparse.mul_vec} /
-    {!Sparse.mul_transpose_vec}) — the phase-2 backend that solves
-    [Y = R* X*] without densifying [R*]. *)
+    {!Sparse.mul_transpose_vec}): the live augmented rows of the
+    Phase-1 solve, and the Phase-2 backend that solves [Y = R* X*]
+    without densifying [R*]. Neither product allocates beyond its
+    result. *)
 
 val of_dense : Matrix.t -> operator
 (** The operator of an explicit dense matrix; for tests and small
@@ -64,9 +65,10 @@ val cgls :
     iteration is one [apply] + one [apply_t]). Non-convergence is
     reported through {!Conjugate_gradient.note_nonconvergence} and the
     returned [stats]. Raises [Invalid_argument] on a length mismatch or
-    non-positive [tol]. Deterministic: the same operator, right-hand
-    side and options run the same floating-point operations in the same
-    order.
+    a [tol] that is not a number in (0, 1) — an infinite or NaN
+    tolerance would otherwise stop before the first iteration.
+    Deterministic: the same operator, right-hand side and options run
+    the same floating-point operations in the same order.
 
     [x0] warm-starts the iteration — snapshot [k+1] of a batch solve
     starting from snapshot [k]'s solution. The stopping reference stays

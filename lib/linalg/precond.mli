@@ -44,8 +44,8 @@ val identity : int -> t
     unchanged (same array, not a copy). *)
 
 val jacobi : Vector.t -> t
-(** [jacobi d] is [C = diag(max 1 dₑ)^{1/2}] for [d = diag(AᵀA)] (e.g.
-    {!Core.Augmented.matfree_column_counts}). Entries below 1 — columns
+(** [jacobi d] is [C = diag(max 1 dₑ)^{1/2}] for [d = diag(AᵀA)] (for a
+    0/1 matrix, its {!Sparse.column_counts}). Entries below 1 — columns
     in no live row — clamp to 1 so the scale stays finite. Application
     multiplies by the precomputed reciprocal square roots, making
     [jacobi]-preconditioned {!Lsqr.cgls} run bit-for-bit the same

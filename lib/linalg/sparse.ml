@@ -4,11 +4,10 @@ type t = { nrows : int; ncols : int; data : row array }
 
 let validate_row ncols r =
   let ok = ref true in
-  Array.iteri
-    (fun k j ->
-      if j < 0 || j >= ncols then ok := false;
-      if k > 0 && r.(k - 1) >= j then ok := false)
-    r;
+  for k = 0 to Array.length r - 1 do
+    let j = r.(k) in
+    if j < 0 || j >= ncols || (k > 0 && r.(k - 1) >= j) then ok := false
+  done;
   !ok
 
 let create ~cols data =
@@ -62,47 +61,37 @@ let row_product r1 r2 =
   done;
   Array.sub out 0 !k
 
+(* Plain loops, not Array.iter closures: a float accumulator captured by a
+   closure is boxed on every update. *)
 let mul_vec m x =
   if Array.length x <> m.ncols then invalid_arg "Sparse.mul_vec: dimension mismatch";
-  Array.map
-    (fun r ->
-      let acc = ref 0. in
-      Array.iter (fun j -> acc := !acc +. x.(j)) r;
-      !acc)
-    m.data
+  let y = Array.make m.nrows 0. in
+  for i = 0 to m.nrows - 1 do
+    let r = m.data.(i) in
+    let acc = ref 0. in
+    for a = 0 to Array.length r - 1 do
+      acc := !acc +. x.(r.(a))
+    done;
+    y.(i) <- !acc
+  done;
+  y
 
 let tmul_vec m x =
   if Array.length x <> m.nrows then invalid_arg "Sparse.tmul_vec: dimension mismatch";
   let y = Array.make m.ncols 0. in
-  Array.iteri
-    (fun i r ->
-      let xi = x.(i) in
-      if xi <> 0. then Array.iter (fun j -> y.(j) <- y.(j) +. xi) r)
-    m.data;
+  for i = 0 to m.nrows - 1 do
+    let xi = x.(i) in
+    if xi <> 0. then begin
+      let r = m.data.(i) in
+      for a = 0 to Array.length r - 1 do
+        let j = r.(a) in
+        y.(j) <- y.(j) +. xi
+      done
+    end
+  done;
   y
 
 let mul_transpose_vec = tmul_vec
-
-type int1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type csr = { ptr : int1; idx : int1 }
-
-let to_csr m =
-  let ptr = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (m.nrows + 1) in
-  let total = nnz m in
-  let idx = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 total) in
-  let k = ref 0 in
-  Array.iteri
-    (fun i r ->
-      ptr.{i} <- !k;
-      Array.iter
-        (fun j ->
-          idx.{!k} <- j;
-          incr k)
-        r)
-    m.data;
-  ptr.{m.nrows} <- !k;
-  { ptr; idx }
 
 let column_counts m =
   let c = Array.make m.ncols 0 in

@@ -36,30 +36,17 @@ val row_product : row -> row -> row
     rows ([Ri∗ ⊗ Rj∗] in the paper). *)
 
 val mul_vec : t -> Vector.t -> Vector.t
-(** [mul_vec m x] is [m x]. *)
+(** [mul_vec m x] is [m x]: each row sums its entries of [x] in
+    increasing column order. Allocates only the result. *)
 
 val tmul_vec : t -> Vector.t -> Vector.t
-(** [tmul_vec m x] is [mᵀ x]. *)
+(** [tmul_vec m x] is [mᵀ x]: rows scatter [x.(i)] in increasing row
+    order, skipping zero weights. Allocates only the result. *)
 
 val mul_transpose_vec : t -> Vector.t -> Vector.t
 (** [mul_transpose_vec m x] is [mᵀ x] — the operator-facing name of
     {!tmul_vec}, paired with {!mul_vec} when a sparse matrix is handed to
     an iterative least-squares solver ({!Lsqr.of_sparse}). *)
-
-type int1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Flat native-int storage for the packed row representation. *)
-
-type csr = { ptr : int1; idx : int1 }
-(** Classic compressed-sparse-row storage of the 0/1 support: row [i]'s
-    column indices are [idx.{ptr.{i}} .. idx.{ptr.{i+1}-1}], strictly
-    increasing. [ptr] has [rows + 1] entries; [idx] has {!nnz}. One flat
-    allocation per array, so a kernel that streams many rows (the
-    matrix-free augmented operator sweeps every path pair) walks
-    contiguous memory instead of chasing a pointer per row. *)
-
-val to_csr : t -> csr
-(** Pack the rows into fresh flat storage, O(nnz). The result does not
-    alias the sparse matrix. *)
 
 val column_counts : t -> int array
 (** For each column, how many rows contain it. *)

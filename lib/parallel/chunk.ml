@@ -11,29 +11,6 @@ let range ~blocks ~n b =
   if b < 0 || b >= blocks then invalid_arg "Chunk.range: block out of range";
   (b * n / blocks, (b + 1) * n / blocks)
 
-let bands ~tile ~np =
-  if tile < 1 then invalid_arg "Chunk.tile_count: tile < 1";
-  if np < 0 then invalid_arg "Chunk.tile_count: negative size";
-  (np + tile - 1) / tile
-
-let tile_count ~tile ~np =
-  let nb = bands ~tile ~np in
-  nb * (nb + 1) / 2
-
-let tile_bounds ~tile ~np t =
-  let nb = bands ~tile ~np in
-  if t < 0 || t >= nb * (nb + 1) / 2 then
-    invalid_arg "Chunk.tile_bounds: tile index out of range";
-  (* band bi owns the nb - bi tiles starting at bi*nb - bi*(bi-1)/2 *)
-  let rec find bi t =
-    let row = nb - bi in
-    if t < row then (bi, bi + t) else find (bi + 1) (t - row)
-  in
-  let bi, bj = find 0 t in
-  let clip lo = min np lo in
-  ((clip (bi * tile), clip ((bi + 1) * tile)),
-   (clip (bj * tile), clip ((bj + 1) * tile)))
-
 let iter_pairs ~np ~lo ~hi f =
   if lo < 0 || hi > np * (np + 1) / 2 || lo > hi then
     invalid_arg "Chunk.iter_pairs: bad range";

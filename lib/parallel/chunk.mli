@@ -21,24 +21,6 @@ val range : blocks:int -> n:int -> int -> int * int
     the ranges tile [0, n) in order. Raises [Invalid_argument] if [b] is
     not in [0 .. blocks-1]. *)
 
-val tile_count : tile:int -> np:int -> int
-(** Number of 2-D tiles when the upper pair triangle over [np] items is
-    cut into bands of [tile] consecutive indices: with
-    [nb = ceil(np / tile)] bands there are [nb (nb + 1) / 2] band pairs
-    [(bi, bj)], [bi <= bj]. Like {!block_count}, the result depends only
-    on the problem size, never on the worker count. Raises
-    [Invalid_argument] when [tile < 1] or [np < 0]. *)
-
-val tile_bounds : tile:int -> np:int -> int -> (int * int) * (int * int)
-(** [tile_bounds ~tile ~np t] is [((ilo, ihi), (jlo, jhi))], the half-open
-    band ranges of tile [t] in the canonical order (all tiles of band 0
-    first, then band 1, ...): pairs [(i, j)] of the tile satisfy
-    [ilo <= i < ihi], [max i jlo <= j < jhi]. Sweeping tiles in index
-    order and, inside a tile, [i] then [j] in increasing order visits
-    every pair of the triangle exactly once — in a cache-friendly order,
-    because the [tile] rows of the [j]-band stay hot while [i] walks its
-    band. Raises [Invalid_argument] when [t] is out of range. *)
-
 val iter_pairs : np:int -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
 (** [iter_pairs ~np ~lo ~hi f] calls [f k i j] for every flattened
     upper-triangle index [k] in [lo .. hi-1], in increasing order, where

@@ -63,6 +63,38 @@ let random_instance seed =
   let y = Matrix.init (5 + (seed mod 7)) np (fun _ _ -> -.Rng.uniform rng 0. 0.5) in
   (r, variances, y)
 
+(* A routing matrix from each topology generator in turn (seed mod 8
+   picks the family), at sizes small enough for brute-force oracles. *)
+let random_routing seed =
+  let rng = Rng.create seed in
+  let hosts = 4 + (seed mod 5) in
+  let tb =
+    match seed mod 8 with
+    | 0 ->
+        Topology.Tree_gen.generate rng ~nodes:(30 + (seed mod 60))
+          ~max_branching:5 ()
+    | 1 -> Topology.Waxman.generate rng ~nodes:40 ~hosts ()
+    | 2 -> Topology.Barabasi_albert.generate rng ~nodes:40 ~hosts ()
+    | 3 ->
+        Topology.Hierarchical.generate rng
+          ~flavour:Topology.Hierarchical.Top_down ~ases:3 ~routers_per_as:6 ~hosts
+    | 4 ->
+        Topology.Hierarchical.generate rng
+          ~flavour:Topology.Hierarchical.Bottom_up ~ases:3 ~routers_per_as:6 ~hosts
+    | 5 -> Topology.Overlay.planetlab_like rng ~hosts ()
+    | 6 -> Topology.Transit_stub.generate rng ~hosts ()
+    | _ -> Topology.Overlay.dimes_like rng ~hosts ()
+  in
+  (Topology.Testbed.routing tb).Topology.Routing.matrix
+
+(* [r] with a seeded ~fifth of its rows emptied (a path whose links all
+   left the system), for kernels that must skip empty rows. *)
+let with_empty_rows seed r =
+  let rng = Rng.create (seed + 3) in
+  Sparse.create ~cols:(Sparse.cols r)
+    (Array.init (Sparse.rows r) (fun i ->
+         if Rng.bool rng 0.2 then [||] else Sparse.row r i))
+
 (* Random well-conditioned dense tall matrix for QR-level properties. *)
 let random_dense seed =
   let rng = Rng.create seed in

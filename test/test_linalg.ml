@@ -233,6 +233,30 @@ let test_cg_matfree () =
   Alcotest.(check bool) "diagonal solve" true
     (Vector.approx_equal ~tol:1e-8 x (Vector.of_list [ 1.; 2.; 3. ]))
 
+(* a tolerance outside (0, 1) — NaN and infinity included — is refused
+   by both iterative solvers instead of ending the solve at the start *)
+let test_iterative_bad_tolerance () =
+  let m = Matrix.identity 3 in
+  let b = Vector.of_list [ 1.; 2.; 3. ] in
+  List.iter
+    (fun (tol, msg) ->
+      Alcotest.check_raises
+        (Printf.sprintf "cg tol %g" tol)
+        (Invalid_argument ("Conjugate_gradient: " ^ msg))
+        (fun () -> ignore (Conjugate_gradient.solve ~tol m b));
+      Alcotest.check_raises
+        (Printf.sprintf "cgls tol %g" tol)
+        (Invalid_argument ("Lsqr.cgls: " ^ msg))
+        (fun () -> ignore (Lsqr.cgls ~tol (Lsqr.of_dense m) b)))
+    [
+      (0., "non-positive tolerance");
+      (-1., "non-positive tolerance");
+      (Float.neg_infinity, "non-positive tolerance");
+      (Float.nan, "tolerance not a number in (0, 1)");
+      (Float.infinity, "tolerance not a number in (0, 1)");
+      (1., "tolerance not a number in (0, 1)");
+    ]
+
 (* --- Sparse ------------------------------------------------------------- *)
 
 let test_sparse_basic () =
@@ -455,6 +479,8 @@ let () =
           Alcotest.test_case "matches cholesky" `Quick test_cg_matches_cholesky;
           Alcotest.test_case "zero rhs" `Quick test_cg_zero_rhs;
           Alcotest.test_case "matrix free" `Quick test_cg_matfree;
+          Alcotest.test_case "tolerance outside (0, 1)" `Quick
+            test_iterative_bad_tolerance;
         ] );
       ( "sparse",
         [

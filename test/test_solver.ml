@@ -1,8 +1,10 @@
-(* Property tests for the matrix-free iterative solve path: the implicit
-   augmented operator must agree with the materialized matrix, CGLS must
-   agree with the dense oracles to solver tolerance, the end-to-end
-   --solver cgls pipeline must track the dense pipeline on clean and
-   faulted input, and everything must be bit-for-bit jobs-invariant. *)
+(* Property tests for the Phase-1 pair list and the iterative solve path:
+   the non-empty pair rows must be exactly those of the materialized
+   augmented matrix, the streaming estimator over them must equal the
+   all-pairs triangle sweep bit for bit, CGLS must agree with the dense
+   oracles to solver tolerance, the end-to-end --solver cgls pipeline must
+   track the dense pipeline on clean and faulted input, and everything
+   must be bit-for-bit jobs-invariant. *)
 
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
@@ -30,20 +32,87 @@ let routing_of_seed seed =
 
 let random_vec rng n = Array.init n (fun _ -> Rng.uniform rng (-1.) 1.)
 
-(* --- implicit operator vs materialized matrix --------------------------- *)
+(* --- the pair list vs the pair triangle --------------------------------- *)
 
-let prop_matfree_matches_build =
+(* Every pair i <= j whose routing rows intersect, found by intersecting
+   each pair of rows of the triangle: (is, js, ks, supports). *)
+let brute_force_pairs r =
+  let np = Sparse.rows r in
+  let found = ref [] in
+  for i = np - 1 downto 0 do
+    for j = np - 1 downto i do
+      let supp =
+        if i = j then Sparse.row r i
+        else Sparse.row_product (Sparse.row r i) (Sparse.row r j)
+      in
+      if Array.length supp > 0 then
+        found := (i, j, Augmented.row_index ~np ~i ~j, supp) :: !found
+    done
+  done;
+  let found = Array.of_list !found in
+  ( Array.map (fun (i, _, _, _) -> i) found,
+    Array.map (fun (_, j, _, _) -> j) found,
+    Array.map (fun (_, _, k, _) -> k) found,
+    Array.map (fun (_, _, _, s) -> s) found )
+
+let pairs_equal (is1, js1, s1) (is2, js2, s2) =
+  is1 = is2 && js1 = js2 && Sparse.equal s1 s2
+
+let prop_pairs_match_brute_force =
+  QCheck.Test.make ~count:40
+    ~name:
+      "Augmented.pairs = brute-force triangle scan: pairs, order, k and \
+       supports (every generator, empty rows, jobs in {1,2,4})"
+    Generators.seed_arb
+    (fun seed ->
+      List.for_all
+        (fun r ->
+          let np = Sparse.rows r in
+          let bis, bjs, bks, bsupp = brute_force_pairs r in
+          let is, js, supports = Augmented.pairs ~jobs:1 r in
+          is = bis && js = bjs
+          && Array.map2 (fun i j -> Augmented.row_index ~np ~i ~j) is js = bks
+          && Sparse.equal supports (Sparse.create ~cols:(Sparse.cols r) bsupp)
+          && List.for_all
+               (fun jobs ->
+                 pairs_equal (is, js, supports) (Augmented.pairs ~jobs r))
+               [ 2; 4 ])
+        [
+          Generators.random_routing seed;
+          Generators.with_empty_rows seed (Generators.random_routing seed);
+          routing_of_seed seed;
+        ])
+
+(* The estimator's live-row operator: the non-empty pair rows of [r] that
+   a seeded ~70% draw keeps (standing in for the min-overlap,
+   drop-negative and sketch rules), in flat row order, with their flat
+   row indices. *)
+let live_rows ?jobs seed r =
+  let np = Sparse.rows r in
+  let is, js, supports = Augmented.pairs ?jobs r in
+  let rng = Rng.create (seed + 43) in
+  let live =
+    List.init (Array.length is) Fun.id
+    |> List.filter (fun _ -> Rng.bool rng 0.7)
+    |> Array.of_list
+  in
+  ( Sparse.select_rows supports live,
+    Array.map (fun p -> Augmented.row_index ~np ~i:is.(p) ~j:js.(p)) live )
+
+let prop_live_rows_match_build =
   QCheck.Test.make ~count:25
-    ~name:"Augmented.matfree: products match the materialized matrix"
+    ~name:
+      "live-row operator: products match the Augmented.build rows at the \
+       live k (1e-12)"
     Generators.seed_arb
     (fun seed ->
       let r = routing_of_seed seed in
+      let a_live, ks = live_rows seed r in
+      let explicit = Lsqr.of_sparse (Sparse.select_rows (Augmented.build r) ks) in
+      let implicit = Lsqr.of_sparse a_live in
       let rng = Rng.create (seed + 17) in
-      let a = Augmented.build r in
-      let explicit = Lsqr.of_sparse a in
-      let implicit = Augmented.matfree r in
-      implicit.Lsqr.rows = Sparse.rows a
-      && implicit.Lsqr.cols = Sparse.cols a
+      implicit.Lsqr.rows = explicit.Lsqr.rows
+      && implicit.Lsqr.cols = explicit.Lsqr.cols
       && begin
            let v = random_vec rng implicit.Lsqr.cols in
            let w = random_vec rng implicit.Lsqr.rows in
@@ -53,63 +122,181 @@ let prop_matfree_matches_build =
                 (explicit.Lsqr.apply_t w) (implicit.Lsqr.apply_t w)
          end)
 
-let prop_matfree_jobs_invariant =
+let prop_live_rows_jobs_invariant =
   QCheck.Test.make ~count:15
-    ~name:"Augmented.matfree: bit-for-bit identical for jobs in {1,2,4}"
+    ~name:"live-row operator: bit-for-bit identical for jobs in {1,2,4}"
     Generators.seed_arb
     (fun seed ->
       let r = routing_of_seed seed in
+      let a1, ks1 = live_rows ~jobs:1 seed r in
+      let op1 = Lsqr.of_sparse a1 in
       let rng = Rng.create (seed + 31) in
-      let op1 = Augmented.matfree ~jobs:1 r in
       let v = random_vec rng op1.Lsqr.cols in
       let w = random_vec rng op1.Lsqr.rows in
       let y1 = op1.Lsqr.apply v and x1 = op1.Lsqr.apply_t w in
       List.for_all
         (fun jobs ->
-          let op = Augmented.matfree ~jobs r in
-          vec_bits_equal y1 (op.Lsqr.apply v)
+          let a, ks = live_rows ~jobs seed r in
+          let op = Lsqr.of_sparse a in
+          ks = ks1
+          && vec_bits_equal y1 (op.Lsqr.apply v)
           && vec_bits_equal x1 (op.Lsqr.apply_t w))
         [ 2; 4 ])
 
-let prop_mask_is_row_deletion =
-  QCheck.Test.make ~count:15
-    ~name:"Augmented.matfree mask: = zeroing the dead rows, bit-for-bit"
-    Generators.seed_arb
-    (fun seed ->
-      let r = routing_of_seed seed in
-      let np = Sparse.rows r in
-      let nrows = Augmented.row_count ~np in
-      let rng = Rng.create (seed + 43) in
-      let mask =
-        Bytes.init nrows (fun _ -> if Rng.bool rng 0.7 then '\001' else '\000')
-      in
-      let plain = Augmented.matfree r in
-      let masked = Augmented.matfree ~mask r in
-      let v = random_vec rng plain.Lsqr.cols in
-      let w = random_vec rng nrows in
-      (* apply: a dead row's entry is 0, every live row is untouched *)
-      let y = plain.Lsqr.apply v in
-      Array.iteri (fun k _ -> if Bytes.get mask k = '\000' then y.(k) <- 0.) y;
-      (* apply_t: dead rows contribute nothing, so zeroing their weights
-         in the unmasked operator runs the same float ops *)
-      let w0 = Array.copy w in
-      Array.iteri (fun k _ -> if Bytes.get mask k = '\000' then w0.(k) <- 0.) w0;
-      vec_bits_equal y (masked.Lsqr.apply v)
-      && vec_bits_equal (plain.Lsqr.apply_t w0) (masked.Lsqr.apply_t w))
-
 let prop_column_counts_exact =
   QCheck.Test.make ~count:15
-    ~name:"Augmented.matfree_column_counts: exact diag(AtA) of the live rows"
+    ~name:
+      "live-row column counts: exact diag(AtA) of the live Augmented.build \
+       rows"
     Generators.seed_arb
     (fun seed ->
       let r = routing_of_seed seed in
+      let a_live, ks = live_rows seed r in
       let a = Augmented.build r in
-      let nc = Sparse.cols a in
-      let expected = Array.make nc 0. in
-      for k = 0 to Sparse.rows a - 1 do
-        Array.iter (fun j -> expected.(j) <- expected.(j) +. 1.) (Sparse.row a k)
+      let expected = Array.make (Sparse.cols a) 0. in
+      Array.iter
+        (fun k ->
+          Array.iter
+            (fun j -> expected.(j) <- expected.(j) +. 1.)
+            (Sparse.row a k))
+        ks;
+      vec_bits_equal expected
+        (Array.map float_of_int (Sparse.column_counts a_live)))
+
+(* --- the streaming estimator vs the all-pairs sweep --------------------- *)
+
+(* Oracle: the streaming estimator as a walk over all n_p(n_p+1)/2 pairs
+   of the triangle in blocks of the flat row range, intersecting routing
+   rows as it goes. Sequential, but with per-block partial sums of b
+   merged in block order, since those fix the floating-point summation
+   order. *)
+let all_pairs_streaming ~drop_negative ~clamp ~min_pair_samples ~r ~y =
+  let np = Sparse.rows r and nc = Sparse.cols r in
+  let m = Matrix.rows y in
+  let columns = Array.init np (fun i -> Array.init m (fun l -> Matrix.get y l i)) in
+  let has_missing = Array.map (Array.exists Float.is_nan) columns in
+  let centered =
+    Array.mapi
+      (fun i col ->
+        let mu =
+          if not has_missing.(i) then
+            Array.fold_left ( +. ) 0. col /. float_of_int m
+          else begin
+            let sum = ref 0. and n = ref 0 in
+            Array.iter
+              (fun x ->
+                if not (Float.is_nan x) then begin
+                  sum := !sum +. x;
+                  incr n
+                end)
+              col;
+            if !n = 0 then Float.nan else !sum /. float_of_int !n
+          end
+        in
+        Array.map (fun x -> x -. mu) col)
+      columns
+  in
+  let pair_cov i j =
+    let ci = centered.(i) and cj = centered.(j) in
+    if not (has_missing.(i) || has_missing.(j)) then begin
+      let acc = ref 0. in
+      for l = 0 to m - 1 do
+        acc := !acc +. (ci.(l) *. cj.(l))
       done;
-      vec_bits_equal expected (Augmented.matfree_column_counts r))
+      (!acc /. float_of_int (m - 1), m)
+    end
+    else begin
+      let acc = ref 0. and n = ref 0 in
+      for l = 0 to m - 1 do
+        let a = ci.(l) and b = cj.(l) in
+        if not (Float.is_nan a || Float.is_nan b) then begin
+          acc := !acc +. (a *. b);
+          incr n
+        end
+      done;
+      if !n < 2 then (Float.nan, !n) else (!acc /. float_of_int (!n - 1), !n)
+    end
+  in
+  let npairs = np * (np + 1) / 2 in
+  let blocks = Parallel.Chunk.block_count npairs in
+  let partial_b = Array.init blocks (fun _ -> Array.make nc 0.) in
+  let g = Array.make (nc * nc) 0. in
+  let nonempty = ref 0 and skipped = ref 0 and min_n = ref max_int in
+  for bk = 0 to blocks - 1 do
+    let lo, hi = Parallel.Chunk.range ~blocks ~n:npairs bk in
+    let b = partial_b.(bk) in
+    Parallel.Chunk.iter_pairs ~np ~lo ~hi (fun _ i j ->
+        let row =
+          if i = j then Sparse.row r i
+          else Sparse.row_product (Sparse.row r i) (Sparse.row r j)
+        in
+        if Array.length row > 0 then begin
+          incr nonempty;
+          let s, n = pair_cov i j in
+          if n < min_pair_samples then incr skipped
+          else begin
+            if n < !min_n then min_n := n;
+            if s >= 0. || not drop_negative then
+              Array.iter
+                (fun ja ->
+                  b.(ja) <- b.(ja) +. s;
+                  Array.iter
+                    (fun c -> g.((ja * nc) + c) <- g.((ja * nc) + c) +. 1.)
+                    row)
+                row
+          end
+        end)
+  done;
+  let b = Array.make nc 0. in
+  Array.iter
+    (fun p ->
+      for j = 0 to nc - 1 do
+        b.(j) <- b.(j) +. p.(j)
+      done)
+    partial_b;
+  let gm = Matrix.init nc nc (fun i j -> g.((i * nc) + j)) in
+  let v =
+    Linalg.Cholesky.solve_vec (Linalg.Cholesky.factorize_regularized gm) b
+  in
+  let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
+  ( v,
+    {
+      VE.pairs_total = !nonempty;
+      pairs_used = !nonempty - !skipped;
+      samples_min = (if !min_n = max_int then 0 else !min_n);
+    } )
+
+(* [y] with a seeded share (2-30%) of its cells turned into NaN holes *)
+let punch_holes seed y =
+  let rng = Rng.create (seed + 71) in
+  let share = Rng.uniform rng 0.02 0.3 in
+  Matrix.init (Matrix.rows y) (Matrix.cols y) (fun l i ->
+      if Rng.bool rng share then Float.nan else Matrix.get y l i)
+
+let prop_streaming_matches_all_pairs =
+  QCheck.Test.make ~count:20
+    ~name:
+      "estimate_streaming_ess: bit-for-bit the all-pairs triangle sweep, \
+       variances and ess (clean and NaN-holed inputs, jobs in {1,2,4})"
+    Generators.seed_arb
+    (fun seed ->
+      let r, y_learn, _ = Generators.random_tree_trial seed in
+      let rng = Rng.create (seed + 5) in
+      let drop_negative = Rng.bool rng 0.7 and clamp = Rng.bool rng 0.7 in
+      List.for_all
+        (fun (y, min_pair_samples) ->
+          let v_ref, ess_ref =
+            all_pairs_streaming ~drop_negative ~clamp ~min_pair_samples ~r ~y
+          in
+          List.for_all
+            (fun jobs ->
+              let v, ess =
+                VE.estimate_streaming_ess ~jobs ~drop_negative ~clamp
+                  ~min_pair_samples ~r ~y ()
+              in
+              vec_bits_equal v_ref v && ess = ess_ref)
+            [ 1; 2; 4 ])
+        [ (y_learn, 2); (punch_holes seed y_learn, 2 + Rng.int rng 4) ])
 
 (* --- hierarchical decomposition: AS partition + block preconditioner ---- *)
 
@@ -144,9 +331,9 @@ let prop_permuted_operator_matches =
       let r = red.Topology.Routing.matrix in
       let part = Topology.Partition.by_as tb.Topology.Testbed.graph red in
       let order = Topology.Partition.order part in
-      let rp = Sparse.permute_cols r order in
-      let op = Augmented.matfree r in
-      let opp = Augmented.matfree rp in
+      let a_live, _ = live_rows seed r in
+      let op = Lsqr.of_sparse a_live in
+      let opp = Lsqr.of_sparse (Sparse.permute_cols a_live order) in
       let rng = Rng.create (seed + 53) in
       let v = random_vec rng (Sparse.cols r) in
       let w = random_vec rng op.Lsqr.rows in
@@ -240,31 +427,6 @@ let prop_block_jacobi_jobs_invariant =
           in
           vec_bits_equal v1 v)
         [ 2; 4 ])
-
-(* --- tiling covers the triangle exactly once ---------------------------- *)
-
-let test_tile_bounds_cover_triangle () =
-  List.iter
-    (fun (tile, np) ->
-      let seen = Hashtbl.create 64 in
-      let ntiles = Parallel.Chunk.tile_count ~tile ~np in
-      for t = 0 to ntiles - 1 do
-        let (ilo, ihi), (jlo, jhi) = Parallel.Chunk.tile_bounds ~tile ~np t in
-        for i = ilo to ihi - 1 do
-          for j = max i jlo to jhi - 1 do
-            Alcotest.(check bool)
-              (Printf.sprintf "pair (%d,%d) seen once (tile=%d np=%d)" i j tile np)
-              false
-              (Hashtbl.mem seen (i, j));
-            Hashtbl.add seen (i, j) ()
-          done
-        done
-      done;
-      Alcotest.(check int)
-        (Printf.sprintf "pair count (tile=%d np=%d)" tile np)
-        (np * (np + 1) / 2)
-        (Hashtbl.length seen))
-    [ (1, 1); (1, 7); (3, 7); (3, 12); (5, 5); (7, 3); (256, 40); (4, 0) ]
 
 (* --- CGLS vs dense QR ---------------------------------------------------- *)
 
@@ -527,9 +689,10 @@ let test_sample_mask_fraction () =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_matfree_matches_build;
-      prop_matfree_jobs_invariant;
-      prop_mask_is_row_deletion;
+      prop_pairs_match_brute_force;
+      prop_streaming_matches_all_pairs;
+      prop_live_rows_match_build;
+      prop_live_rows_jobs_invariant;
       prop_column_counts_exact;
       prop_cgls_matches_qr;
       prop_scaled_columns_unchanged_minimizer;
@@ -548,8 +711,6 @@ let properties =
 
 let unit_tests =
   [
-    Alcotest.test_case "tile_bounds covers the pair triangle exactly once"
-      `Quick test_tile_bounds_cover_triangle;
     Alcotest.test_case "cgls reports nonconvergence" `Quick
       test_cgls_nonconvergence_reported;
     Alcotest.test_case "cgls zero rhs: converged, residual 0, never nan" `Quick
