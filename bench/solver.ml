@@ -6,12 +6,11 @@
      - dense-qr : materialize A as a dense matrix and run Householder QR
        (the textbook solve, and the oracle the qcheck suite tests
        against). O(pairs · n_c²) flops and O(pairs · n_c) memory.
-     - dense    : materialize A sparse and solve the normal equations
-       (the [--solver dense] production path). O(pairs · nnz_row²) work,
-       O(pairs · nnz_row) memory for A itself.
-     - cgls     : never materialize A — matrix-free CGLS over cache-
-       blocked tiles of the routing matrix ([--solver cgls]).
-       O(iters · pairs · path-length) work, O(n_p + n_c) extra memory.
+     - dense    : accumulate the normal equations over the P* pairs that
+       share a link (the [--solver dense] production path).
+       O(P* · (m + L²)) work for support length L, O(n_c²) memory.
+     - cgls     : CGLS over the live rows of those P* pairs
+       ([--solver cgls]). O(iters · P* · L) work, O(P* · L) memory.
 
    The sweep times each while affordable, validates cgls against the
    dense-qr oracle in the full-rank regime (drop-negative off, so
@@ -62,21 +61,14 @@ let l2_rel_err reference v =
     reference;
   sqrt (!num /. Float.max 1e-300 !den)
 
-(* same registry handle the solvers record into; the registry returns
-   the existing counter for a same-typed name *)
-let m_cgls_iters =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"CGLS iterations run by the matrix-free solvers"
-    "lia_cgls_iterations"
-
 (* run [f] with metrics on, returning its result and the CGLS
    iterations it recorded *)
 let with_cgls_iters f =
   let was_enabled = Obs.Metrics.enabled Obs.Metrics.default in
   Obs.Metrics.enable Obs.Metrics.default;
-  let before = Obs.Metrics.counter_value m_cgls_iters in
+  let before = Obs.Metrics.counter_value CG.cgls_iterations in
   let out = f () in
-  let iters = Obs.Metrics.counter_value m_cgls_iters - before in
+  let iters = Obs.Metrics.counter_value CG.cgls_iterations - before in
   if not was_enabled then Obs.Metrics.disable Obs.Metrics.default;
   (out, iters)
 
@@ -104,8 +96,11 @@ let full_rank_mf =
     mf_clamp = false;
   }
 
-let full_rank_dqr =
-  { VE.method_ = VE.Dense_qr; drop_negative = false; clamp = false }
+(* the dense-qr oracle over every row of A, unclamped *)
+let dense_qr ~r ~y =
+  Linalg.Qr.solve
+    (Sparse.to_dense (Core.Augmented.build r))
+    (Core.Covariance.sigma_star y)
 
 let rel_err_bound = 1e-6
 
@@ -142,8 +137,7 @@ let crossover ~reps ~snapshots ~hosts_list ~dense_qr_max_paths ~accept_hosts ()
                 VE.estimate_matfree_ess ~options:full_rank_mf ~r ~y:y_learn ())
           in
           let t_dqr, v_dqr =
-            time_best ~reps:1 (fun () ->
-                VE.estimate ~options:full_rank_dqr ~r ~y:y_learn ())
+            time_best ~reps:1 (fun () -> dense_qr ~r ~y:y_learn)
           in
           let err = worst_rel_diff v_dqr v_mf in
           if err > rel_err_bound then
@@ -210,7 +204,7 @@ let crossover ~reps ~snapshots ~hosts_list ~dense_qr_max_paths ~accept_hosts ()
     accept_hosts np pairs t_e2e it_e2e;
   Exp_common.note
     "dense-qr there would need a %.1f GB matrix and ~%.0f s (projected); \
-     cgls used O(paths + links) extra memory"
+     cgls used O(P* x L) memory for the pairs that share a link"
     dense_a_gb projected_dqr_s;
   Printf.bprintf buf
     "    \"acceptance\": {\"hosts\": %d, \"paths\": %d, \"links\": %d, \
@@ -367,84 +361,8 @@ let precond_crossover ~reps ~snapshots ~hosts_list () =
          !last_ratio block_vs_jacobi_min_ratio);
   Buffer.contents buf
 
-(* --- warm-start batch serving: iteration savings ------------------------ *)
-
-let warm_start_section ~snapshots ~hosts () =
-  Exp_common.header "warm-start CGLS batch serving (snapshot chain)";
-  let rng = Nstats.Rng.create (9300 + hosts) in
-  let tb =
-    Topology.Transit_stub.generate rng ~transit_domains:2 ~transit_size:4
-      ~stubs_per_transit_node:2 ~stub_size:8 ~hosts ()
-  in
-  let red = Topology.Testbed.routing tb in
-  let r = red.Topology.Routing.matrix in
-  (* the quiet-network serving regime (heavy probing, sparse
-     congestion): consecutive snapshots genuinely resemble each other,
-     which is what a warm start can exploit. The headroom is bounded
-     either way — rank reduction keeps exactly the high-variance
-     (congested) columns, whose loss rates are redrawn every snapshot,
-     so the chained solutions never collapse onto each other. *)
-  let config =
-    {
-      (Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated)
-      with
-      Netsim.Snapshot.probes = 100000;
-      congestion_prob = 0.03;
-    }
-  in
-  let run = Netsim.Simulator.run rng config r ~count:(snapshots + 1) in
-  let y_learn, _ = Netsim.Simulator.split_learning run ~learning:snapshots in
-  let v, _, _ =
-    VE.estimate_matfree_ess ~options:(precond_opts VE.Pc_jacobi) ~r ~y:y_learn ()
-  in
-  (* serving tolerance: at 1e-10 the small reduced system runs CGLS to
-     finite termination (~rank iterations) from any start; 1e-6 is the
-     regime where the convergence rate — and hence the warm start —
-     governs the count *)
-  let serve_tol = 1e-6 in
-  let plan =
-    Core.Plan.make
-      ~backend:
-        (Core.Plan.Cgls { tol = serve_tol; max_iter = None; precond = VE.Pc_none })
-      ~r ~variances:v ()
-  in
-  let t_cold, (res_cold, it_cold) =
-    time_best ~reps:1 (fun () ->
-        with_cgls_iters (fun () -> Core.Plan.solve_batch plan y_learn))
-  in
-  let t_warm, (res_warm, it_warm) =
-    time_best ~reps:1 (fun () ->
-        with_cgls_iters (fun () ->
-            Core.Plan.solve_batch ~warm_start:true plan y_learn))
-  in
-  (* warm starts may only move results within solver tolerance *)
-  Array.iteri
-    (fun l (cold : Core.Plan.result) ->
-      let warm = res_warm.(l) in
-      let err = l2_rel_err cold.Core.Plan.transmission warm.Core.Plan.transmission in
-      if err > 100. *. serve_tol then
-        failwith
-          (Printf.sprintf "warm start: snapshot %d drifted %.1e from cold" l err))
-    res_cold;
-  let m = Array.length res_cold in
-  Exp_common.row "%-22s %-11s %-9s" "mode" "iters" "seconds";
-  Exp_common.row "%-22s %-11d %-9.4f" "cold (independent)" it_cold t_cold;
-  Exp_common.row "%-22s %-11d %-9.4f" "warm (chained)" it_warm t_warm;
-  Exp_common.note
-    "%d snapshots; warm chain saved %.0f%% of the CGLS iterations (results \
-     agree within solver tolerance)"
-    m
-    (100. *. (1. -. (float_of_int it_warm /. float_of_int (max 1 it_cold))));
-  Printf.sprintf
-    "{\"hosts\": %d, \"snapshots\": %d, \"cold\": {\"cgls_iterations\": %d, \
-     \"seconds\": %.6f}, \"warm\": {\"cgls_iterations\": %d, \"seconds\": \
-     %.6f}, \"iteration_savings\": %.3f}"
-    hosts m it_cold t_cold it_warm t_warm
-    (1. -. (float_of_int it_warm /. float_of_int (max 1 it_cold)))
-
 let run_precond_crossover () =
-  ignore (precond_crossover ~reps:3 ~snapshots:50 ~hosts_list:[ 16; 24; 40 ] ());
-  ignore (warm_start_section ~snapshots:50 ~hosts:24 ())
+  ignore (precond_crossover ~reps:3 ~snapshots:50 ~hosts_list:[ 16; 24; 40 ] ())
 
 (* precond smoke: a small transit-stub instance end-to-end through the
    three report paths — dense, raw cgls, and cgls + AS-sharded
@@ -510,7 +428,7 @@ let run_smoke () =
   let v_mf, _, stats =
     VE.estimate_matfree_ess ~options:full_rank_mf ~r ~y:y_learn ()
   in
-  let v_dqr = VE.estimate ~options:full_rank_dqr ~r ~y:y_learn () in
+  let v_dqr = dense_qr ~r ~y:y_learn in
   let err = worst_rel_diff v_dqr v_mf in
   if err > rel_err_bound then
     failwith (Printf.sprintf "solver-smoke: parity rel err %.2e" err);

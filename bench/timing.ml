@@ -27,7 +27,7 @@ let tests (r, y_learn, target, variances) =
   let y_now = target.Netsim.Snapshot.y in
   let kept = (Core.Rank_reduction.eliminate r variances).Core.Rank_reduction.kept in
   let r_star = Sparse.dense_cols r kept in
-  (* ablation inputs: the same normal-equation system solved two ways *)
+  (* ablation inputs: the normal equations of the materialized A *)
   let a = Core.Augmented.build r in
   let gram = Sparse.normal_matrix a in
   let rhs = Sparse.normal_rhs a (Core.Covariance.sigma_star y_learn) in
@@ -36,7 +36,7 @@ let tests (r, y_learn, target, variances) =
       Test.make ~name:"build-A" (Staged.stage (fun () -> Core.Augmented.build r));
       Test.make ~name:"variances-streaming"
         (Staged.stage (fun () ->
-             Core.Variance_estimator.estimate_streaming ~r ~y:y_learn ()));
+             Core.Variance_estimator.estimate ~r ~y:y_learn ()));
       Test.make ~name:"rank-reduction"
         (Staged.stage (fun () -> Core.Rank_reduction.eliminate r variances));
       Test.make ~name:"solve-eq9"
@@ -55,9 +55,6 @@ let tests (r, y_learn, target, variances) =
              Linalg.Cholesky.solve_vec
                (Linalg.Cholesky.factorize_regularized gram)
                rhs));
-      Test.make ~name:"normal-solve-cg"
-        (Staged.stage (fun () ->
-             Linalg.Conjugate_gradient.solve ~tol:1e-8 gram rhs));
     ]
 
 let run () =
@@ -107,7 +104,7 @@ let run () =
       let run = Netsim.Simulator.run rng config r ~count:51 in
       let y_learn, target = Netsim.Simulator.split_learning run ~learning:50 in
       let t0 = Unix.gettimeofday () in
-      let v = Core.Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+      let v = Core.Variance_estimator.estimate ~r ~y:y_learn () in
       let t_learn = Unix.gettimeofday () -. t0 in
       let t0 = Unix.gettimeofday () in
       ignore
@@ -142,7 +139,7 @@ let kernels ~r ~y_learn ~a =
   [
     ( "estimate_streaming",
       fun jobs ->
-        ignore (Core.Variance_estimator.estimate_streaming ~jobs ~r ~y:y_learn ()) );
+        ignore (Core.Variance_estimator.estimate ~jobs ~r ~y:y_learn ()) );
     ( "covariance_matrix",
       fun jobs -> ignore (Nstats.Descriptive.covariance_matrix ~jobs y_learn) );
     ("augmented_build", fun jobs -> ignore (Core.Augmented.build ~jobs r));
@@ -207,7 +204,7 @@ let plan_stats ~jobs_list ~reps ~r ~variances ~ys =
 let obs_overhead ~reps ~r ~y_learn =
   let reg = Obs.Metrics.default in
   let kernel () =
-    ignore (Core.Variance_estimator.estimate_streaming ~r ~y:y_learn ())
+    ignore (Core.Variance_estimator.estimate ~r ~y:y_learn ())
   in
   Obs.Metrics.disable reg;
   kernel ();
@@ -351,7 +348,7 @@ let sweep ?(extra_json = "") ~out ~jobs_list ~reps ~snapshots ~plan_snapshots
         (kernels ~r ~y_learn ~a);
       Buffer.add_string buf "\n      ],\n";
       (* factor-once plan vs per-call Lia.infer_with_variances *)
-      let variances = Core.Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+      let variances = Core.Variance_estimator.estimate ~r ~y:y_learn () in
       let ys =
         (Netsim.Simulator.run (Nstats.Rng.create (7700 + hosts)) config r
            ~count:plan_snapshots)
@@ -468,14 +465,12 @@ let run_sweep () =
   let precond_json =
     Solver.precond_crossover ~reps:3 ~snapshots:50 ~hosts_list:[ 16; 24; 40 ] ()
   in
-  let warm_json = Solver.warm_start_section ~snapshots:50 ~hosts:24 () in
   sweep
     ~extra_json:
       (Printf.sprintf
          "  \"solver_crossover\": %s,\n\
-         \  \"precond_crossover\": %s,\n\
-         \  \"warm_start\": %s,\n"
-         solver_json precond_json warm_json)
+         \  \"precond_crossover\": %s,\n"
+         solver_json precond_json)
     ~out:"BENCH_timing.json" ~jobs_list:[ 1; 2; 4; 8 ] ~reps:3 ~snapshots:50
     ~plan_snapshots:100 ~hosts_list:[ 12; 20; 32 ] ()
 
@@ -513,7 +508,7 @@ let run_obs_smoke () =
   in
   let run = Netsim.Simulator.run rng config r ~count:21 in
   let y_learn, target = Netsim.Simulator.split_learning run ~learning:20 in
-  let variances = Core.Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+  let variances = Core.Variance_estimator.estimate ~r ~y:y_learn () in
   let plan = Core.Plan.make ~r ~variances () in
   ignore (Core.Plan.solve plan target.Netsim.Snapshot.y);
   Obs.Logger.info Obs.Logger.default "obs smoke pipeline done"

@@ -189,8 +189,8 @@ let obs_term =
       & info [ "convergence" ] ~docv:"FILE"
           ~doc:
             "Stream per-iteration solver convergence JSONL (solve id, \
-             iteration, relative residual, phase/preconditioner/warm \
-             context) to $(i,FILE); feed it to $(b,report --convergence). \
+             iteration, relative residual, phase/preconditioner context) \
+             to $(i,FILE); feed it to $(b,report --convergence). \
              $(i,FILE) $(b,-) writes to stderr.")
   in
   let recorder =
@@ -474,19 +474,8 @@ let infer_cmd =
              solve each snapshot row of $(i,FILE) through it (one line per \
              snapshot instead of the full link table).")
   in
-  let warm_start_arg =
-    Arg.(
-      value & flag
-      & info [ "warm-start" ]
-          ~doc:
-            "With $(b,--snapshots) and $(b,--solver cgls): start each \
-             snapshot's CGLS run from the previous snapshot's solution \
-             (sequential chain; saves most iterations when consecutive \
-             snapshots are similar). Results match the cold batch within \
-             solver tolerance.")
-  in
   let run testbed measurements snapshots fault_spec threshold top jobs solver
-      cgls_tol cgls_max_iter precond partition warm_start obs_cfg =
+      cgls_tol cgls_max_iter precond partition obs_cfg =
     with_obs obs_cfg @@ fun () ->
     let log = Obs.Logger.default in
     let tb = Topology.Serial.load testbed in
@@ -506,7 +495,6 @@ let infer_cmd =
     if jobs < 1 then failwith "--jobs must be at least 1";
     match snapshots with
     | None ->
-        if warm_start then failwith "--warm-start requires --snapshots";
         (* The default diagnosis path is quarantine-aware: it loads
            permissively and reports a typed health verdict, so a file
            written by [sim --fault-spec] (or a ragged real-world
@@ -547,50 +535,13 @@ let infer_cmd =
           failwith "measurement width does not match the testbed's path count";
         if Matrix.rows y < 2 then
           failwith "need at least 2 learning snapshots to learn variances";
-        let variances =
-          match solver with
-          | Core.Lia.Dense -> Core.Variance_estimator.estimate ~jobs ~r ~y ()
-          | Core.Lia.Cgls { tol; max_iter; sample; precond } ->
-              let options =
-                {
-                  Core.Variance_estimator.default_matfree_options with
-                  Core.Variance_estimator.tol;
-                  max_iter;
-                  sample;
-                  mf_precond = precond;
-                }
-              in
-              let v, _, stats =
-                Core.Variance_estimator.estimate_matfree_ess ~options ~jobs ~r
-                  ~y ()
-              in
-              Obs.Logger.info log "matrix-free phase 1 converged"
-                ~fields:
-                  [
-                    ( "iterations",
-                      Obs.Field.Int stats.Linalg.Conjugate_gradient.iterations );
-                    ( "relative_residual",
-                      Obs.Field.Float
-                        stats.Linalg.Conjugate_gradient.relative_residual );
-                  ];
-              v
-        in
+        let variances, _ = Core.Lia.learn ~jobs ~solver ~r ~y () in
         Obs.Logger.info log "learned variances"
           ~fields:[ ("snapshots", Obs.Field.Int (Matrix.rows y)) ];
-        let backend =
-          match solver with
-          | Core.Lia.Dense -> Core.Plan.Dense_qr
-          | Core.Lia.Cgls { tol; max_iter; precond; _ } ->
-              (* only the hierarchical preconditioner carries over to the
-                 phase-2 system (mirrors Lia's backend translation) *)
-              let precond =
-                match precond with
-                | Core.Variance_estimator.Pc_block_jacobi _ as p -> p
-                | _ -> Core.Variance_estimator.Pc_none
-              in
-              Core.Plan.Cgls { tol; max_iter; precond }
+        let plan =
+          Core.Lia.Plan.make ~jobs ~backend:(Core.Lia.plan_backend solver) ~r
+            ~variances ()
         in
-        let plan = Core.Lia.Plan.make ~jobs ~backend ~r ~variances () in
         Obs.Logger.info log "built inference plan"
           ~fields:
             [
@@ -600,9 +551,7 @@ let infer_cmd =
         let ys = Netsim.Trace_io.load file in
         if Matrix.cols ys <> Sparse.rows r then
           failwith "snapshot width does not match the testbed's path count";
-        if warm_start && backend = Core.Plan.Dense_qr then
-          failwith "--warm-start requires --solver cgls";
-        let results = Core.Lia.Plan.solve_batch ~jobs ~warm_start plan ys in
+        let results = Core.Lia.Plan.solve_batch ~jobs plan ys in
         Obs.Logger.info log "served snapshot batch"
           ~fields:[ ("snapshots", Obs.Field.Int (Array.length results)) ];
         Printf.printf "learned variances from %d snapshots\n" (Matrix.rows y);
@@ -627,7 +576,7 @@ let infer_cmd =
     Term.(
       const run $ testbed_arg $ measurements_arg $ snapshots_arg $ fault_spec_arg
       $ threshold $ top $ jobs_arg $ solver_arg $ cgls_tol_arg $ cgls_max_iter_arg
-      $ precond_arg $ partition_arg $ warm_start_arg $ obs_term)
+      $ precond_arg $ partition_arg $ obs_term)
   in
   Cmd.v
     (Cmd.info "infer"

@@ -5,8 +5,9 @@ let m_sigma_star =
     ~help:"Seconds per sigma-star covariance flattening (eq. 7)"
     "lia_sigma_star_seconds"
 
-(* same counter the streaming kernel feeds; registration by name is
-   idempotent, which avoids a cyclic module reference *)
+(* same counter the Phase-1 estimators feed with the pairs they list;
+   registration by name is idempotent, which avoids a cyclic module
+   reference. Σ̂* holds every pair of the triangle, so it adds them all. *)
 let m_pairs =
   Obs.Metrics.counter Obs.Metrics.default
     ~help:"Path pairs swept by the phase-1 kernels" "lia_pairs_total"

@@ -25,7 +25,7 @@ let infer ~r ~y_learn ~y_now =
     invalid_arg "Delay_lia: learning matrix width mismatch";
   if Array.length y_now <> np then invalid_arg "Delay_lia: measurement length mismatch";
   (* Phase 1: delay variances, same second-moment system as losses *)
-  let variances = Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+  let variances = Variance_estimator.estimate ~r ~y:y_learn () in
   (* Phase 2 on the queueing excess over per-path baselines *)
   let base = baselines y_learn in
   let excess = Array.mapi (fun i y -> Float.max 0. (y -. base.(i))) y_now in

@@ -44,32 +44,42 @@ let default_cgls =
       precond = Variance_estimator.Pc_jacobi;
     }
 
-(* translate a Lia-level solver choice into estimator options + plan
-   backend, folding in the drop-negative/clamp toggles of [?estimator] *)
-let matfree_options_of ?estimator ~tol ~max_iter ~sample ~precond () =
-  let base = Variance_estimator.default_matfree_options in
-  let base =
-    match estimator with
-    | None -> base
-    | Some o ->
+let learn ?jobs ?(min_pair_samples = 2) ~solver ~r ~y () =
+  match solver with
+  | Dense ->
+      Variance_estimator.estimate_streaming_ess ?jobs ~min_pair_samples ~r ~y ()
+  | Cgls { tol; max_iter; sample; precond } ->
+      let options =
         {
-          base with
-          Variance_estimator.mf_drop_negative = o.Variance_estimator.drop_negative;
-          mf_clamp = o.Variance_estimator.clamp;
+          Variance_estimator.default_matfree_options with
+          Variance_estimator.tol;
+          max_iter;
+          sample;
+          mf_precond = precond;
+          mf_min_pair_samples = min_pair_samples;
         }
-  in
-  { base with Variance_estimator.tol; max_iter; sample; mf_precond = precond }
+      in
+      let v, ess, _ =
+        Variance_estimator.estimate_matfree_ess ~options ?jobs ~r ~y ()
+      in
+      (v, ess)
 
-(* phase 2 historically ran raw CGLS; only the hierarchical block
-   preconditioner carries over to it (Jacobi would change the bits of
-   every existing cgls run for no structural gain on the small reduced
-   system) *)
-let plan_precond = function
-  | Variance_estimator.Pc_block_jacobi _ as p -> p
-  | Variance_estimator.Pc_none | Variance_estimator.Pc_jacobi ->
-      Variance_estimator.Pc_none
+let plan_backend = function
+  | Dense -> Plan.Dense_qr
+  | Cgls { tol; max_iter; precond; _ } ->
+      (* phase 2 historically ran raw CGLS; only the hierarchical block
+         preconditioner carries over to it (Jacobi would change the bits
+         of every existing cgls run for no structural gain on the small
+         reduced system) *)
+      let precond =
+        match precond with
+        | Variance_estimator.Pc_block_jacobi _ -> precond
+        | Variance_estimator.Pc_none | Variance_estimator.Pc_jacobi ->
+            Variance_estimator.Pc_none
+      in
+      Plan.Cgls { tol; max_iter; precond }
 
-let infer ?estimator ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
+let infer ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
   if Matrix.cols y_learn <> Sparse.rows r then
     invalid_arg "Lia: learning matrix width mismatch";
   Obs.Trace.with_span
@@ -81,25 +91,10 @@ let infer ?estimator ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
       ]
     Obs.Trace.default "lia.infer"
   @@ fun () ->
-  match solver with
-  | Dense ->
-      let variances =
-        Variance_estimator.estimate ?options:estimator ?jobs ~r ~y:y_learn ()
-      in
-      Plan.solve (Plan.make ?jobs ~r ~variances ()) y_now
-  | Cgls { tol; max_iter; sample; precond } ->
-      let options =
-        matfree_options_of ?estimator ~tol ~max_iter ~sample ~precond ()
-      in
-      let variances, _, _ =
-        Variance_estimator.estimate_matfree_ess ~options ?jobs ~r ~y:y_learn ()
-      in
-      Plan.solve
-        (Plan.make ?jobs
-           ~backend:
-             (Plan.Cgls { tol; max_iter; precond = plan_precond precond })
-           ~r ~variances ())
-        y_now
+  let variances, _ = learn ?jobs ~solver ~r ~y:y_learn () in
+  Plan.solve
+    (Plan.make ?jobs ~backend:(plan_backend solver) ~r ~variances ())
+    y_now
 
 let congested result ~threshold =
   Array.map (fun l -> l > threshold) result.loss_rates
@@ -181,25 +176,7 @@ let infer_checked ?(solver = Dense) ?jobs ?(min_pair_samples = 2)
     if Array.length tq.Quarantine.valid = 0 then
       refuse "target snapshot has no usable measurements"
     else begin
-      let estimate () =
-        match solver with
-        | Dense ->
-            Variance_estimator.estimate_streaming_ess ?jobs ~min_pair_samples
-              ~r ~y:scrubbed ()
-        | Cgls { tol; max_iter; sample; precond } ->
-            let options =
-              {
-                (matfree_options_of ~tol ~max_iter ~sample ~precond ()) with
-                Variance_estimator.mf_min_pair_samples = min_pair_samples;
-              }
-            in
-            let v, ess, _ =
-              Variance_estimator.estimate_matfree_ess ~options ?jobs ~r
-                ~y:scrubbed ()
-            in
-            (v, ess)
-      in
-      match estimate () with
+      match learn ?jobs ~min_pair_samples ~solver ~r ~y:scrubbed () with
       | exception Failure msg -> refuse "variance estimation failed: %s" msg
       | variances, ess ->
           let open Variance_estimator in
@@ -215,12 +192,7 @@ let infer_checked ?(solver = Dense) ?jobs ?(min_pair_samples = 2)
               max_skipped_pair_fraction
           else begin
             let target_clean = Array.length tq.Quarantine.valid = Sparse.rows r in
-            let backend =
-              match solver with
-              | Dense -> Plan.Dense_qr
-              | Cgls { tol; max_iter; precond; _ } ->
-                  Plan.Cgls { tol; max_iter; precond = plan_precond precond }
-            in
+            let backend = plan_backend solver in
             let solve () =
               if target_clean then
                 Plan.solve (Plan.make ?jobs ~backend ~r ~variances ()) y_now

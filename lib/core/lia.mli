@@ -29,8 +29,8 @@ type result = Plan.result = {
 (** How both phases solve their linear systems. *)
 type solver =
   | Dense
-      (** the historical path: streaming normal equations (or the
-          [?estimator] method) for Phase 1, dense Householder QR for
+      (** the historical path: streaming normal equations for Phase 1
+          ({!Variance_estimator.estimate}), dense Householder QR for
           Phase 2. Exact, and fastest while the dense panels fit. *)
   | Cgls of {
       tol : float;  (** CGLS relative tolerance (1e-10 in {!default_cgls}) *)
@@ -59,8 +59,29 @@ val default_cgls : solver
 (** [Cgls { tol = 1e-10; max_iter = None; sample = None;
     precond = Pc_jacobi }]. *)
 
+val learn :
+  ?jobs:int ->
+  ?min_pair_samples:int ->
+  solver:solver ->
+  r:Linalg.Sparse.t ->
+  y:Linalg.Matrix.t ->
+  unit ->
+  Linalg.Vector.t * Variance_estimator.ess
+(** Phase 1 under [solver]: the link variances learnt from the [m × n_p]
+    snapshot matrix [y], with their effective-sample-size report.
+    [Dense] runs {!Variance_estimator.estimate_streaming_ess}; [Cgls]
+    runs {!Variance_estimator.estimate_matfree_ess} with the solver's
+    tolerance, cap, sketch and preconditioner. Both drop negative
+    covariances and clamp at 0; [min_pair_samples] (default 2) is
+    their effective-sample-size guard. *)
+
+val plan_backend : solver -> Plan.backend
+(** The Phase-2 {!Plan} backend for [solver]: [Dense] is
+    {!Plan.Dense_qr}; [Cgls] is {!Plan.Cgls} with the same tolerance
+    and cap, keeping only a block-Jacobi preconditioner ([Pc_none] and
+    [Pc_jacobi] run Phase 2 on raw CGLS). *)
+
 val infer :
-  ?estimator:Variance_estimator.options ->
   ?solver:solver ->
   ?jobs:int ->
   r:Linalg.Sparse.t ->
@@ -72,9 +93,8 @@ val infer :
     log path transmission rates of the learning snapshots; [y_now] the
     log measurement of the snapshot to diagnose. Raises
     [Invalid_argument] on dimension mismatches. [solver] (default
-    [Dense]) picks the linear-algebra path; under [Cgls] the
-    [?estimator]'s [drop_negative]/[clamp] toggles are honored and its
-    [method_] is ignored. [jobs] (default
+    [Dense]) picks the linear-algebra path: {!learn}, then a plan over
+    {!plan_backend}. [jobs] (default
     [Parallel.Pool.default_jobs ()]) runs Phase 1's covariance and
     normal-equation kernels and Phase 2's QR on a domain pool; the
     inferred rates are bit-for-bit independent of its value. *)

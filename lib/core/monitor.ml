@@ -125,7 +125,7 @@ let variances t =
         ~args:[ ("window", Obs.Field.Int (size t)) ]
         Obs.Trace.default "monitor.relearn"
       @@ fun () ->
-      let v = Variance_estimator.estimate_streaming ~r:t.r ~y:(window_matrix t) () in
+      let v = Variance_estimator.estimate ~r:t.r ~y:(window_matrix t) () in
       t.cached_variances <- Some v;
       v
 

@@ -62,13 +62,6 @@ let g_deleted =
     ~help:"Columns eliminated by the most recent plan build"
     "plan_deleted_columns"
 
-(* same counter the matrix-free phase-1 estimator registers; the registry
-   returns the existing metric for a same-typed name *)
-let m_cgls_iters =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"CGLS iterations run by the matrix-free phase-1 solver"
-    "lia_cgls_iterations"
-
 let make ?jobs ?(backend = Dense_qr) ~r ~variances () =
   let nc = Sparse.cols r and np = Sparse.rows r in
   if Array.length variances <> nc then
@@ -171,22 +164,18 @@ let result_of_x p x_star =
     removed = Array.copy p.removed;
   }
 
-let least_squares_x ?x0 p y_now =
+let least_squares_x p y_now =
   match p.fact with
   | Direct fact -> Qr.least_squares fact y_now
   | Iterative { op; tol; max_iter; precond; context } ->
-      let x, stats =
-        Linalg.Lsqr.cgls ~tol ?max_iter ?x0 ?precond ~context op y_now
-      in
-      Obs.Metrics.add m_cgls_iters stats.Linalg.Conjugate_gradient.iterations;
-      x
+      fst (Linalg.Lsqr.cgls ~tol ?max_iter ?precond ~context op y_now)
 
 let solve p y_now =
   if Array.length y_now <> p.np then invalid_arg "Lia: measurement length mismatch";
   Obs.Probe.kernel ~hist:m_solve "plan.solve" @@ fun () ->
   result_of_x p (least_squares_x p y_now)
 
-let solve_batch ?jobs ?(warm_start = false) p y =
+let solve_batch ?jobs p y =
   if Matrix.cols y <> p.np then invalid_arg "Lia: measurement length mismatch";
   let snapshots = Matrix.rows y in
   Obs.Trace.with_span
@@ -203,20 +192,6 @@ let solve_batch ?jobs ?(warm_start = false) p y =
         let b = Matrix.transpose y in
         let x = Qr.least_squares_batch ?jobs fact b in
         Array.init snapshots (fun l -> result_of_x p (Matrix.col x l))
-    | Iterative _ when warm_start ->
-        (* consecutive snapshots of one deployment differ little, so
-           snapshot k's solution is an excellent start for k+1: the chain
-           is sequential by nature (each start needs the previous
-           solution) and trades the pool fan-out for iteration savings.
-           jobs-invariant trivially — no parallelism to vary. *)
-        let out = Array.make snapshots (result_of_x p (Array.make (rank p) 0.)) in
-        let prev = ref None in
-        for l = 0 to snapshots - 1 do
-          let x = least_squares_x ?x0:!prev p (Matrix.row y l) in
-          prev := Some x;
-          out.(l) <- result_of_x p x
-        done;
-        out
     | Iterative _ ->
         (* snapshots are independent CGLS runs; each output slot is
            written by exactly one index, so the batch is bit-for-bit

@@ -87,20 +87,10 @@ val solve : t -> Linalg.Vector.t -> result
     vector (length = paths of the plan's [r]; raises [Invalid_argument]
     otherwise). *)
 
-val solve_batch :
-  ?jobs:int -> ?warm_start:bool -> t -> Linalg.Matrix.t -> result array
+val solve_batch : ?jobs:int -> t -> Linalg.Matrix.t -> result array
 (** [solve_batch p y] solves every row of the [M × n_p] snapshot matrix
     [y] through the plan in one pool-parallel blocked pass; element [l]
-    of the result is bit-for-bit [solve p (Matrix.row y l)].
-
-    [warm_start] (default [false]; {!Cgls} backends only, ignored by
-    {!Dense_qr}) chains the snapshots sequentially, starting each CGLS
-    run from the previous snapshot's solution: consecutive snapshots of
-    one deployment differ by sampling noise, so most iterations vanish.
-    The stopping test still references the cold start's [‖Aᵀb‖], so
-    every snapshot converges at least as tightly as without warm
-    starts — results differ from the cold batch only within solver
-    tolerance. *)
+    of the result is bit-for-bit [solve p (Matrix.row y l)]. *)
 
 val paths : t -> int
 (** Rows of the plan's routing matrix ([n_p]). *)

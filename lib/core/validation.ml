@@ -33,7 +33,7 @@ let check_paths ~r ~covered ~transmission ~rows ~y_now ~epsilon =
     fraction = (if total = 0 then 1. else float_of_int !consistent /. float_of_int total)
   }
 
-let cross_validate ?estimator rng ~r ~y_learn ~y_now ~epsilon =
+let cross_validate rng ~r ~y_learn ~y_now ~epsilon =
   let np = Sparse.rows r in
   if Matrix.cols y_learn <> np then
     invalid_arg "Validation.cross_validate: learning matrix width mismatch";
@@ -54,7 +54,7 @@ let cross_validate ?estimator rng ~r ~y_learn ~y_now ~epsilon =
     Matrix.init m (Array.length inf_rows) (fun l k -> Matrix.get y_learn l inf_rows.(k))
   in
   let y_now_inf = Array.map (fun i -> y_now.(i)) inf_rows in
-  let result = Lia.infer ?estimator ~r:r_inf ~y_learn:y_learn_inf ~y_now:y_now_inf () in
+  let result = Lia.infer ~r:r_inf ~y_learn:y_learn_inf ~y_now:y_now_inf () in
   (* scatter the inferred rates back to global column ids *)
   let covered = Array.make (Sparse.cols r) false in
   let transmission = Array.make (Sparse.cols r) 1. in

@@ -29,7 +29,6 @@ val check_paths :
     columns. [covered] and [transmission] are indexed by columns of [r]. *)
 
 val cross_validate :
-  ?estimator:Variance_estimator.options ->
   Nstats.Rng.t ->
   r:Linalg.Sparse.t ->
   y_learn:Linalg.Matrix.t ->

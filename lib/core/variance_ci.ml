@@ -10,13 +10,13 @@ let bootstrap ?(replicates = 100) ?(confidence = 0.9) rng ~r ~y =
   if confidence <= 0. || confidence >= 1. then
     invalid_arg "Variance_ci.bootstrap: confidence out of (0,1)";
   let np = Matrix.cols y in
-  let estimate = Variance_estimator.estimate_streaming ~r ~y () in
+  let estimate = Variance_estimator.estimate ~r ~y () in
   let nc = Array.length estimate in
   let samples = Array.init nc (fun _ -> Array.make replicates 0.) in
   for rep = 0 to replicates - 1 do
     let rows = Array.init m (fun _ -> Rng.int rng m) in
     let y_boot = Matrix.init m np (fun l i -> Matrix.get y rows.(l) i) in
-    let v = Variance_estimator.estimate_streaming ~r ~y:y_boot () in
+    let v = Variance_estimator.estimate ~r ~y:y_boot () in
     Array.iteri (fun k vk -> samples.(k).(rep) <- vk) v
   done;
   let alpha = (1. -. confidence) /. 2. in

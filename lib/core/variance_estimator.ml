@@ -1,5 +1,4 @@
 module Sparse = Linalg.Sparse
-module Qr = Linalg.Qr
 
 let m_phase1 =
   Obs.Metrics.histogram Obs.Metrics.default
@@ -19,15 +18,6 @@ let g_samples_min =
   Obs.Metrics.gauge Obs.Metrics.default
     ~help:"Smallest pairwise-complete sample count used by the last phase-1 run"
     "lia_effective_samples_min"
-
-let m_cgls_iters =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"CGLS iterations run by the matrix-free phase-1 solver"
-    "lia_cgls_iterations"
-
-type method_ = Normal_equations | Dense_qr
-
-type options = { method_ : method_; drop_negative : bool; clamp : bool }
 
 type ess = { pairs_total : int; pairs_used : int; samples_min : int }
 
@@ -53,28 +43,6 @@ let default_matfree_options =
     sample = None;
     mf_precond = Pc_jacobi;
   }
-
-let default_options =
-  { method_ = Normal_equations; drop_negative = true; clamp = true }
-
-let solve ?(options = default_options) ?jobs ~a ~sigma_star () =
-  if Array.length sigma_star <> Sparse.rows a then
-    invalid_arg "Variance_estimator.solve: rhs length mismatch";
-  let a, rhs =
-    if options.drop_negative then begin
-      let keep = ref [] in
-      Array.iteri (fun k s -> if s >= 0. then keep := k :: !keep) sigma_star;
-      let idx = Array.of_list (List.rev !keep) in
-      (Sparse.select_rows a idx, Array.map (fun k -> sigma_star.(k)) idx)
-    end
-    else (a, sigma_star)
-  in
-  let v =
-    match options.method_ with
-    | Normal_equations -> Sparse.least_squares ?jobs a rhs
-    | Dense_qr -> Qr.solve (Sparse.to_dense a) rhs
-  in
-  if options.clamp then Array.map (fun x -> Float.max 0. x) v else v
 
 (* Centered measurement columns, one array per path, for cheap pair
    covariances. Missing measurements (NaN) survive centering as NaN and
@@ -160,6 +128,7 @@ let ess_of ~min_pair_samples overlap =
       else if o < !samples_min then samples_min := o)
     overlap;
   let pairs_total = Array.length overlap in
+  Obs.Metrics.add m_pairs pairs_total;
   Obs.Metrics.add m_pairs_skipped !skipped;
   let samples_min = if !samples_min = max_int then 0 else !samples_min in
   Obs.Metrics.set g_samples_min (float_of_int samples_min);
@@ -174,12 +143,10 @@ let check_inputs name ~min_pair_samples ~r ~y =
   if min_pair_samples < 2 then fail "min_pair_samples < 2"
 
 let phase1_kernel name ~r ~y f =
-  let np = Sparse.rows r in
-  Obs.Metrics.add m_pairs (np * (np + 1) / 2);
   Obs.Probe.kernel ~hist:m_phase1
     ~args:
       [
-        ("np", Obs.Field.Int np);
+        ("np", Obs.Field.Int (Sparse.rows r));
         ("nc", Obs.Field.Int (Sparse.cols r));
         ("m", Obs.Field.Int (Linalg.Matrix.rows y));
       ]
@@ -259,7 +226,7 @@ let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
   let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
   (v, ess_of ~min_pair_samples overlap)
 
-let estimate_streaming ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y () =
+let estimate ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y () =
   fst
     (estimate_streaming_ess ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y
        ())
@@ -369,15 +336,4 @@ let estimate_matfree_ess ?(options = default_matfree_options) ?jobs ~r ~y () =
         (v, stats)
   in
   let v = if options.mf_clamp then Array.map (fun x -> Float.max 0. x) v else v in
-  Obs.Metrics.add m_cgls_iters stats.Linalg.Conjugate_gradient.iterations;
   (v, ess_of ~min_pair_samples overlap, stats)
-
-let estimate ?(options = default_options) ?jobs ~r ~y () =
-  match options.method_ with
-  | Normal_equations ->
-      estimate_streaming ?jobs ~drop_negative:options.drop_negative
-        ~clamp:options.clamp ~r ~y ()
-  | Dense_qr ->
-      let a = Augmented.build ?jobs r in
-      let sigma_star = Covariance.sigma_star ?jobs y in
-      solve ~options ?jobs ~a ~sigma_star ()

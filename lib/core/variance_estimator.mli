@@ -2,12 +2,13 @@
 
     Theorem 1 guarantees [A] has full column rank, so with exact
     covariances the solution is unique. With sampled covariances the
-    system is inconsistent; we solve it in the least-squares sense, by
-    default through the sparse normal equations (the paper uses a dense
-    Householder QR, also available here as an ablation). Negative sample
-    covariances — pure sampling artifacts, as covariances of path losses
-    are non-negative under the model — are dropped by default, as in the
-    paper's experiments.
+    system is inconsistent; we solve it in the least-squares sense,
+    through the normal equations ({!estimate}) or through CGLS
+    ({!estimate_matfree_ess}), never materializing [A] (the paper uses
+    a dense Householder QR of [A]; the test suite keeps that solve as
+    its oracle). Negative sample covariances — pure sampling artifacts,
+    as covariances of path losses are non-negative under the model —
+    are dropped by default, as in the paper's experiments.
 
     {b Graceful degradation.} The streaming kernel tolerates missing
     measurements (NaN cells, as produced by {!Quarantine.scrub} or by
@@ -20,43 +21,14 @@
 
     {b Only the pairs that share a link.} A pair of paths with disjoint
     routes has an all-zero row in [A] and adds nothing to the system.
-    Both estimators below ({!estimate_streaming_ess},
-    {!estimate_matfree_ess}) therefore list the non-empty pairs once per
-    call ({!Augmented.pairs}) and compute covariances and accumulate
-    only over that list: [P*] pairs instead of n_p(n_p+1)/2. On
+    Both estimators below ({!estimate}, {!estimate_matfree_ess})
+    therefore list the non-empty pairs once per call
+    ({!Augmented.pairs}) and compute covariances and accumulate only
+    over that list: [P*] pairs instead of n_p(n_p+1)/2. On
     PlanetLab-like overlays [P*] is 4–13% of the triangle; on the other
     generators at 250–870 paths it is 2–4% (Waxman), 8–9% (BA), 8–12%
     (DIMES), 18–36% (tree), about 31% (transit-stub) and 32–35%
     (hier-td). *)
-
-type method_ = Normal_equations | Dense_qr
-
-type options = {
-  method_ : method_;
-  drop_negative : bool;  (** ignore equations with [Σ̂ᵢᵢ' < 0] (default true) *)
-  clamp : bool;  (** clamp inferred variances at 0 (default true) *)
-}
-
-val default_options : options
-(** [{ method_ = Normal_equations; drop_negative = true; clamp = true }] *)
-
-val solve :
-  ?options:options -> ?jobs:int ->
-  a:Linalg.Sparse.t -> sigma_star:Linalg.Vector.t -> unit ->
-  Linalg.Vector.t
-(** The estimated link variance vector [v̂] (length = columns of [a]).
-    Raises [Invalid_argument] on a length mismatch and [Failure] if the
-    dense QR path meets a rank-deficient system. [jobs] parallelizes the
-    normal-equation assembly (ignored by the dense QR path). *)
-
-val estimate :
-  ?options:options -> ?jobs:int ->
-  r:Linalg.Sparse.t -> y:Linalg.Matrix.t -> unit ->
-  Linalg.Vector.t
-(** Convenience: builds [A] from [r], [Σ̂*] from the snapshot matrix [y]
-    (eq. 7), and solves. With the default [Normal_equations] method this
-    dispatches to {!estimate_streaming}, which is mathematically identical
-    but never materializes [A]. *)
 
 type ess = {
   pairs_total : int;
@@ -70,9 +42,10 @@ type ess = {
           ([m] on a complete matrix; 0 when no pair was usable) *)
 }
 (** Effective-sample-size accounting for the pairwise-complete
-    estimator, the signal [Lia.infer_checked] grades degradation on. *)
+    estimator, the signal [Lia.infer_checked] grades degradation on.
+    Every run adds its [pairs_total] to the [lia_pairs_total] counter. *)
 
-val estimate_streaming :
+val estimate :
   ?jobs:int ->
   ?drop_negative:bool ->
   ?clamp:bool ->
@@ -97,6 +70,8 @@ val estimate_streaming :
     for every [jobs] value — and to a sweep over the whole triangle,
     whose empty rows add nothing.
 
+    [drop_negative] (default true) ignores the equations with
+    [Σ̂ᵢᵢ' < 0]; [clamp] (default true) clamps the solution at 0.
     [min_pair_samples] (default 2) is the effective-sample-size guard of
     the pairwise-complete path: pairs with fewer overlapping snapshots
     are excluded from the normal equations. Raises [Invalid_argument]
@@ -111,17 +86,17 @@ val estimate_streaming_ess :
   y:Linalg.Matrix.t ->
   unit ->
   Linalg.Vector.t * ess
-(** {!estimate_streaming} plus the effective-sample-size report; the
-    returned variances are bit-for-bit those of {!estimate_streaming}.
-    The [ess] integers are exact and identical for every [jobs] value. *)
+(** {!estimate} plus the effective-sample-size report; the returned
+    variances are bit-for-bit those of {!estimate}. The [ess] integers
+    are exact and identical for every [jobs] value. *)
 
 (** {1 Iterative path}
 
-    {!estimate_streaming} forms the dense [n_c × n_c] Gram matrix and
-    factors it. The iterative path never forms it: the live rows — the
-    non-empty pairs that pass the min-overlap, drop-negative and
-    sketch rules — become a sparse matrix, and {!Linalg.Lsqr.cgls}
-    solves the least-squares system over it. Each iteration costs
+    {!estimate} forms the dense [n_c × n_c] Gram matrix and factors it.
+    The iterative path never forms it: the live rows — the non-empty
+    pairs that pass the min-overlap, drop-negative and sketch rules —
+    become a sparse matrix, and {!Linalg.Lsqr.cgls} solves the
+    least-squares system over it. Each iteration costs
     O(P*·L) and the pair list takes O(P*·L) memory. *)
 
 type precond_spec =
@@ -140,9 +115,13 @@ type precond_spec =
 type matfree_options = {
   tol : float;  (** CGLS relative tolerance on [‖Aᵀr‖] (default 1e-10) *)
   max_iter : int option;  (** iteration cap; [None] = [2 · n_c] *)
-  mf_drop_negative : bool;  (** as [options.drop_negative] (default true) *)
-  mf_clamp : bool;  (** as [options.clamp] (default true) *)
-  mf_min_pair_samples : int;  (** as in {!estimate_streaming} (default 2) *)
+  mf_drop_negative : bool;
+      (** ignore equations with [Σ̂ᵢᵢ' < 0], as {!estimate}'s
+          [drop_negative] (default true) *)
+  mf_clamp : bool;
+      (** clamp inferred variances at 0, as {!estimate}'s [clamp]
+          (default true) *)
+  mf_min_pair_samples : int;  (** as in {!estimate} (default 2) *)
   sample : (float * int) option;
       (** [Some (fraction, seed)] solves over a deterministic row-sampling
           sketch ({!Augmented.sample_mask}) instead of the full triangle —
@@ -170,7 +149,5 @@ val estimate_matfree_ess :
     same least-squares problem as the streaming path over the same
     surviving rows, so on full-column-rank systems the minimizer agrees
     to solver tolerance. The [ess] accounting matches
-    {!estimate_streaming_ess} pair for pair; the CGLS iteration count is
-    added to the [lia_cgls_iterations] counter. Bit-for-bit identical
-    for every [jobs] value. Raises [Invalid_argument] as
-    {!estimate_streaming}. *)
+    {!estimate_streaming_ess} pair for pair. Bit-for-bit identical for
+    every [jobs] value. Raises [Invalid_argument] as {!estimate}. *)

@@ -36,13 +36,10 @@ let scaled_columns op w =
    apply_t per iteration, the normal-equations residual s = Aᵀr carried
    explicitly so the stopping test costs nothing extra.
 
-   With [precond] the recurrence runs on à = A C⁻¹ (right
+   With [precond] the recurrence runs on Ã = A C⁻¹ (right
    preconditioning): every iterate u lives in the preconditioned
-   coordinates and the returned solution is x = C⁻¹ u. With [x0] the
-   start is u₀ = C x₀ instead of 0; the stopping reference stays
-   ‖Ãᵀ b‖ — what the zero start would see — so warming up can only
-   save iterations, never tighten the target. *)
-let cgls ?(tol = 1e-10) ?max_iter ?x0 ?precond ?(context = []) op b =
+   coordinates and the returned solution is x = C⁻¹ u. *)
+let cgls ?(tol = 1e-10) ?max_iter ?precond ?(context = []) op b =
   if Array.length b <> op.rows then invalid_arg "Lsqr.cgls: rhs length mismatch";
   if tol <= 0. then invalid_arg "Lsqr.cgls: non-positive tolerance";
   (* an infinite, NaN or >= 1 tolerance would stop before the first
@@ -59,31 +56,13 @@ let cgls ?(tol = 1e-10) ?max_iter ?x0 ?precond ?(context = []) op b =
   let apply u = op.apply (solve_u u) in
   let apply_t y = solve_t (op.apply_t y) in
   let max_iter = Option.value max_iter ~default:(max 1 (2 * n)) in
-  let u, r =
-    match x0 with
-    | None -> (Vector.zeros n, Vector.copy b)
-    | Some x ->
-        if Array.length x <> n then invalid_arg "Lsqr.cgls: x0 length mismatch";
-        let u0 =
-          match precond with None -> Vector.copy x | Some p -> Precond.mul p x
-        in
-        let u0 = if u0 == x then Vector.copy x else u0 in
-        let r = Vector.copy b in
-        Vector.axpy (-1.) (op.apply x) r;
-        (u0, r)
-  in
+  let u = Vector.zeros n and r = Vector.copy b in
   let s = apply_t r in
   if Array.length s <> n then invalid_arg "Lsqr.cgls: apply_t dimension mismatch";
   let gamma0 = Vector.dot s s in
-  let ref_norm =
-    match x0 with None -> sqrt gamma0 | Some _ -> Vector.norm2 (apply_t b)
-  in
+  let ref_norm = sqrt gamma0 in
   let probes = Conjugate_gradient.instrumented () in
   let solve_id = if probes then Conjugate_gradient.new_solve_id () else 0 in
-  let context =
-    if probes then context @ [ ("warm", Obs.Field.Bool (x0 <> None)) ]
-    else context
-  in
   let stats_of ~iterations ~residual_norm ~converged =
     (* guard the zero-norm reference: 0/0 must read as "already there",
        never as NaN (pinned by test_linalg's zero-rhs cases) *)
@@ -98,6 +77,7 @@ let cgls ?(tol = 1e-10) ?max_iter ?x0 ?precond ?(context = []) op b =
         converged;
       }
     in
+    Obs.Metrics.add Conjugate_gradient.cgls_iterations iterations;
     if probes then
       Conjugate_gradient.note_solve_done ~solver:"cgls" ~solve:solve_id ~context
         stats;
@@ -110,11 +90,6 @@ let cgls ?(tol = 1e-10) ?max_iter ?x0 ?precond ?(context = []) op b =
     (* Aᵀb = 0: x = 0 zeroes the normal-equations residual exactly, so it
        is a minimizer no iteration could improve *)
     (Vector.zeros n, stats_of ~iterations:0 ~residual_norm:0. ~converged:true)
-  else if gamma0 = 0. then
-    (* the start is already a least-squares minimizer (with the zero
-       start: b orthogonal to the range) *)
-    let x = match x0 with None -> Vector.zeros n | Some x -> Vector.copy x in
-    (x, stats_of ~iterations:0 ~residual_norm:0. ~converged:true)
   else begin
     let threshold = tol *. ref_norm in
     let p = Vector.copy s in

@@ -5,7 +5,7 @@
     [AᵀA]. This is the estimator path that avoids the Gram matrix of
     the augmented system (Definition 1), whose non-empty rows — the path
     pairs that share a link — it runs over ({!of_sparse}). CGLS
-    runs the {!Conjugate_gradient} recurrence on the normal equations
+    runs the conjugate-gradient recurrence on the normal equations
     implicitly, with the well-known stabilized form that applies [A] and
     [Aᵀ] once each per iteration and never squares the conditioning.
 
@@ -53,7 +53,6 @@ type stats = Conjugate_gradient.stats
 val cgls :
   ?tol:float ->
   ?max_iter:int ->
-  ?x0:Vector.t ->
   ?precond:Precond.t ->
   ?context:(string * Obs.Field.t) list ->
   operator ->
@@ -62,19 +61,17 @@ val cgls :
 (** [cgls op b] minimizes [‖A x − b‖₂] from [x₀ = 0]. Stops when
     [‖Aᵀ(b − A x)‖ ≤ tol · ‖Aᵀ b‖] (default [tol = 1e-10]) or after
     [max_iter] iterations (default [2 · cols], generous because each
-    iteration is one [apply] + one [apply_t]). Non-convergence is
-    reported through {!Conjugate_gradient.note_nonconvergence} and the
-    returned [stats]. Raises [Invalid_argument] on a length mismatch or
-    a [tol] that is not a number in (0, 1) — an infinite or NaN
-    tolerance would otherwise stop before the first iteration.
-    Deterministic: the same operator, right-hand side and options run
-    the same floating-point operations in the same order.
-
-    [x0] warm-starts the iteration — snapshot [k+1] of a batch solve
-    starting from snapshot [k]'s solution. The stopping reference stays
-    [‖Aᵀ b‖] (what the zero start would see), so a warm start can only
-    save iterations, never weaken the target; when [‖Aᵀ b‖ = 0] the
+    iteration is one [apply] + one [apply_t]); when [‖Aᵀ b‖ = 0] the
     result is [x = 0] with a zero (never NaN) [relative_residual].
+    Non-convergence is reported through
+    {!Conjugate_gradient.note_nonconvergence} and the returned [stats];
+    the iterations run are added to the
+    {!Conjugate_gradient.cgls_iterations} counter. Raises
+    [Invalid_argument] on a length mismatch or a [tol] that is not a
+    number in (0, 1) — an infinite or NaN tolerance would otherwise
+    stop before the first iteration. Deterministic: the same operator,
+    right-hand side and options run the same floating-point operations
+    in the same order.
 
     [precond] runs the recurrence on the right-preconditioned operator
     [A C⁻¹] and maps the solution back ([x = C⁻¹ u]); see {!Precond}.
@@ -84,7 +81,6 @@ val cgls :
     [context] labels the solve's telemetry — per-iteration relative
     residuals go to the [lia_cgls_relres] / [lia_cgls_iter_seconds]
     histograms, the flight recorder, and the {!Obs.Convergence} stream,
-    tagged with the context fields plus a ["warm"] flag derived from
-    [x0]. When no telemetry output is enabled the per-iteration probes
-    (and their clock reads) are skipped entirely; either way the
-    iterates are bit-for-bit unaffected. *)
+    tagged with the context fields. When no telemetry output is enabled
+    the per-iteration probes (and their clock reads) are skipped
+    entirely; either way the iterates are bit-for-bit unaffected. *)

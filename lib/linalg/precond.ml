@@ -62,16 +62,6 @@ let block_jacobi ?jobs ~cols blocks =
 (* Per-block dense triangular kernels over the gathered group entries.
    [L] is the lower Cholesky factor of the block's Gram, C = Lᵀ. *)
 
-(* u = Lᵀ x *)
-let block_mul l x =
-  let s = Array.length x in
-  Array.init s (fun i ->
-      let acc = ref 0. in
-      for j = i to s - 1 do
-        acc := !acc +. (Matrix.unsafe_get l j i *. x.(j))
-      done;
-      !acc)
-
 (* solve Lᵀ x = u (back substitution) *)
 let block_solve l u =
   let s = Array.length u in
@@ -112,13 +102,6 @@ let on_blocks ~jobs ~blocks kernel v =
 
 let check p v name =
   if Array.length v <> p.n then invalid_arg ("Precond." ^ name ^ ": dimension mismatch")
-
-let mul p v =
-  check p v "mul";
-  match p.kind with
-  | Identity -> v
-  | Diag w -> Array.mapi (fun e x -> x /. w.(e)) v
-  | Blocks { jobs; blocks } -> on_blocks ~jobs ~blocks block_mul v
 
 let solve p v =
   check p v "solve";

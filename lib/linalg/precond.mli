@@ -5,9 +5,8 @@
     [C] approximating a factor of [AᵀA] ([CᵀC ≈ AᵀA]), solves the
     better-conditioned problem [min ‖(A C⁻¹) u − b‖], and maps back
     [x = C⁻¹ u]; the minimizer is unchanged in exact arithmetic, only
-    the iteration count moves. A preconditioner here is the triple of
-    products CGLS needs: [x ↦ C x] (entering the preconditioned space,
-    for warm starts), [u ↦ C⁻¹ u], and [s ↦ C⁻ᵀ s].
+    the iteration count moves. A preconditioner here is the pair of
+    products CGLS needs: [u ↦ C⁻¹ u] and [s ↦ C⁻ᵀ s].
 
     Two constructions matter for the augmented systems of this library:
 
@@ -40,8 +39,8 @@ val block_count : t -> int
     for {!block_jacobi}. *)
 
 val identity : int -> t
-(** [C = I]: {!solve}, {!solve_t} and {!mul} return their argument
-    unchanged (same array, not a copy). *)
+(** [C = I]: {!solve} and {!solve_t} return their argument unchanged
+    (same array, not a copy). *)
 
 val jacobi : Vector.t -> t
 (** [jacobi d] is [C = diag(max 1 dₑ)^{1/2}] for [d = diag(AᵀA)] (for a
@@ -64,10 +63,6 @@ val block_jacobi :
     [Invalid_argument] on overlapping/out-of-range indices or a block
     dimension mismatch, and [Cholesky.Not_positive_definite] if a block
     resists even heavy regularization. *)
-
-val mul : t -> Vector.t -> Vector.t
-(** [mul p x] is [C x] — a solution iterate mapped {e into} the
-    preconditioned coordinates (what a warm start needs). *)
 
 val solve : t -> Vector.t -> Vector.t
 (** [solve p u] is [C⁻¹ u] — preconditioned unknowns mapped back to the

@@ -1,7 +1,7 @@
 (* Per-iteration solver convergence stream, one flat JSON object per
    line. A sibling of Trace with a narrower schema: each line is one
-   CGLS/CG iteration carrying the solve id, iteration index, relative
-   residual, and the solve's context (phase, preconditioner, warm/cold).
+   CGLS iteration carrying the solve id, iteration index, relative
+   residual, and the solve's context (phase, preconditioner).
    The stream is for plotting convergence curves offline; the same
    events also land in the flight recorder and the lia_cgls_* histograms
    regardless of whether a stream sink is installed. *)

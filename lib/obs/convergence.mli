@@ -2,9 +2,9 @@
 
     Each line is one iterative-solver iteration as a flat JSON object:
     [{"solver": "cgls", "solve": 3, "iteration": 17, "relres": 1.2e-7,
-    "phase": "phase2", "precond": "block_jacobi", "warm": true}] — the
-    trailing fields are the caller-supplied solve context. Iteration
-    indices within one [solve] id are strictly increasing from 1.
+    "phase": "phase2", "precond": "block_jacobi"}] — the trailing fields
+    are the caller-supplied solve context. Iteration indices within one
+    [solve] id are strictly increasing from 1.
 
     The stream is independent of the {!Recorder} and the [lia_cgls_*]
     histograms: solvers feed all three, each behind its own enable

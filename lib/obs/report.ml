@@ -31,7 +31,6 @@ type solve_row = {
   so_solve : int;
   mutable so_phase : string;
   mutable so_precond : string;
-  mutable so_warm : bool option;
   mutable so_iterations : int;
   mutable so_relres : float;
   mutable so_converged : bool option; (* None until a solver_done is seen *)
@@ -70,7 +69,6 @@ let solve_row d ~solver ~solve =
           so_solve = solve;
           so_phase = "-";
           so_precond = "-";
-          so_warm = None;
           so_iterations = 0;
           so_relres = Float.nan;
           so_converged = None;
@@ -86,17 +84,11 @@ let context_into row json =
    with
   | Some p -> row.so_phase <- p
   | None -> ());
-  (match
-     let* p = Json.member "precond" json in
-     Json.to_string_opt p
-   with
-  | Some p -> row.so_precond <- p
-  | None -> ());
   match
-    let* w = Json.member "warm" json in
-    Json.to_bool_opt w
+    let* p = Json.member "precond" json in
+    Json.to_string_opt p
   with
-  | Some w -> row.so_warm <- Some w
+  | Some p -> row.so_precond <- p
   | None -> ()
 
 let iteration_into d ~solver ~solve json =
@@ -377,17 +369,13 @@ let render_convergence b d ~tail =
   let rows = solve_rows d in
   if rows <> [] then begin
     section b "Convergence";
-    Printf.bprintf b "%-6s %-6s %-8s %-13s %-5s %6s %13s %s\n" "solver" "solve"
-      "phase" "precond" "warm" "iters" "final_relres" "converged";
+    Printf.bprintf b "%-6s %-6s %-8s %-13s %6s %13s %s\n" "solver" "solve"
+      "phase" "precond" "iters" "final_relres" "converged";
     List.iter
       (fun r ->
-        Printf.bprintf b "%-6s %-6d %-8s %-13s %-5s %6d %13s %s\n" r.so_solver
-          r.so_solve r.so_phase r.so_precond
-          (match r.so_warm with
-          | Some true -> "warm"
-          | Some false -> "cold"
-          | None -> "-")
-          r.so_iterations (fmt_relres r.so_relres)
+        Printf.bprintf b "%-6s %-6d %-8s %-13s %6d %13s %s\n" r.so_solver
+          r.so_solve r.so_phase r.so_precond r.so_iterations
+          (fmt_relres r.so_relres)
           (match r.so_converged with
           | Some true -> "yes"
           | Some false -> "NO"

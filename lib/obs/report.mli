@@ -8,7 +8,7 @@
       events; trace ["X"] events as the alloc-less fallback),
     - the top-N slowest individual spans,
     - a convergence summary table — one row per iterative solve with
-      phase/preconditioner/warm context, iteration count, final relative
+      phase/preconditioner context, iteration count, final relative
       residual, and convergence verdict — plus the residual tail of the
       first non-converged solve (or the last solve when all converged),
     - the health verdict(s) with quarantine and non-convergence counts

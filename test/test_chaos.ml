@@ -214,7 +214,7 @@ let test_monitor_churn_never_serves_stale_variances () =
   Alcotest.(check int) "window stays full" 5 (Monitor.size t);
   let v_after = Monitor.variances t in
   let fresh =
-    Core.Variance_estimator.estimate_streaming ~r ~y:(Monitor.window_matrix t) ()
+    Core.Variance_estimator.estimate ~r ~y:(Monitor.window_matrix t) ()
   in
   Alcotest.(check bool) "served variances are fresh, bit for bit" true
     (G.vec_bits_equal v_after fresh);
@@ -276,7 +276,7 @@ let test_quarantine_reasons () =
 let test_ess_complete_matrix () =
   let r, y_learn, _ = G.random_tree_trial 23 in
   let m = Matrix.rows y_learn in
-  let v1 = Core.Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+  let v1 = Core.Variance_estimator.estimate ~r ~y:y_learn () in
   let v2, ess = Core.Variance_estimator.estimate_streaming_ess ~r ~y:y_learn () in
   Alcotest.(check bool) "same variances" true (G.vec_bits_equal v1 v2);
   Alcotest.(check int) "no pair skipped" ess.Core.Variance_estimator.pairs_total

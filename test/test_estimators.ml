@@ -95,11 +95,11 @@ let test_streaming_equals_explicit_a () =
   let config = Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated in
   let run = Netsim.Simulator.run rng config r ~count:25 in
   let y = run.Netsim.Simulator.y in
-  let streaming = VE.estimate_streaming ~r ~y () in
+  let streaming = VE.estimate ~r ~y () in
   (* explicit A + normal equations, same drop-negative convention *)
   let a = Core.Augmented.build r in
   let sigma = Core.Covariance.sigma_star y in
-  let explicit = VE.solve ~a ~sigma_star:sigma () in
+  let explicit = Oracle.solve ~a ~sigma_star:sigma () in
   Alcotest.(check bool) "same solution" true
     (Vector.approx_equal ~tol:1e-6 streaming explicit)
 

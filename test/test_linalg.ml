@@ -198,52 +198,15 @@ let test_cholesky_log_det () =
   let f = Cholesky.factorize m in
   check_floatish "log det" (log 36.) (Cholesky.log_det f)
 
-(* --- Conjugate gradient --------------------------------------------------- *)
-
-let test_cg_solves_spd () =
-  let m = Matrix.of_arrays [| [| 4.; 1. |]; [| 1.; 3. |] |] in
-  let b = Vector.of_list [ 1.; 2. ] in
-  let x, stats = Conjugate_gradient.solve m b in
-  let r = Vector.sub (Matrix.mul_vec m x) b in
-  Alcotest.(check bool) "residual small" true (Vector.norm_inf r < 1e-8);
-  Alcotest.(check bool) "few iterations" true
-    (stats.Conjugate_gradient.iterations <= 2)
-
-let test_cg_matches_cholesky () =
-  let a = Matrix.of_arrays [| [| 1.; 2.; 0. |]; [| 0.; 1.; 1. |]; [| 3.; 0.; 1. |];
-                              [| 1.; 1.; 1. |] |] in
-  let spd = Matrix.add (Matrix.gram a) (Matrix.identity 3) in
-  let b = Vector.of_list [ 3.; -1.; 2. ] in
-  let x_cg, _ = Conjugate_gradient.solve spd b in
-  let x_ch = Cholesky.solve spd b in
-  Alcotest.(check bool) "agree" true (Vector.approx_equal ~tol:1e-7 x_cg x_ch)
-
-let test_cg_zero_rhs () =
-  let m = Matrix.identity 3 in
-  let x, stats = Conjugate_gradient.solve m (Vector.zeros 3) in
-  Alcotest.(check bool) "zero solution" true (Vector.approx_equal x (Vector.zeros 3));
-  Alcotest.(check int) "no iterations" 0 stats.Conjugate_gradient.iterations
-
-let test_cg_matfree () =
-  (* implicit diagonal matrix *)
-  let d = [| 2.; 5.; 10. |] in
-  let mul x = Vector.hadamard d x in
-  let b = Vector.of_list [ 2.; 10.; 30. ] in
-  let x, _ = Conjugate_gradient.solve_matfree ~dim:3 ~mul b in
-  Alcotest.(check bool) "diagonal solve" true
-    (Vector.approx_equal ~tol:1e-8 x (Vector.of_list [ 1.; 2.; 3. ]))
+(* --- Iterative solver tolerance ------------------------------------------ *)
 
 (* a tolerance outside (0, 1) — NaN and infinity included — is refused
-   by both iterative solvers instead of ending the solve at the start *)
+   by CGLS instead of ending the solve at the start *)
 let test_iterative_bad_tolerance () =
   let m = Matrix.identity 3 in
   let b = Vector.of_list [ 1.; 2.; 3. ] in
   List.iter
     (fun (tol, msg) ->
-      Alcotest.check_raises
-        (Printf.sprintf "cg tol %g" tol)
-        (Invalid_argument ("Conjugate_gradient: " ^ msg))
-        (fun () -> ignore (Conjugate_gradient.solve ~tol m b));
       Alcotest.check_raises
         (Printf.sprintf "cgls tol %g" tol)
         (Invalid_argument ("Lsqr.cgls: " ^ msg))
@@ -475,10 +438,6 @@ let () =
         ] );
       ( "conjugate_gradient",
         [
-          Alcotest.test_case "solves SPD" `Quick test_cg_solves_spd;
-          Alcotest.test_case "matches cholesky" `Quick test_cg_matches_cholesky;
-          Alcotest.test_case "zero rhs" `Quick test_cg_zero_rhs;
-          Alcotest.test_case "matrix free" `Quick test_cg_matfree;
           Alcotest.test_case "tolerance outside (0, 1)" `Quick
             test_iterative_bad_tolerance;
         ] );

@@ -434,7 +434,7 @@ let test_metric_names_conform () =
   touch Core.Covariance.sigma_star;
   touch Core.Augmented.build;
   touch Core.Variance_estimator.estimate;
-  touch Linalg.Conjugate_gradient.solve;
+  touch Linalg.Conjugate_gradient.cgls_iterations;
   touch Pool.get;
   let prefixes = [ "lia_"; "pool_"; "plan_" ] in
   let conforms name =

@@ -209,14 +209,10 @@ let prop_estimate_streaming_jobs_invariant =
     QCheck.(int_range 1 5000)
     (fun seed ->
       let r, y_learn = random_campaign seed in
-      let v1 =
-        Core.Variance_estimator.estimate_streaming ~jobs:1 ~r ~y:y_learn ()
-      in
+      let v1 = Core.Variance_estimator.estimate ~jobs:1 ~r ~y:y_learn () in
       List.for_all
         (fun jobs ->
-          let v =
-            Core.Variance_estimator.estimate_streaming ~jobs ~r ~y:y_learn ()
-          in
+          let v = Core.Variance_estimator.estimate ~jobs ~r ~y:y_learn () in
           vec_bits_equal v1 v)
         [ 2; 4 ])
 

@@ -171,14 +171,12 @@ let prop_variance_estimate_scale =
          correct behaviour but breaks exact linearity *)
       let r, y_learn, _ = random_tree_trial seed in
       let v1 =
-        Core.Variance_estimator.estimate_streaming ~drop_negative:false ~r
-          ~y:y_learn ()
+        Core.Variance_estimator.estimate ~drop_negative:false ~r ~y:y_learn ()
       in
       let m = Matrix.rows y_learn and np = Matrix.cols y_learn in
       let scaled = Matrix.init m np (fun l i -> c *. Matrix.get y_learn l i) in
       let v2 =
-        Core.Variance_estimator.estimate_streaming ~drop_negative:false ~r
-          ~y:scaled ()
+        Core.Variance_estimator.estimate ~drop_negative:false ~r ~y:scaled ()
       in
       let ok = ref true in
       Array.iteri

@@ -298,6 +298,52 @@ let prop_streaming_matches_all_pairs =
             [ 1; 2; 4 ])
         [ (y_learn, 2); (punch_holes seed y_learn, 2 + Rng.int rng 4) ])
 
+(* --- Theorem 1 against the materialized A, every topology family ------ *)
+
+(* Theorem 1: the full augmented matrix has full column rank on every
+   generator, so with drop-negative and clamping off the streaming
+   normal equations must land on the unique minimizer that the dense QR
+   of the materialized A (the oracle) finds. *)
+let prop_theorem1_every_family =
+  QCheck.Test.make ~count:4
+    ~name:
+      "Theorem 1 on every topology family: A has full column rank and \
+       estimate = dense QR of the materialized A (1e-9 of max|v|)"
+    Generators.seed_arb
+    (fun seed ->
+      (* random_routing picks the family by seed mod 8: run all eight *)
+      List.for_all
+        (fun family ->
+          let seed = seed - (seed mod 8) + family in
+          let r = Generators.random_routing seed in
+          let rng = Rng.create (seed + 13) in
+          let config =
+            Netsim.Snapshot.default_config
+              Lossmodel.Loss_model.llrd1_calibrated
+          in
+          let y =
+            (Netsim.Simulator.run rng config r ~count:12).Netsim.Simulator.y
+          in
+          let v = VE.estimate ~drop_negative:false ~clamp:false ~r ~y () in
+          let v_qr =
+            Oracle.estimate
+              ~options:
+                {
+                  Oracle.method_ = Oracle.Dense_qr;
+                  drop_negative = false;
+                  clamp = false;
+                }
+              ~r ~y ()
+          in
+          let scale =
+            Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. v_qr
+          in
+          Qr.matrix_rank (Sparse.to_dense (Augmented.build r)) = Sparse.cols r
+          && Array.for_all2
+               (fun a b -> Float.abs (a -. b) <= 1e-9 *. scale)
+               v v_qr)
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
 (* --- hierarchical decomposition: AS partition + block preconditioner ---- *)
 
 (* a transit-stub instance carries real AS labels, so the partition has
@@ -537,6 +583,10 @@ let prop_full_sample_is_identity =
 
 (* --- end-to-end: Lia with --solver cgls vs dense ------------------------- *)
 
+(* Lia.infer's two phases — Phase 1 under each solver, then a plan over
+   Lia.plan_backend — with drop-negative and clamping off, so the Phase-1
+   system keeps full column rank and both solvers reach its unique
+   minimizer *)
 let prop_infer_cgls_matches_dense =
   QCheck.Test.make ~count:12
     ~name:
@@ -545,24 +595,35 @@ let prop_infer_cgls_matches_dense =
     Generators.seed_arb
     (fun seed ->
       let r, y_learn, target = Generators.random_tree_trial seed in
-      let estimator =
-        { VE.default_options with VE.drop_negative = false; clamp = false }
-      in
       let solver =
-        Core.Lia.Cgls { tol = 1e-14; max_iter = None; sample = None; precond = Core.Variance_estimator.Pc_jacobi }
+        Core.Lia.Cgls
+          { tol = 1e-14; max_iter = None; sample = None; precond = VE.Pc_jacobi }
+      in
+      let serve solver variances =
+        Core.Plan.solve
+          (Core.Plan.make ~backend:(Core.Lia.plan_backend solver) ~r ~variances
+             ())
+          target.Netsim.Snapshot.y
       in
       let dense =
-        Core.Lia.infer ~estimator ~r ~y_learn ~y_now:target.Netsim.Snapshot.y ()
+        serve Core.Lia.Dense
+          (VE.estimate ~drop_negative:false ~clamp:false ~r ~y:y_learn ())
       in
-      let cgls =
-        Core.Lia.infer ~estimator ~solver ~r ~y_learn
-          ~y_now:target.Netsim.Snapshot.y ()
+      let options =
+        {
+          VE.default_matfree_options with
+          VE.tol = 1e-14;
+          mf_drop_negative = false;
+          mf_clamp = false;
+        }
       in
+      let v, _, _ = VE.estimate_matfree_ess ~options ~r ~y:y_learn () in
+      let cgls = serve solver v in
       (* kept is chosen greedily in estimated-variance order, so
          solver-tolerance differences can elect a different (equally
          valid) basis on near-ties — the estimates are what must agree *)
-      close ~rtol:1e-6 dense.Core.Lia.variances cgls.Core.Lia.variances
-      && close ~rtol:1e-6 dense.Core.Lia.loss_rates cgls.Core.Lia.loss_rates)
+      close ~rtol:1e-6 dense.Core.Plan.variances cgls.Core.Plan.variances
+      && close ~rtol:1e-6 dense.Core.Plan.loss_rates cgls.Core.Plan.loss_rates)
 
 let prop_checked_cgls_verdict_parity =
   QCheck.Test.make ~count:12
@@ -661,14 +722,7 @@ let test_cgls_zero_rhs () =
   Alcotest.(check bool) "reported converged" true
     stats.Linalg.Conjugate_gradient.converged;
   Alcotest.(check (float 0.)) "relative residual pinned to 0, not nan" 0.
-    stats.Linalg.Conjugate_gradient.relative_residual;
-  (* same guard on the warm-started path: x0 must come back unchanged *)
-  let x0 = Array.init op.Lsqr.cols (fun i -> float_of_int i) in
-  let x', stats' = Lsqr.cgls ~x0 op b in
-  Alcotest.(check bool) "warm start over zero rhs returns zeros" true
-    (Array.for_all (fun v -> v = 0.) x');
-  Alcotest.(check bool) "warm-start relative residual is finite" false
-    (Float.is_nan stats'.Linalg.Conjugate_gradient.relative_residual)
+    stats.Linalg.Conjugate_gradient.relative_residual
 
 let test_sample_mask_fraction () =
   let np = 60 in
@@ -691,6 +745,7 @@ let properties =
     [
       prop_pairs_match_brute_force;
       prop_streaming_matches_all_pairs;
+      prop_theorem1_every_family;
       prop_live_rows_match_build;
       prop_live_rows_jobs_invariant;
       prop_column_counts_exact;
