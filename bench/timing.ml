@@ -216,7 +216,7 @@ let obs_overhead ~reps ~r ~y_learn =
      formatting path, sink buffers) don't masquerade as per-call overhead *)
   kernel ();
   let t_on = time_best ~reps kernel in
-  Obs.Trace.close Obs.Trace.default;
+  Obs.Trace.set_sink Obs.Trace.default None;
   Obs.Metrics.disable reg;
   Obs.Metrics.reset reg;
   (t_off, t_on)
@@ -515,7 +515,7 @@ let run_obs_smoke () =
     ~fields:[ ("hosts", Obs.Field.Int 8) ];
   Obs.Logger.set_level Obs.Logger.default None;
   Obs.Logger.set_sink Obs.Logger.default None;
-  Obs.Trace.close Obs.Trace.default;
+  Obs.Trace.set_sink Obs.Trace.default None;
   Obs.Metrics.disable reg;
   let dump = Obs.Metrics.dump reg in
   let expect_metric name =

@@ -24,8 +24,8 @@ let build ?jobs r =
   let np = Sparse.rows r in
   let nc = Sparse.cols r in
   let total = row_count ~np in
-  Obs.Probe.kernel ~hist:m_build
-    ~args:[ ("np", Obs.Field.Int np); ("rows", Obs.Field.Int total) ]
+  Obs.Event.kernel ~hist:m_build
+    ~fields:[ ("np", Obs.Field.Int np); ("rows", Obs.Field.Int total) ]
     "augmented.build"
   @@ fun () ->
   let rows = Array.make total [||] in

@@ -15,8 +15,8 @@ let m_pairs =
 let sigma_star ?jobs y =
   let np = Matrix.cols y in
   Obs.Metrics.add m_pairs (Augmented.row_count ~np);
-  Obs.Probe.kernel ~hist:m_sigma_star
-    ~args:[ ("np", Obs.Field.Int np); ("m", Obs.Field.Int (Matrix.rows y)) ]
+  Obs.Event.kernel ~hist:m_sigma_star
+    ~fields:[ ("np", Obs.Field.Int np); ("m", Obs.Field.Int (Matrix.rows y)) ]
     "covariance.sigma_star"
   @@ fun () ->
   let sigma = Nstats.Descriptive.covariance_matrix ?jobs y in

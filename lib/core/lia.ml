@@ -82,14 +82,14 @@ let plan_backend = function
 let infer ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
   if Matrix.cols y_learn <> Sparse.rows r then
     invalid_arg "Lia: learning matrix width mismatch";
-  Obs.Trace.with_span
-    ~args:
+  Obs.Event.span
+    ~fields:
       [
         ("paths", Obs.Field.Int (Sparse.rows r));
         ("links", Obs.Field.Int (Sparse.cols r));
         ("m", Obs.Field.Int (Matrix.rows y_learn));
       ]
-    Obs.Trace.default "lia.infer"
+    "lia.infer"
   @@ fun () ->
   let variances, _ = learn ?jobs ~solver ~r ~y:y_learn () in
   Plan.solve
@@ -136,29 +136,26 @@ let infer_checked ?(solver = Dense) ?jobs ?(min_pair_samples = 2)
   if Array.length y_now <> Sparse.rows r then
     invalid_arg "Lia.infer_checked: measurement length mismatch";
   Obs.Metrics.incr m_checked;
-  Obs.Trace.with_span
-    ~args:
+  Obs.Event.span
+    ~fields:
       [
         ("paths", Obs.Field.Int (Sparse.rows r));
         ("links", Obs.Field.Int (Sparse.cols r));
         ("m", Obs.Field.Int (Matrix.rows y_learn));
       ]
-    Obs.Trace.default "lia.infer_checked"
+    "lia.infer_checked"
   @@ fun () ->
   let finish health result =
     (match health with
     | Clean -> ()
     | Degraded _ -> Obs.Metrics.incr m_degraded
     | Refused _ -> Obs.Metrics.incr m_refused);
-    if Obs.Recorder.enabled Obs.Recorder.default then
-      Obs.Recorder.record Obs.Recorder.default ~kind:"verdict" "lia.verdict"
-        ~fields:
-          [
-            ("health", Obs.Field.Str (health_label health));
-            ("summary", Obs.Field.Str (health_summary health));
-          ];
-    Obs.Trace.instant Obs.Trace.default "lia.verdict"
-      ~args:[ ("health", Obs.Field.Str (health_label health)) ];
+    Obs.Event.emit ~kind:"verdict" "lia.verdict"
+      ~fields:
+        [
+          ("health", Obs.Field.Str (health_label health));
+          ("summary", Obs.Field.Str (health_summary health));
+        ];
     (* a refusal is terminal for this run: flush the recorder tail now so
        the dump survives even an abrupt exit-3 path *)
     (match health with

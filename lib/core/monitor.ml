@@ -54,7 +54,7 @@ let push t y =
   end;
   if t.cached_variances <> None then begin
     Obs.Metrics.incr m_invalidations;
-    Obs.Trace.instant Obs.Trace.default "monitor.invalidate"
+    Obs.Event.emit ~kind:"instant" "monitor.invalidate"
   end;
   Obs.Metrics.set g_window_fill (float_of_int (Queue.length t.buffer));
   t.cached_variances <- None
@@ -121,9 +121,8 @@ let variances t =
   | None ->
       if size t < 2 then failwith "Monitor.variances: fewer than 2 snapshots";
       Obs.Metrics.incr m_relearns;
-      Obs.Trace.with_span
-        ~args:[ ("window", Obs.Field.Int (size t)) ]
-        Obs.Trace.default "monitor.relearn"
+      Obs.Event.span ~fields:[ ("window", Obs.Field.Int (size t)) ]
+        "monitor.relearn"
       @@ fun () ->
       let v = Variance_estimator.estimate ~r:t.r ~y:(window_matrix t) () in
       t.cached_variances <- Some v;

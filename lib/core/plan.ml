@@ -66,8 +66,8 @@ let make ?jobs ?(backend = Dense_qr) ~r ~variances () =
   let nc = Sparse.cols r and np = Sparse.rows r in
   if Array.length variances <> nc then
     invalid_arg "Lia: variance length mismatch";
-  Obs.Probe.kernel ~hist:m_build
-    ~args:[ ("np", Obs.Field.Int np); ("nc", Obs.Field.Int nc) ]
+  Obs.Event.kernel ~hist:m_build
+    ~fields:[ ("np", Obs.Field.Int np); ("nc", Obs.Field.Int nc) ]
     "plan.build"
   @@ fun () ->
   let { Rank_reduction.kept; removed } = Rank_reduction.eliminate r variances in
@@ -172,15 +172,14 @@ let least_squares_x p y_now =
 
 let solve p y_now =
   if Array.length y_now <> p.np then invalid_arg "Lia: measurement length mismatch";
-  Obs.Probe.kernel ~hist:m_solve "plan.solve" @@ fun () ->
+  Obs.Event.kernel ~hist:m_solve "plan.solve" @@ fun () ->
   result_of_x p (least_squares_x p y_now)
 
 let solve_batch ?jobs p y =
   if Matrix.cols y <> p.np then invalid_arg "Lia: measurement length mismatch";
   let snapshots = Matrix.rows y in
-  Obs.Trace.with_span
-    ~args:[ ("snapshots", Obs.Field.Int snapshots) ]
-    Obs.Trace.default "plan.solve_batch"
+  Obs.Event.span ~fields:[ ("snapshots", Obs.Field.Int snapshots) ]
+    "plan.solve_batch"
   @@ fun () ->
   let t0 =
     if Obs.Metrics.enabled Obs.Metrics.default then Obs.Clock.now_ns () else 0L

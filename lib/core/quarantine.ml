@@ -132,20 +132,18 @@ let scrub ?(max_missing_fraction = 0.5) y =
   Obs.Metrics.add m_cells report.corrupt_cells;
   Obs.Metrics.add m_duplicates !n_dup;
   Obs.Metrics.set g_dropped (float_of_int (List.length report.quarantined));
-  if Obs.Recorder.enabled Obs.Recorder.default then
-    List.iter
-      (fun (l, reason) ->
-        Obs.Recorder.record Obs.Recorder.default ~kind:"quarantine"
-          "quarantine.row"
-          ~fields:
-            [
-              ("row", Obs.Field.Int l);
-              ("reason", Obs.Field.Str (reason_to_string reason));
-            ])
-      report.quarantined;
-  if List.length report.quarantined > 0 then
-    Obs.Trace.instant Obs.Trace.default "quarantine.rows"
-      ~args:
+  List.iter
+    (fun (l, reason) ->
+      Obs.Event.emit ~kind:"quarantine" "quarantine.row"
+        ~fields:
+          [
+            ("row", Obs.Field.Int l);
+            ("reason", Obs.Field.Str (reason_to_string reason));
+          ])
+    report.quarantined;
+  if report.quarantined <> [] then
+    Obs.Event.emit ~kind:"instant" "quarantine.rows"
+      ~fields:
         [
           ("quarantined", Obs.Field.Int (List.length report.quarantined));
           ("total", Obs.Field.Int m);

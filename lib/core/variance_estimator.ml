@@ -143,8 +143,8 @@ let check_inputs name ~min_pair_samples ~r ~y =
   if min_pair_samples < 2 then fail "min_pair_samples < 2"
 
 let phase1_kernel name ~r ~y f =
-  Obs.Probe.kernel ~hist:m_phase1
-    ~args:
+  Obs.Event.kernel ~hist:m_phase1
+    ~fields:
       [
         ("np", Obs.Field.Int (Sparse.rows r));
         ("nc", Obs.Field.Int (Sparse.cols r));

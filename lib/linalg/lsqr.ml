@@ -32,6 +32,27 @@ let scaled_columns op w =
     apply_t = (fun y -> Vector.hadamard w (op.apply_t y));
   }
 
+let m_nonconverged =
+  Obs.Metrics.counter Obs.Metrics.default
+    ~help:"CGLS solves that stopped before reaching tolerance"
+    "lia_solver_nonconverged_total"
+
+let m_relres =
+  Obs.Metrics.histogram Obs.Metrics.default
+    ~help:"Per-iteration relative residuals of the iterative solvers"
+    ~buckets:[| 1e-14; 1e-12; 1e-10; 1e-8; 1e-6; 1e-4; 1e-2; 1. |]
+    "lia_cgls_relres"
+
+let m_iter_seconds =
+  Obs.Metrics.histogram Obs.Metrics.default
+    ~help:"Wall seconds per iterative-solver iteration"
+    ~buckets:[| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1. |]
+    "lia_cgls_iter_seconds"
+
+(* process-wide solve ids (1, 2, ...) so the events of interleaved
+   solves can be told apart after the fact *)
+let solve_counter = Atomic.make 0
+
 (* CGLS in the stabilized two-term form (Björck): one apply and one
    apply_t per iteration, the normal-equations residual s = Aᵀr carried
    explicitly so the stopping test costs nothing extra.
@@ -61,8 +82,13 @@ let cgls ?(tol = 1e-10) ?max_iter ?precond ?(context = []) op b =
   if Array.length s <> n then invalid_arg "Lsqr.cgls: apply_t dimension mismatch";
   let gamma0 = Vector.dot s s in
   let ref_norm = sqrt gamma0 in
-  let probes = Conjugate_gradient.instrumented () in
-  let solve_id = if probes then Conjugate_gradient.new_solve_id () else 0 in
+  let timed = Obs.Metrics.enabled Obs.Metrics.default in
+  let events = Obs.Event.on () in
+  let solve_id = if events then 1 + Atomic.fetch_and_add solve_counter 1 else 0 in
+  let emit kind fields =
+    Obs.Event.emit ~kind "cgls"
+      ~fields:((("solve", Obs.Field.Int solve_id) :: fields) @ context)
+  in
   let stats_of ~iterations ~residual_norm ~converged =
     (* guard the zero-norm reference: 0/0 must read as "already there",
        never as NaN (pinned by test_linalg's zero-rhs cases) *)
@@ -78,12 +104,28 @@ let cgls ?(tol = 1e-10) ?max_iter ?precond ?(context = []) op b =
       }
     in
     Obs.Metrics.add Conjugate_gradient.cgls_iterations iterations;
-    if probes then
-      Conjugate_gradient.note_solve_done ~solver:"cgls" ~solve:solve_id ~context
-        stats;
-    if not converged then
-      Conjugate_gradient.note_nonconvergence ~solver:"cgls" ~iterations
-        ~relative_residual;
+    if events then
+      emit "solver_done"
+        [
+          ("iterations", Obs.Field.Int iterations);
+          ("relres", Obs.Field.Float relative_residual);
+          ("converged", Obs.Field.Bool converged);
+        ];
+    if not converged then begin
+      Obs.Metrics.incr m_nonconverged;
+      Obs.Logger.warn Obs.Logger.default
+        "iterative solver stopped before tolerance"
+        ~fields:
+          [
+            ("solver", Obs.Field.Str "cgls");
+            ("iterations", Obs.Field.Int iterations);
+            ("relative_residual", Obs.Field.Float relative_residual);
+          ];
+      (* a starved or stalled solve is exactly the run the flight
+         recorder exists for: dump the tail now in case the process
+         never exits cleanly (no-op unless a dump path is configured) *)
+      Obs.Recorder.auto_dump Obs.Recorder.default ~reason:"nonconvergence"
+    end;
     stats
   in
   if ref_norm = 0. then
@@ -98,7 +140,7 @@ let cgls ?(tol = 1e-10) ?max_iter ?precond ?(context = []) op b =
     let continue_ = ref (sqrt gamma0 > threshold) in
     while !continue_ && !iters < max_iter do
       incr iters;
-      let t0 = if probes then Obs.Clock.now_ns () else 0L in
+      let t0 = if timed then Obs.Clock.now_ns () else 0L in
       let q = apply p in
       let qq = Vector.dot q q in
       if qq <= 0. then
@@ -120,12 +162,16 @@ let cgls ?(tol = 1e-10) ?max_iter ?precond ?(context = []) op b =
         end;
         gamma := gamma'
       end;
-      if probes then
-        Conjugate_gradient.note_iteration ~solver:"cgls" ~solve:solve_id
-          ~iteration:!iters
-          ~relative_residual:(sqrt !gamma /. ref_norm)
-          ~iter_seconds:(Obs.Clock.seconds_since t0)
-          ~context
+      if timed then begin
+        Obs.Metrics.observe m_relres (sqrt !gamma /. ref_norm);
+        Obs.Metrics.observe m_iter_seconds (Obs.Clock.seconds_since t0)
+      end;
+      if events then
+        emit "solver_iter"
+          [
+            ("iteration", Obs.Field.Int !iters);
+            ("relres", Obs.Field.Float (sqrt !gamma /. ref_norm));
+          ]
     done;
     let residual_norm = sqrt !gamma in
     let converged = residual_norm <= threshold in

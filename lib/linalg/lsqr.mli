@@ -63,10 +63,11 @@ val cgls :
     [max_iter] iterations (default [2 · cols], generous because each
     iteration is one [apply] + one [apply_t]); when [‖Aᵀ b‖ = 0] the
     result is [x = 0] with a zero (never NaN) [relative_residual].
-    Non-convergence is reported through
-    {!Conjugate_gradient.note_nonconvergence} and the returned [stats];
-    the iterations run are added to the
-    {!Conjugate_gradient.cgls_iterations} counter. Raises
+    Non-convergence is reported in the returned [stats], counted in the
+    [lia_solver_nonconverged_total] metric, logged as a warning and
+    answered with a flight-recorder {!Obs.Recorder.auto_dump}; the
+    iterations run are added to the {!Conjugate_gradient.cgls_iterations}
+    counter. Raises
     [Invalid_argument] on a length mismatch or a [tol] that is not a
     number in (0, 1) — an infinite or NaN tolerance would otherwise
     stop before the first iteration. Deterministic: the same operator,
@@ -78,9 +79,11 @@ val cgls :
     Without it the recurrence is untouched — bit-for-bit the historical
     arithmetic.
 
-    [context] labels the solve's telemetry — per-iteration relative
-    residuals go to the [lia_cgls_relres] / [lia_cgls_iter_seconds]
-    histograms, the flight recorder, and the {!Obs.Convergence} stream,
-    tagged with the context fields. When no telemetry output is enabled
-    the per-iteration probes (and their clock reads) are skipped
-    entirely; either way the iterates are bit-for-bit unaffected. *)
+    [context] labels the solve's telemetry. Each iteration emits one
+    [solver_iter] event and the solve one [solver_done] event through
+    {!Obs.Event.emit}, named ["cgls"] with a process-wide [solve] id and
+    the context fields appended; with metrics on, each iteration also
+    lands in the [lia_cgls_relres] / [lia_cgls_iter_seconds] histograms.
+    With the event stream and metrics off the probes (and their clock
+    reads) are skipped; either way the iterates are bit-for-bit
+    unaffected. *)

@@ -1,4 +1,4 @@
-(** Structured values attached to log records and trace-span arguments,
+(** Structured values attached to log records and telemetry events,
     with the JSON fragments the sinks need to serialize them. *)
 
 type t = Str of string | Int of int | Float of float | Bool of bool
@@ -10,8 +10,9 @@ val json_string : string -> string
 (** [escape] wrapped in double quotes. *)
 
 val json_float : float -> string
-(** Shortest faithful decimal; non-finite values become [null] (JSON has
-    no inf/nan literals). *)
+(** [%.12g]: 12 significant digits, which does not round-trip every
+    double ([0.1 +. 0.2] prints [0.3]); non-finite values become [null]
+    (JSON has no inf/nan literals). *)
 
 val to_json : t -> string
 

@@ -1,32 +1,32 @@
-(* Flight recorder: per-domain ring buffers of recent structured events.
+(* Flight recorder: per-domain ring buffers holding the recent tail of
+   the event stream.
 
    The recorder answers "what was the process doing just before it
-   failed?" without the cost or volume of full tracing: every domain
-   appends into its own fixed-capacity ring (drop-oldest), so a steady
-   stream of solver iterations keeps exactly the recent tail, and the
-   hot-path cost of a disabled recorder is one load and one branch —
-   cheap enough to leave the probes compiled into the kernels.
+   failed?" without the cost or volume of full tracing: every event
+   Event.emit routes here is appended to the ring of the domain that
+   emitted it (fixed capacity, drop-oldest), so a steady stream of
+   solver iterations keeps exactly the recent tail, and a disabled
+   recorder costs one branch.
 
-   Determinism: the per-domain rings are merged by a stable sort on
-   (ts_us, domain, seq). Timestamps vary run to run, but for fixed ring
-   contents the merge order is a pure function of the events, and the
-   multiset of events produced by a jobs-invariant computation is itself
-   jobs-invariant (which domain recorded an event is not, so [domain] is
-   a label, never a key the analysis depends on).
+   A ring stores events as emitted; an event's [seq] is its position in
+   the ring's write order, filled in when the ring is read. Reads merge
+   the rings by a stable sort on (ts_us, domain, seq): timestamps vary
+   run to run, but for fixed ring contents the merge order is a pure
+   function of the events ([domain] is a label, never a key the
+   analysis depends on).
 
    Dumps are JSONL: a header object, then one event object per line.
    They happen on demand ([dump]), through [auto_dump] when a dump path
    is configured (wired to Refused verdicts and solver non-convergence
-   by the core layers), and at process exit — so a run nobody was
-   watching still explains itself after the fact. *)
+   by the core layers), and at process exit. *)
 
 let shards = 16 (* power of two, matching Metrics' sharding *)
 
 type event = {
-  seq : int; (* per-ring sequence, strictly increasing from 0 *)
-  domain : int; (* id of the recording domain *)
+  seq : int;
+  domain : int;
   ts_us : int64;
-  kind : string; (* "span_begin" | "span_end" | "solver_iter" | ... *)
+  kind : string;
   name : string;
   fields : (string * Field.t) list;
 }
@@ -67,21 +67,12 @@ let disable t = t.on := false
 
 let enabled t = !(t.on)
 
-let capacity t = t.capacity
-
-let dummy =
-  { seq = 0; domain = 0; ts_us = 0L; kind = ""; name = ""; fields = [] }
-
-let record t ?(fields = []) ~kind name =
+let record t e =
   if !(t.on) then begin
-    let domain = (Domain.self () :> int) in
-    let ring = t.rings.(domain land (shards - 1)) in
-    let ts_us = Clock.now_us () in
+    let ring = t.rings.(e.domain land (shards - 1)) in
     Mutex.lock ring.r_mutex;
-    if Array.length ring.slots = 0 then
-      ring.slots <- Array.make t.capacity dummy;
-    ring.slots.(ring.written mod t.capacity) <-
-      { seq = ring.written; domain; ts_us; kind; name; fields };
+    if Array.length ring.slots = 0 then ring.slots <- Array.make t.capacity e;
+    ring.slots.(ring.written mod t.capacity) <- e;
     ring.written <- ring.written + 1;
     Mutex.unlock ring.r_mutex
   end
@@ -93,7 +84,8 @@ let ring_events ring capacity =
   let out =
     Array.init n (fun k ->
         (* oldest surviving event first *)
-        ring.slots.((written - n + k) mod capacity))
+        let seq = written - n + k in
+        { (ring.slots.(seq mod capacity)) with seq })
   in
   Mutex.unlock ring.r_mutex;
   Array.to_list out

@@ -1,37 +1,40 @@
-(** Flight recorder: fixed-capacity rings of recent structured events,
-    one ring per domain shard, merged deterministically and dumped as
-    JSONL — the post-hoc counterpart to live tracing.
+(** Flight recorder: the in-memory tail of the event stream.
 
-    Where {!Trace} streams every span to a sink as it happens, the
-    recorder keeps only the recent tail (drop-oldest per ring) in
-    memory, and writes it out when something goes wrong: on demand, on a
+    Every event {!Event.emit} routes here (all but the pool's
+    [pool.task] spans) lands in a fixed-capacity ring, one ring per
+    domain shard, dropping that ring's oldest event when full. The tail
+    is written out as JSONL when something goes wrong: on demand, on a
     [Refused] health verdict or solver non-convergence (the core layers
     call {!auto_dump}), and at process exit once a dump path is
     configured. A failed run nobody was watching thereby explains
     itself after the fact.
 
-    {b Overhead contract.} A probe against a disabled recorder is one
-    load and one branch; enabled, it is one mutex-protected array store
-    per event. Recording never reads or mutates the instrumented
-    computation: estimates are bit-for-bit identical with the recorder
-    on or off.
+    {b Overhead contract.} Against a disabled recorder an event costs
+    one branch; enabled, one mutex-protected array store. Recording
+    never reads or mutates the instrumented computation: estimates are
+    bit-for-bit identical with the recorder on or off.
 
     {b Determinism contract.} Events merge by a stable sort on
     [(ts_us, domain, seq)] — a pure function of the ring contents. The
-    multiset of events emitted by a jobs-invariant computation is itself
+    multiset of events a jobs-invariant computation records is itself
     jobs-invariant; which [domain] recorded an event is scheduling, so
     treat it as a label, not a key. *)
 
 type event = {
-  seq : int;  (** per-ring sequence number, strictly increasing from 0 *)
-  domain : int;  (** id of the recording domain *)
-  ts_us : int64;  (** {!Clock} microseconds *)
+  seq : int;
+      (** per-ring sequence number, strictly increasing from 0; assigned
+          by the ring, [0] on events that never entered one *)
+  domain : int;  (** id of the emitting domain *)
+  ts_us : int64;  (** {!Clock} microseconds when the event was emitted *)
   kind : string;
       (** event class: ["span_begin"], ["span_end"], ["instant"],
-          ["solver_iter"], ["solver_done"], ["verdict"], ... *)
+          ["solver_iter"], ["solver_done"], ["quarantine"], ["verdict"] *)
   name : string;  (** span/solver/probe name *)
   fields : (string * Field.t) list;
 }
+(** The one event type of the telemetry stream: the recorder stores it,
+    the [--trace] and [--convergence] outputs render it, and
+    {!Report.decode} reads every output back into it. *)
 
 type t
 
@@ -41,8 +44,8 @@ val create : ?capacity:int -> unit -> t
     [capacity < 1]. *)
 
 val default : t
-(** The process-wide recorder the library's built-in probes target.
-    Starts disabled; the CLI enables it under [--flight-recorder]. *)
+(** The recorder {!Event.emit} feeds. Starts disabled; the CLI enables
+    it under [--flight-recorder]. *)
 
 val enable : t -> unit
 
@@ -50,12 +53,10 @@ val disable : t -> unit
 
 val enabled : t -> bool
 
-val capacity : t -> int
-
-val record : t -> ?fields:(string * Field.t) list -> kind:string -> string -> unit
-(** [record t ~kind name] appends one event to the calling domain's
-    ring, dropping that ring's oldest event when full. Disabled: one
-    branch, no allocation. *)
+val record : t -> event -> unit
+(** Append one event to the ring of its [domain]. Disabled: one branch.
+    The library's probes go through {!Event.emit}, which stamps the
+    event and calls this. *)
 
 val events : t -> event list
 (** Merged snapshot of every ring, oldest first (stable sort on
@@ -83,8 +84,6 @@ val set_dump_path : t -> string option -> unit
     recorder is still enabled — each dump truncates the file, so the
     exit dump supersedes earlier emergency dumps with a superset of
     their events. *)
-
-val dump_path : t -> string option
 
 val auto_dump : t -> reason:string -> unit
 (** Dump to the configured path (truncating), or do nothing when no

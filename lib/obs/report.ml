@@ -4,13 +4,12 @@
    wall/alloc profile, top-N slow spans, a convergence summary table
    with residual tails, and the health verdict with quarantine counts.
 
-   Every section degrades gracefully: inputs are independent and a
-   section renders from whichever input carries its data (spans prefer
-   the recorder, which has allocation attribution; the trace is the
-   fallback). Numbers that vary run-to-run (wall, alloc) are kept in
-   their own columns so tests can select the deterministic ones. *)
-
-let ( let* ) = Option.bind
+   The three JSONL outputs are views of one event stream, so every line
+   of each decodes back into a Recorder.event and one fold consumes
+   them all. Sections render from whichever events arrived (only the
+   recorder's span_end events carry allocation words). Numbers that
+   vary run-to-run (wall, alloc) are kept in their own columns so tests
+   can select the deterministic ones. *)
 
 type span = {
   sp_name : string;
@@ -59,6 +58,76 @@ let fresh () =
     metrics = [];
   }
 
+(* ---- decoding: every JSONL line becomes one Recorder.event ---- *)
+
+(* json_float writes non-finite floats as null; integral numbers read
+   back as Int (the text cannot tell 2 from 2.0) *)
+let field_of_json = function
+  | Json.Str s -> Some (Field.Str s)
+  | Json.Bool b -> Some (Field.Bool b)
+  | Json.Num x when Float.is_integer x && Float.abs x < 0x1p62 ->
+      Some (Field.Int (int_of_float x))
+  | Json.Num x -> Some (Field.Float x)
+  | Json.Null -> Some (Field.Float Float.nan)
+  | Json.List _ | Json.Obj _ -> None
+
+let fields_of =
+  List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (field_of_json v))
+
+(* The three outputs are told apart by shape: a dump line has "kind", a
+   trace line "ph", a convergence line "solver". *)
+let event_of members =
+  let get k = List.assoc_opt k members in
+  let str k = Option.bind (get k) Json.to_string_opt in
+  let int k = Option.value ~default:0 (Option.bind (get k) Json.to_int_opt) in
+  let us k =
+    Option.fold ~none:0L ~some:Int64.of_float (Option.bind (get k) Json.to_float_opt)
+  in
+  let args = match get "args" with Some (Json.Obj a) -> fields_of a | _ -> [] in
+  let event ?(domain = int "domain") ?(name = Option.value ~default:"" (str "name"))
+      kind ts_us fields =
+    Some { Recorder.seq = int "seq"; domain; ts_us; kind; name; fields }
+  in
+  match (str "kind", str "ph", str "solver") with
+  | Some kind, _, _ ->
+      (* a dump header carries its fields at top level, an event under args *)
+      let fixed = [ "kind"; "name"; "domain"; "seq"; "ts_us" ] in
+      event kind (us "ts_us")
+        (if get "args" <> None then args
+         else fields_of (List.filter (fun (k, _) -> not (List.mem k fixed)) members))
+  | None, Some "X", _ -> (
+      match (get "dur", Option.bind (get "dur") Json.to_float_opt) with
+      | Some dur, Some d ->
+          event ~domain:(int "tid") "span_end"
+            (Int64.add (us "ts") (Int64.of_float d))
+            (args @ fields_of [ ("dur_us", dur) ])
+      | _ -> None)
+  | None, Some "i", _ -> event ~domain:(int "tid") "instant" (us "ts") args
+  | None, None, Some solver ->
+      event ~name:solver "solver_iter" 0L
+        (fields_of (List.remove_assoc "solver" members))
+  | _ -> None
+
+let decode line =
+  let line = String.trim line in
+  (* tolerate the trace's array framing: "[" opener, "," separators *)
+  let n = String.length line in
+  let line = if n > 0 && line.[n - 1] = ',' then String.sub line 0 (n - 1) else line in
+  match Json.of_string_opt line with
+  | Some (Json.Obj members) -> event_of members
+  | _ -> None
+
+(* ---- the fold ---- *)
+
+let as_str = function Some (Field.Str s) -> Some s | _ -> None
+
+let as_int = function Some (Field.Int i) -> Some i | _ -> None
+
+let as_float = function
+  | Some (Field.Int i) -> Some (float_of_int i)
+  | Some (Field.Float x) -> Some x
+  | _ -> None
+
 let solve_row d ~solver ~solve =
   match Hashtbl.find_opt d.solves (solver, solve) with
   | Some row -> row
@@ -77,195 +146,70 @@ let solve_row d ~solver ~solve =
       Hashtbl.add d.solves (solver, solve) row;
       row
 
-let context_into row json =
-  (match
-     let* p = Json.member "phase" json in
-     Json.to_string_opt p
-   with
-  | Some p -> row.so_phase <- p
-  | None -> ());
-  match
-    let* p = Json.member "precond" json in
-    Json.to_string_opt p
-  with
-  | Some p -> row.so_precond <- p
-  | None -> ()
-
-let iteration_into d ~solver ~solve json =
-  let row = solve_row d ~solver ~solve in
-  context_into row json;
-  match
-    let* i = Json.member "iteration" json in
-    let* i = Json.to_int_opt i in
-    let* r = Json.member "relres" json in
-    let* r = Json.to_float_opt r in
-    Some (i, r)
-  with
-  | None -> ()
-  | Some (iteration, relres) ->
-      if iteration > row.so_iterations then begin
-        row.so_iterations <- iteration;
-        row.so_relres <- relres
-      end;
-      d.iters <-
-        {
-          it_solver = solver;
-          it_solve = solve;
-          it_iteration = iteration;
-          it_relres = relres;
-        }
-        :: d.iters
-
-(* one recorder-dump line (header or event) *)
-let recorder_line d json =
-  let kind =
-    Option.value ~default:""
-      (let* k = Json.member "kind" json in
-       Json.to_string_opt k)
+let add d (e : Recorder.event) =
+  let get k = List.assoc_opt k e.fields in
+  let solve_row () =
+    Option.map (fun solve -> solve_row d ~solver:e.name ~solve) (as_int (get "solve"))
   in
-  let name =
-    Option.value ~default:""
-      (let* n = Json.member "name" json in
-       Json.to_string_opt n)
+  let context row =
+    Option.iter (fun p -> row.so_phase <- p) (as_str (get "phase"));
+    Option.iter (fun p -> row.so_precond <- p) (as_str (get "precond"))
   in
-  let args = Option.value ~default:(Json.Obj []) (Json.member "args" json) in
-  match kind with
+  match e.kind with
   | "recorder_dump" ->
-      d.dump_reason <-
-        (let* r = Json.member "reason" json in
-         Json.to_string_opt r);
-      d.dump_dropped <-
-        Option.value ~default:0
-          (let* x = Json.member "dropped" json in
-           Json.to_int_opt x)
+      d.dump_reason <- as_str (get "reason");
+      d.dump_dropped <- Option.value ~default:0 (as_int (get "dropped"))
   | "span_end" ->
-      let dur =
-        let* x = Json.member "dur_us" args in
-        Json.to_float_opt x
-      in
-      let domain =
-        Option.value ~default:0
-          (let* x = Json.member "domain" json in
-           Json.to_int_opt x)
-      in
-      (match dur with
-      | None -> ()
-      | Some dur_us ->
+      Option.iter
+        (fun dur_us ->
           d.spans <-
             {
-              sp_name = name;
+              sp_name = e.name;
               sp_dur_us = dur_us;
-              sp_alloc_words =
-                (let* x = Json.member "alloc_words" args in
-                 Json.to_float_opt x);
-              sp_domain = domain;
+              sp_alloc_words = as_float (get "alloc_words");
+              sp_domain = e.domain;
             }
             :: d.spans)
-  | "solver_iter" ->
-      (match
-         let* s = Json.member "solve" args in
-         Json.to_int_opt s
-       with
-      | None -> ()
-      | Some solve -> iteration_into d ~solver:name ~solve args)
-  | "solver_done" -> (
-      match
-        let* s = Json.member "solve" args in
-        Json.to_int_opt s
-      with
-      | None -> ()
-      | Some solve ->
-          let row = solve_row d ~solver:name ~solve in
-          context_into row args;
-          (match
-             let* i = Json.member "iterations" args in
-             Json.to_int_opt i
-           with
-          | Some i -> row.so_iterations <- i
-          | None -> ());
-          (match
-             let* r = Json.member "relres" args in
-             Json.to_float_opt r
-           with
-          | Some r -> row.so_relres <- r
-          | None -> ());
+        (as_float (get "dur_us"))
+  | "solver_iter" -> (
+      match (solve_row (), as_int (get "iteration"), as_float (get "relres")) with
+      | Some row, Some iteration, Some relres ->
+          context row;
+          if iteration > row.so_iterations then begin
+            row.so_iterations <- iteration;
+            row.so_relres <- relres
+          end;
+          d.iters <-
+            {
+              it_solver = row.so_solver;
+              it_solve = row.so_solve;
+              it_iteration = iteration;
+              it_relres = relres;
+            }
+            :: d.iters
+      | Some row, _, _ -> context row
+      | None, _, _ -> ())
+  | "solver_done" ->
+      Option.iter
+        (fun row ->
+          context row;
+          Option.iter (fun i -> row.so_iterations <- i) (as_int (get "iterations"));
+          Option.iter (fun r -> row.so_relres <- r) (as_float (get "relres"));
           row.so_converged <-
-            (let* c = Json.member "converged" args in
-             Json.to_bool_opt c))
+            (match get "converged" with Some (Field.Bool c) -> Some c | _ -> None))
+        (solve_row ())
   | "verdict" ->
-      let health =
-        Option.value ~default:"?"
-          (let* h = Json.member "health" args in
-           Json.to_string_opt h)
-      in
-      let summary =
-        Option.value ~default:""
-          (let* s = Json.member "summary" args in
-           Json.to_string_opt s)
-      in
-      d.verdicts <- (health, summary) :: d.verdicts
+      d.verdicts <-
+        ( Option.value ~default:"?" (as_str (get "health")),
+          Option.value ~default:"" (as_str (get "summary")) )
+        :: d.verdicts
   | "quarantine" -> d.quarantine <- d.quarantine + 1
   | _ -> ()
 
-(* trace JSONL: "X" complete events become spans (no alloc attribution) *)
-let trace_line d json =
-  match
-    let* ph = Json.member "ph" json in
-    Json.to_string_opt ph
-  with
-  | Some "X" ->
-      let name =
-        Option.value ~default:""
-          (let* n = Json.member "name" json in
-           Json.to_string_opt n)
-      in
-      (match
-         let* x = Json.member "dur" json in
-         Json.to_float_opt x
-       with
-      | None -> ()
-      | Some dur_us ->
-          d.spans <-
-            {
-              sp_name = name;
-              sp_dur_us = dur_us;
-              sp_alloc_words = None;
-              sp_domain =
-                Option.value ~default:0
-                  (let* x = Json.member "tid" json in
-                   Json.to_int_opt x);
-            }
-            :: d.spans)
-  | _ -> ()
-
-let convergence_line d json =
-  match
-    let* s = Json.member "solver" json in
-    let* solver = Json.to_string_opt s in
-    let* v = Json.member "solve" json in
-    let* solve = Json.to_int_opt v in
-    Some (solver, solve)
-  with
-  | None -> ()
-  | Some (solver, solve) -> iteration_into d ~solver ~solve json
-
 let lines content = String.split_on_char '\n' content
 
-let feed_jsonl d per_line content =
-  List.iter
-    (fun line ->
-      let line = String.trim line in
-      (* tolerate the trace's array framing: "[" opener, "," separators *)
-      let line =
-        if String.length line > 0 && line.[String.length line - 1] = ',' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      if String.length line > 0 && line.[0] = '{' then
-        match Json.of_string_opt line with
-        | Some json -> per_line d json
-        | None -> ())
-    (lines content)
+let feed_events d content =
+  List.iter (fun line -> Option.iter (add d) (decode line)) (lines content)
 
 let feed_metrics d content =
   List.iter
@@ -464,9 +408,7 @@ let render_health b d =
 
 let render ?recorder ?trace ?metrics ?convergence ?(top = 5) ?(tail = 8) () =
   let d = fresh () in
-  Option.iter (feed_jsonl d recorder_line) recorder;
-  Option.iter (feed_jsonl d trace_line) trace;
-  Option.iter (feed_jsonl d convergence_line) convergence;
+  List.iter (Option.iter (feed_events d)) [ recorder; trace; convergence ];
   Option.iter (feed_metrics d) metrics;
   let b = Buffer.create 4096 in
   (match d.dump_reason with

@@ -1,5 +1,5 @@
-(** Pluggable line-oriented output sinks for the logger and the span
-    tracer. Every sink serializes writes behind an internal mutex, so
+(** Pluggable line-oriented output sinks for the logger and the
+    telemetry outputs. Every sink serializes writes behind an internal mutex, so
     producers on different pool domains never interleave partial lines. *)
 
 type t
@@ -18,8 +18,8 @@ val of_channel : ?close_channel:bool -> out_channel -> t
 
 val file : string -> t
 (** Truncate-and-write sink on a fresh file (JSONL conventions are the
-    caller's: the tracer writes Chrome trace events, the logger JSON
-    records). *)
+    caller's: the trace output writes Chrome trace events, the logger
+    JSON records). *)
 
 val stderr_lines : unit -> t
 (** Line sink on stderr; {!close} leaves the channel open. *)

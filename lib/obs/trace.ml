@@ -1,27 +1,18 @@
-(* Chrome trace-event spans, one JSON object per line.
+(* The --trace output: Chrome trace-event JSONL rendered from the event
+   stream's span_end and instant events.
 
    The output is the Chrome/Perfetto "JSON array format" written
    incrementally: the first line is "[", every event line is a complete
    JSON object followed by a comma, and the closing "]" is omitted — the
    loaders accept the unterminated form, which lets us append from
-   several domains and survive a killed process. Spans are "X" (complete)
-   events carrying ts/dur in microseconds; nesting is reconstructed by
-   the viewer from containment of [ts, ts+dur) ranges within one tid, and
-   tid is the raising domain's id, so pool-worker spans land on their own
-   rows.
-
-   Spans also feed the flight recorder (Recorder.default) when it is
-   enabled, independently of whether a trace sink is installed: the
-   span_end event carries the duration plus the GC words the span
-   allocated (minor + major - promoted, by Gc.quick_stat delta on the
-   running domain), which is what the report profiler's per-phase
-   allocation column is built from. *)
+   several domains and survive a killed process. A span_end is stamped
+   when the span ends and carries its duration, so the "X" event starts
+   at ts_us - dur_us; the recorder-only alloc_words field stays out of
+   the args. *)
 
 type t = { mutable sink : Sink.t option }
 
 let default = { sink = None }
-
-let create () = { sink = None }
 
 let enabled t = t.sink <> None
 
@@ -30,66 +21,30 @@ let set_sink t sink =
   t.sink <- sink;
   match sink with Some s -> Sink.write s "[" | None -> ()
 
-let close t = set_sink t None
-
 let flush t = match t.sink with Some s -> Sink.flush s | None -> ()
 
-let emit t ~name ~ph ~ts_us ~dur_us ~args =
-  match t.sink with
-  | None -> ()
-  | Some sink ->
-      let b = Buffer.create 160 in
-      Printf.bprintf b
-        "{\"name\": %s, \"cat\": \"lia\", \"ph\": \"%c\", \"ts\": %Ld, \"pid\": 0, \
-         \"tid\": %d"
-        (Field.json_string name) ph ts_us
-        (Domain.self () :> int);
-      (match dur_us with
-      | Some d -> Printf.bprintf b ", \"dur\": %Ld" d
-      | None -> ());
-      if args <> [] then
-        Printf.bprintf b ", \"args\": %s" (Field.assoc_json args);
-      Buffer.add_string b "},";
-      Sink.write sink (Buffer.contents b)
+let render (e : Recorder.event) =
+  let dur =
+    match List.assoc_opt "dur_us" e.fields with
+    | Some (Field.Int d) when e.kind = "span_end" -> Some d
+    | _ -> None
+  in
+  let args =
+    if dur = None then e.fields
+    else
+      List.filter (fun (k, _) -> k <> "dur_us" && k <> "alloc_words") e.fields
+  in
+  let b = Buffer.create 160 in
+  Printf.bprintf b
+    "{\"name\": %s, \"cat\": \"lia\", \"ph\": \"%c\", \"ts\": %Ld, \"pid\": 0, \
+     \"tid\": %d"
+    (Field.json_string e.name)
+    (if dur = None then 'i' else 'X')
+    (match dur with Some d -> Int64.sub e.ts_us (Int64.of_int d) | None -> e.ts_us)
+    e.domain;
+  Option.iter (Printf.bprintf b ", \"dur\": %d") dur;
+  if args <> [] then Printf.bprintf b ", \"args\": %s" (Field.assoc_json args);
+  Buffer.add_string b "},";
+  Buffer.contents b
 
-(* words allocated by this domain so far; quick_stat never walks the
-   heap. Gc.minor_words () reads the live young-pointer (quick_stat's
-   minor_words only updates at minor collections, so short spans would
-   read as zero); the major terms add direct major-heap allocations
-   without double-counting promotions. *)
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-
-let instant ?(args = []) t name =
-  if Recorder.enabled Recorder.default then
-    Recorder.record Recorder.default ~fields:args ~kind:"instant" name;
-  if enabled t then
-    emit t ~name ~ph:'i' ~ts_us:(Clock.now_us ()) ~dur_us:None ~args
-
-let with_span ?(args = []) t name f =
-  let recording = Recorder.enabled Recorder.default in
-  match t.sink with
-  | None when not recording -> f ()
-  | _ ->
-      let t0 = Clock.now_ns () in
-      let w0 = if recording then alloc_words () else 0. in
-      if recording then
-        Recorder.record Recorder.default ~fields:args ~kind:"span_begin" name;
-      Fun.protect
-        ~finally:(fun () ->
-          let t1 = Clock.now_ns () in
-          let dur_us = Int64.div (Int64.sub t1 t0) 1_000L in
-          if recording then
-            Recorder.record Recorder.default ~kind:"span_end" name
-              ~fields:
-                (args
-                @ [
-                    ("dur_us", Field.Int (Int64.to_int dur_us));
-                    ( "alloc_words",
-                      Field.Int (int_of_float (alloc_words () -. w0)) );
-                  ]);
-          emit t ~name ~ph:'X'
-            ~ts_us:(Int64.div t0 1_000L)
-            ~dur_us:(Some dur_us) ~args)
-        f
+let write t e = match t.sink with Some s -> Sink.write s (render e) | None -> ()

@@ -1,24 +1,24 @@
-(** Nestable spans emitted as Chrome trace-event JSONL.
+(** The [--trace] output: the event stream's [span_end] and [instant]
+    events rendered as Chrome trace-event JSONL.
 
-    Each event is one JSON object on its own line ("X" complete events
-    with [ts]/[dur] in microseconds from {!Clock}); the stream opens with
-    a ["["] line and omits the closing bracket, which chrome://tracing
-    and ui.perfetto.dev both accept and which keeps the file valid after
-    a crash. Span nesting needs no bookkeeping: the viewer reconstructs
-    it from time-range containment per [tid], and [tid] is the emitting
-    domain's id — spans raised inside pool workers therefore appear on
-    the worker's own row.
+    {!Event.emit} routes those two kinds here while a sink is installed;
+    this module only renders them. A [span_end] becomes an ["X"]
+    (complete) event whose [ts] is the span's start and [dur] its
+    [dur_us] field, with the span's own fields as [args]; an [instant]
+    becomes an ["i"] event. [tid] is the emitting domain's id, so spans
+    raised inside pool workers appear on the worker's own row, and the
+    viewer reconstructs nesting from time-range containment per [tid].
+    The stream opens with a ["["] line and omits the closing bracket,
+    which chrome://tracing and ui.perfetto.dev both accept and which
+    keeps the file valid after a crash.
 
-    A tracer with no sink is disabled: {!with_span} costs one branch and
-    runs the thunk directly. *)
+    This is the only output that gets the pool's per-block [pool.task]
+    spans (see {!Event}). *)
 
 type t
 
 val default : t
-(** The process-wide tracer the library's built-in spans target. Starts
-    with no sink (disabled). *)
-
-val create : unit -> t
+(** The process-wide trace output. Starts with no sink (disabled). *)
 
 val enabled : t -> bool
 
@@ -27,14 +27,8 @@ val set_sink : t -> Sink.t option -> unit
     is closed, and a fresh sink immediately receives the opening ["["]
     line. *)
 
-val with_span : ?args:(string * Field.t) list -> t -> string -> (unit -> 'a) -> 'a
-(** [with_span t name f] runs [f] and emits a complete event covering its
-    execution, including when [f] raises. Disabled: exactly [f ()]. *)
-
-val instant : ?args:(string * Field.t) list -> t -> string -> unit
-(** A zero-duration instant event (window churn, invalidations). *)
-
 val flush : t -> unit
 
-val close : t -> unit
-(** Close and detach the sink; the tracer becomes disabled. *)
+val write : t -> Recorder.event -> unit
+(** Render a [span_end] (as ["X"]) or any other event (as an ["i"]
+    instant) onto the sink. No-op without a sink. *)

@@ -173,9 +173,7 @@ let run_blocks pool n f =
     then Obs.Metrics.observe m_queue_wait (Obs.Clock.seconds_since t_enqueue);
     (try
        if tracing then
-         Obs.Trace.with_span
-           ~args:[ ("block", Obs.Field.Int b) ]
-           Obs.Trace.default "pool.task"
+         Obs.Event.span ~fields:[ ("block", Obs.Field.Int b) ] "pool.task"
            (fun () -> f b)
        else f b
      with e -> exns.(b) <- Some e);

@@ -47,7 +47,9 @@ val stats : t -> stats
     [pool_worker_busy_ns_total], [pool_worker_idle_ns_total],
     [pool_sequential_fallbacks_total], [pool_nested_fallbacks_total])
     and, when {!Obs.Trace.default} has a sink, emits one [pool.task]
-    span per executed block on the running domain's row. All probes are
+    span per executed block through {!Obs.Event.span}; that span goes to
+    the trace only (on the running domain's row), never to the flight
+    recorder, whose event multiset must not depend on [jobs]. All probes are
     single-branch no-ops while the registry is disabled. *)
 
 val default_jobs : unit -> int

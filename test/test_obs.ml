@@ -144,12 +144,12 @@ let test_pool_spans_well_formed_jsonl () =
   let tr = Obs.Trace.default in
   let sink, lines = Obs.Sink.memory () in
   Obs.Trace.set_sink tr (Some sink);
-  Obs.Trace.with_span tr "outer" (fun () ->
+  Obs.Event.span "outer" (fun () ->
       Pool.for_blocks ~jobs:2 4 (fun b ->
-          Obs.Trace.with_span tr "inner"
-            ~args:[ ("block", Obs.Field.Int b) ]
+          Obs.Event.span "inner"
+            ~fields:[ ("block", Obs.Field.Int b) ]
             (fun () -> ignore (Sys.opaque_identity (b * b)))));
-  Obs.Trace.close tr;
+  Obs.Trace.set_sink tr None;
   let ls = lines () in
   (match ls with
   | opening :: _ -> Alcotest.(check string) "array opening" "[" opening
@@ -213,7 +213,7 @@ let prop_inference_bits_unchanged_by_obs =
       let on = Core.Lia.infer ~r ~y_learn ~y_now () in
       Obs.Logger.set_level Obs.Logger.default None;
       Obs.Logger.set_sink Obs.Logger.default None;
-      Obs.Trace.close Obs.Trace.default;
+      Obs.Trace.set_sink Obs.Trace.default None;
       Obs.Metrics.disable reg;
       Obs.Metrics.reset reg;
       vec_bits_equal off.Core.Lia.loss_rates on.Core.Lia.loss_rates
@@ -245,13 +245,23 @@ let test_histogram_quantile () =
 
 (* --- flight recorder ---------------------------------------------------- *)
 
+(* an event stamped here, as Obs.Event.emit would stamp it *)
+let event ?(fields = []) ~kind name =
+  {
+    Obs.Recorder.seq = 0;
+    domain = (Domain.self () :> int);
+    ts_us = Obs.Clock.now_us ();
+    kind;
+    name;
+    fields;
+  }
+
 let test_recorder_drop_oldest () =
   let rec_ = Obs.Recorder.create ~capacity:4 () in
   Obs.Recorder.enable rec_;
   for i = 0 to 9 do
-    Obs.Recorder.record rec_ ~kind:"instant"
-      ~fields:[ ("i", Obs.Field.Int i) ]
-      "tick"
+    Obs.Recorder.record rec_
+      (event ~kind:"instant" ~fields:[ ("i", Obs.Field.Int i) ] "tick")
   done;
   Alcotest.(check int) "recorded counts everything" 10
     (Obs.Recorder.recorded rec_);
@@ -273,9 +283,8 @@ let prop_recorder_ring_semantics =
       let rec_ = Obs.Recorder.create ~capacity () in
       Obs.Recorder.enable rec_;
       for i = 0 to n - 1 do
-        Obs.Recorder.record rec_ ~kind:"instant"
-          ~fields:[ ("i", Obs.Field.Int i) ]
-          "tick"
+        Obs.Recorder.record rec_
+          (event ~kind:"instant" ~fields:[ ("i", Obs.Field.Int i) ] "tick")
       done;
       let evs = Obs.Recorder.events rec_ in
       let kept = min n capacity in
@@ -297,9 +306,8 @@ let prop_recorder_merge_jobs_invariant =
             Obs.Recorder.enable rec_;
             Pool.parallel_for ~jobs ~min_block:16 ~n:(200 + (seed mod 100))
               (fun i ->
-                Obs.Recorder.record rec_ ~kind:"work"
-                  ~fields:[ ("i", Obs.Field.Int i) ]
-                  "block");
+                Obs.Recorder.record rec_
+                  (event ~kind:"work" ~fields:[ ("i", Obs.Field.Int i) ] "block"));
             Obs.Recorder.events rec_
             |> List.map (fun e ->
                    ( e.Obs.Recorder.kind,
@@ -311,6 +319,63 @@ let prop_recorder_merge_jobs_invariant =
       match runs with
       | [ a; b; c ] -> a = b && a = c
       | _ -> false)
+
+(* The recorder's jobs-invariance contract on the library's own probes:
+   a checked cgls inference records the same (kind, name, fields)
+   multiset at jobs 1 and 4 — stamps, domains, durations and allocation
+   words aside, and solve ids renumbered by first appearance — also with
+   a trace output on, whose pool.task spans stay out of the ring. *)
+let checked_events ~trace ~jobs (r, y_learn, y_now) =
+  let rcd = Obs.Recorder.default in
+  Obs.Recorder.reset rcd;
+  Obs.Recorder.enable rcd;
+  if trace then
+    Obs.Trace.set_sink Obs.Trace.default (Some (fst (Obs.Sink.memory ())));
+  ignore
+    (Core.Lia.infer_checked ~solver:Core.Lia.default_cgls ~jobs ~r ~y_learn
+       ~y_now ());
+  Obs.Trace.set_sink Obs.Trace.default None;
+  Obs.Recorder.disable rcd;
+  let events = Obs.Recorder.events rcd in
+  Obs.Recorder.reset rcd;
+  let ids = Hashtbl.create 4 in
+  let field = function
+    | "dur_us", _ | "alloc_words", _ -> None
+    | "solve", Obs.Field.Int id ->
+        if not (Hashtbl.mem ids id) then
+          Hashtbl.add ids id (Hashtbl.length ids + 1);
+        Some ("solve", Obs.Field.Int (Hashtbl.find ids id))
+    | f -> Some f
+  in
+  List.map
+    (fun (e : Obs.Recorder.event) ->
+      (e.kind, e.name, List.filter_map field e.fields))
+    events
+  |> List.sort compare
+
+let planetlab_campaign ~hosts seed =
+  let rng = Rng.create seed in
+  let tb = Topology.Overlay.planetlab_like rng ~hosts () in
+  let r = (Topology.Testbed.routing tb).Topology.Routing.matrix in
+  let config =
+    Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated
+  in
+  let run = Netsim.Simulator.run rng config r ~count:21 in
+  let y_learn, target = Netsim.Simulator.split_learning run ~learning:20 in
+  (r, y_learn, target.Netsim.Snapshot.y)
+
+let prop_checked_events_jobs_invariant ~trace =
+  QCheck.Test.make ~count:3
+    ~name:
+      (Printf.sprintf "checked inference records a jobs-invariant multiset (%s)"
+         (if trace then "trace on" else "trace off"))
+    QCheck.(int_range 1 5000)
+    (fun seed ->
+      let campaign =
+        planetlab_campaign ~hosts:(if trace then 16 else 13 + (seed mod 6)) seed
+      in
+      let one = checked_events ~trace ~jobs:1 campaign in
+      one <> [] && one = checked_events ~trace ~jobs:4 campaign)
 
 (* the recorder-off vs recorder-on bit-identity contract, exercised
    through the cgls path so the per-iteration solver probes fire *)
@@ -388,6 +453,125 @@ let prop_convergence_jsonl_well_formed =
                      iteration = prev + 1 && relres >= 0.
                  | _ -> false))
            ls)
+
+(* --- decoders invert the writers ------------------------------------------ *)
+
+(* strings with quotes, backslashes and control characters *)
+let gen_text =
+  QCheck.Gen.(
+    string_size (int_range 0 10)
+      ~gen:
+        (frequency
+           [ (4, char_range ' ' '~'); (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031' ]) ]))
+
+(* JSON numbers are doubles: integers stay within 2^52 to be exact *)
+let gen_field =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Obs.Field.Str s) gen_text;
+        map (fun i -> Obs.Field.Int i) (int_range (-(1 lsl 52)) (1 lsl 52));
+        map (fun x -> Obs.Field.Float x)
+          (oneof [ float; oneofl [ 0.1 +. 0.2; -0.; 1e-300; Float.nan; Float.infinity ] ]);
+        map (fun b -> Obs.Field.Bool b) bool;
+      ])
+
+let gen_fields =
+  QCheck.Gen.(
+    list_size (int_range 0 5)
+      (pair
+         (gen_text >|= fun k -> if k = "dur_us" || k = "alloc_words" then k ^ "_" else k)
+         gen_field))
+
+let gen_event =
+  QCheck.Gen.(
+    map
+      (fun ((domain, ts_us), (kind, name), fields) ->
+        { Obs.Recorder.seq = 0; domain; ts_us = Int64.of_int ts_us; kind; name; fields })
+      (triple
+         (pair (int_range 0 64) (int_range (1 lsl 20) (1 lsl 50)))
+         (pair gen_text gen_text) gen_fields))
+
+(* json_float writes 12 significant digits (non-finite as null, read
+   back as nan); an integral float reads back as Int *)
+let field_agrees a b =
+  let written x = float_of_string (Printf.sprintf "%.12g" x) in
+  match (a, b) with
+  | Obs.Field.Float x, Obs.Field.Float y ->
+      if Float.is_finite x then written x = y else Float.is_nan y
+  | Obs.Field.Float x, Obs.Field.Int i -> written x = float_of_int i
+  | _ -> a = b
+
+let event_agrees (a : Obs.Recorder.event) (b : Obs.Recorder.event) =
+  a.seq = b.seq && a.domain = b.domain && a.ts_us = b.ts_us && a.kind = b.kind
+  && a.name = b.name
+  && List.length a.fields = List.length b.fields
+  && List.for_all2 (fun (k, x) (k', y) -> k = k' && field_agrees x y) a.fields b.fields
+
+let print_event (e : Obs.Recorder.event) =
+  Printf.sprintf "%S/%S domain %d ts %Ld %s" e.kind e.name e.domain e.ts_us
+    (Obs.Field.assoc_json e.fields)
+
+let decodes_to line expected =
+  match Obs.Report.decode line with
+  | Some e -> event_agrees expected e || QCheck.Test.fail_reportf "%s\ndecoded as %s" line (print_event e)
+  | None -> QCheck.Test.fail_reportf "no event decoded from %s" line
+
+let prop_dump_line_decodes =
+  QCheck.Test.make ~count:300 ~name:"dump line decodes back to the recorded event"
+    (QCheck.make ~print:print_event gen_event)
+    (fun e ->
+      let rcd = Obs.Recorder.create () in
+      Obs.Recorder.enable rcd;
+      Obs.Recorder.record rcd e;
+      let sink, lines = Obs.Sink.memory () in
+      Obs.Recorder.dump rcd ~reason:"test" sink;
+      match lines () with
+      | [ _header; line ] -> decodes_to line e
+      | ls -> QCheck.Test.fail_reportf "%d dump lines" (List.length ls))
+
+let written_line set_sink write e =
+  let sink, lines = Obs.Sink.memory () in
+  set_sink (Some sink);
+  write e;
+  set_sink None;
+  List.nth (lines ()) (List.length (lines ()) - 1)
+
+let prop_trace_and_convergence_decode =
+  QCheck.Test.make ~count:300
+    ~name:"trace span_end and convergence line decode back"
+    QCheck.(make Gen.(triple gen_event (int_range 0 1_000_000) (int_range 1 500)))
+    (fun (e, dur, iteration) ->
+      let span =
+        {
+          e with
+          kind = "span_end";
+          fields =
+            e.fields
+            @ [ ("dur_us", Obs.Field.Int dur); ("alloc_words", Obs.Field.Int 7) ];
+        }
+      in
+      let iter =
+        {
+          e with
+          kind = "solver_iter";
+          fields =
+            ("solve", Obs.Field.Int 1)
+            :: ("iteration", Obs.Field.Int iteration)
+            :: ("relres", Obs.Field.Float (1. /. float_of_int iteration))
+            :: e.fields;
+        }
+      in
+      decodes_to
+        (written_line (Obs.Trace.set_sink Obs.Trace.default)
+           (Obs.Trace.write Obs.Trace.default) span)
+        { span with fields = e.fields @ [ ("dur_us", Obs.Field.Int dur) ] }
+      && decodes_to
+           (written_line
+              (Obs.Convergence.set_sink Obs.Convergence.default)
+              (Obs.Convergence.write Obs.Convergence.default)
+              iter)
+           { iter with domain = 0; ts_us = 0L })
 
 (* --- report rendering --------------------------------------------------- *)
 
@@ -512,7 +696,11 @@ let recorder_tests =
        [
          prop_recorder_ring_semantics;
          prop_recorder_merge_jobs_invariant;
+         prop_checked_events_jobs_invariant ~trace:false;
+         prop_checked_events_jobs_invariant ~trace:true;
          prop_convergence_jsonl_well_formed;
+         prop_dump_line_decodes;
+         prop_trace_and_convergence_decode;
        ]
 
 let invariance_tests =
