@@ -29,7 +29,7 @@ let tests (r, y_learn, target, variances) =
   let r_star = Sparse.dense_cols r kept in
   (* ablation inputs: the normal equations of the materialized A *)
   let a = Core.Augmented.build r in
-  let gram = Sparse.normal_matrix a in
+  let gram = Sparse.gram_lower a in
   let rhs = Sparse.normal_rhs a (Core.Covariance.sigma_star y_learn) in
   Test.make_grouped ~name:"lia"
     [

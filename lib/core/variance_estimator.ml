@@ -153,84 +153,6 @@ let phase1_kernel name ~r ~y f =
     ("variance_estimator." ^ name)
     f
 
-let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
-    ?(min_pair_samples = 2) ~r ~y () =
-  check_inputs "estimate_streaming" ~min_pair_samples ~r ~y;
-  phase1_kernel "estimate_streaming" ~r ~y @@ fun () ->
-  let np = Sparse.rows r and nc = Sparse.cols r in
-  let is, js, supports, cov, overlap = pair_sweep ?jobs ~r y in
-  let kept = kept ~drop_negative ~min_pair_samples cov overlap in
-  (* Accumulate G = AᵀA and b = AᵀΣ̂* over the kept rows, cut into blocks
-     of the flat row range whose count depends only on the problem size
-     (never on [jobs]). Determinism:
-     - G's entries are counts of 1.0 increments — exact in floating
-       point — so per-domain accumulators merge to the same bits in any
-       order;
-     - b sums real covariances, so each block owns a private partial
-       vector, sums its rows in flat row order, and the partials are
-       merged in block index order below.
-     The same floating-point operations therefore run in the same order
-     for every [jobs] value, and in the same order as a sweep over the
-     whole pair triangle, whose empty rows add nothing. *)
-  let npairs = Augmented.row_count ~np in
-  let blocks = Parallel.Chunk.block_count npairs in
-  let first = Array.make (blocks + 1) (Array.length is) in
-  let p = ref 0 in
-  for bk = 0 to blocks - 1 do
-    let lo, _ = Parallel.Chunk.range ~blocks ~n:npairs bk in
-    while
-      !p < Array.length is && Augmented.row_index ~np ~i:is.(!p) ~j:js.(!p) < lo
-    do
-      incr p
-    done;
-    first.(bk) <- !p
-  done;
-  let partial_b = Array.init blocks (fun _ -> Array.make nc 0.) in
-  let gbufs = Parallel.Pool.Buffers.create (fun () -> Array.make (nc * nc) 0.) in
-  Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-      let b = partial_b.(bk) in
-      let g = Parallel.Pool.Buffers.borrow gbufs in
-      for p = first.(bk) to first.(bk + 1) - 1 do
-        if kept p then begin
-          let row = Sparse.row supports p and s = cov.(p) in
-          let len = Array.length row in
-          for a = 0 to len - 1 do
-            let ja = row.(a) in
-            b.(ja) <- b.(ja) +. s;
-            let base = ja * nc in
-            for c = 0 to len - 1 do
-              let k = base + row.(c) in
-              g.(k) <- g.(k) +. 1.
-            done
-          done
-        end
-      done;
-      Parallel.Pool.Buffers.return gbufs g);
-  let g = Array.make (nc * nc) 0. in
-  List.iter
-    (fun p ->
-      for k = 0 to (nc * nc) - 1 do
-        g.(k) <- g.(k) +. p.(k)
-      done)
-    (Parallel.Pool.Buffers.all gbufs);
-  let b = Array.make nc 0. in
-  Array.iter
-    (fun p ->
-      for j = 0 to nc - 1 do
-        b.(j) <- b.(j) +. p.(j)
-      done)
-    partial_b;
-  let gm = Linalg.Matrix.init nc nc (fun i j -> g.((i * nc) + j)) in
-  let f = Linalg.Cholesky.factorize_regularized gm in
-  let v = Linalg.Cholesky.solve_vec f b in
-  let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
-  (v, ess_of ~min_pair_samples overlap)
-
-let estimate ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y () =
-  fst
-    (estimate_streaming_ess ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y
-       ())
-
 (* the indices [p] in [0 .. n-1] with [f p], increasing *)
 let indices n f =
   let count = ref 0 in
@@ -246,6 +168,67 @@ let indices n f =
     end
   done;
   out
+
+let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
+    ?(min_pair_samples = 2) ~r ~y () =
+  check_inputs "estimate_streaming" ~min_pair_samples ~r ~y;
+  phase1_kernel "estimate_streaming" ~r ~y @@ fun () ->
+  let np = Sparse.rows r and nc = Sparse.cols r in
+  let is, js, supports, cov, overlap = pair_sweep ?jobs ~r y in
+  let kept = kept ~drop_negative ~min_pair_samples cov overlap in
+  (* G = AᵀA over the kept rows goes straight into the sparse lower
+     triangle the Cholesky factors: exact integer counts, the same for
+     every [jobs]. b = AᵀΣ̂* sums real covariances, so its order is fixed:
+     the flat row range is cut into blocks whose count depends only on
+     the problem size (never on [jobs]), each block sums its kept rows
+     in flat row order into a private partial vector, and the partials
+     are merged in block index order below. That is the order of a sweep
+     over the whole pair triangle, whose empty rows add nothing. *)
+  let g =
+    Sparse.gram_lower ?jobs
+      (Sparse.select_rows supports (indices (Array.length is) kept))
+  in
+  let npairs = Augmented.row_count ~np in
+  let blocks = Parallel.Chunk.block_count npairs in
+  let first = Array.make (blocks + 1) (Array.length is) in
+  let p = ref 0 in
+  for bk = 0 to blocks - 1 do
+    let lo, _ = Parallel.Chunk.range ~blocks ~n:npairs bk in
+    while
+      !p < Array.length is && Augmented.row_index ~np ~i:is.(!p) ~j:js.(!p) < lo
+    do
+      incr p
+    done;
+    first.(bk) <- !p
+  done;
+  let partial_b = Array.init blocks (fun _ -> Array.make nc 0.) in
+  Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
+      let b = partial_b.(bk) in
+      for p = first.(bk) to first.(bk + 1) - 1 do
+        if kept p then begin
+          let row = Sparse.row supports p and s = cov.(p) in
+          for a = 0 to Array.length row - 1 do
+            let ja = row.(a) in
+            b.(ja) <- b.(ja) +. s
+          done
+        end
+      done);
+  let b = Array.make nc 0. in
+  Array.iter
+    (fun p ->
+      for j = 0 to nc - 1 do
+        b.(j) <- b.(j) +. p.(j)
+      done)
+    partial_b;
+  let f = Linalg.Cholesky.factorize_regularized g in
+  let v = Linalg.Cholesky.solve_vec f b in
+  let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
+  (v, ess_of ~min_pair_samples overlap)
+
+let estimate ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y () =
+  fst
+    (estimate_streaming_ess ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y
+       ())
 
 let estimate_matfree_ess ?(options = default_matfree_options) ?jobs ~r ~y () =
   let min_pair_samples = options.mf_min_pair_samples in

@@ -56,19 +56,25 @@ val estimate :
   Linalg.Vector.t
 (** Solves the normal equations of [Σ̂* = A v] in one pass over the
     non-empty pair rows ({!Augmented.pairs}), accumulating [AᵀA] and
-    [AᵀΣ̂*] directly: work is O(P*·(m + L²)) for [P*] pairs sharing a
-    link, [m] snapshots and support length [L], and memory O(n_c²) plus
-    the O(P*·L) pair list. This is what makes the PlanetLab-scale
+    [AᵀΣ̂*] directly. [AᵀA] is assembled over the kept rows straight into
+    the sparse lower triangle ({!Linalg.Sparse.gram_lower}) that
+    {!Linalg.Cholesky.factorize_regularized} factors, so no
+    [n_c × n_c] array is formed. Work is O(P*·(m + L²) + Σⱼ|Lⱼ|²) for
+    [P*] pairs sharing a link, [m] snapshots, support length [L] and the
+    column counts [|Lⱼ|] of the Cholesky factor; memory is O(P*·L) for
+    the pair list plus O(nnz(L)). This is what makes the PlanetLab-scale
     systems (hundreds of thousands of path pairs) solvable in seconds,
     as reported in Section 6.4.
 
-    [AᵀΣ̂*] is summed in blocks of the flat row range (the pair
-    triangle's canonical order), each block in row order, and the block
-    partials are merged in block order, over [jobs] domains (default
-    [Parallel.Pool.default_jobs ()], so 1 on a single-core host). The
-    blocks depend only on n_p, so the result is bit-for-bit identical
-    for every [jobs] value — and to a sweep over the whole triangle,
-    whose empty rows add nothing.
+    [AᵀA]'s entries are exact integer counts. [AᵀΣ̂*] is summed in
+    blocks of the flat row range (the pair triangle's canonical order),
+    each block in row order, and the block partials are merged in block
+    order, over [jobs] domains (default [Parallel.Pool.default_jobs ()],
+    so 1 on a single-core host). The blocks depend only on n_p, so the
+    result is bit-for-bit identical for every [jobs] value — and to a
+    sweep over the whole triangle, whose empty rows add nothing — and,
+    since the sparse Cholesky reproduces the dense one bit for bit on
+    these inputs, to a dense factorization of the same Gram matrix.
 
     [drop_negative] (default true) ignores the equations with
     [Σ̂ᵢᵢ' < 0]; [clamp] (default true) clamps the solution at 0.
@@ -92,8 +98,8 @@ val estimate_streaming_ess :
 
 (** {1 Iterative path}
 
-    {!estimate} forms the dense [n_c × n_c] Gram matrix and factors it.
-    The iterative path never forms it: the live rows — the non-empty
+    {!estimate} forms the sparse Gram matrix and its Cholesky factor.
+    The iterative path forms neither: the live rows — the non-empty
     pairs that pass the min-overlap, drop-negative and sketch rules —
     become a sparse matrix, and {!Linalg.Lsqr.cgls} solves the
     least-squares system over it. Each iteration costs

@@ -1,32 +1,74 @@
-(** Cholesky factorization of symmetric positive-definite matrices.
+(** Sparse Cholesky factorization of symmetric positive-definite matrices.
 
-    Used to solve the normal equations [AᵀA v = AᵀΣ*] that arise from the
-    variance-identification system (eq. 8 of the paper) when the augmented
-    matrix is too tall to factor densely. *)
+    Used to solve the normal equations [AᵀA v = AᵀΣ*] of the
+    variance-identification system (eq. 8 of the paper), whose Gram
+    matrix is mostly zeros: a path pair's row of [A] covers only the
+    links the two paths share. The factorization is up-looking in the
+    natural column order: a symbolic pass builds the elimination tree and
+    the pattern of every row of [L] (the entries' reach up the tree),
+    then row [k] of [L] is computed at step [k], each entry a dot product
+    over that pattern in increasing column order.
+
+    {b Bit-identity with the dense algorithm.} This runs exactly the
+    floating-point operations of the dense left-looking Cholesky and of
+    dense forward and back substitution, in the same order, except the
+    products with a structural zero. Each of those subtracts [±0] from
+    an accumulator that starts at an input entry, so on inputs without
+    [−0.0] the accumulator is never [−0.0] and the subtraction leaves it
+    unchanged. So for a finite input with no [−0.0] entry and a finite
+    right-hand side with no [−0.0] entry, {!lower}, {!solve_vec} and the
+    [Not_positive_definite] outcome are bit for bit those of the dense
+    algorithm. A [−0.0] entry can flip the sign of an exact zero in the
+    result. Gram counts and Phase 1's right-hand side never contain
+    [−0.0]. *)
 
 exception Not_positive_definite
 
+type sym = {
+  diag : float array;  (** [a_ii], one per row *)
+  cols : int array array;
+      (** row [i]'s pattern below the diagonal: strictly increasing
+          column indices [j < i] *)
+  vals : float array array;  (** [a_ij] for those [j], in the same order *)
+}
+(** A symmetric [n × n] matrix by the rows of its lower triangle. The
+    diagonal is always present (a zero diagonal entry is stored as
+    [0.]); the strictly upper part is implied by symmetry. Every
+    listed off-diagonal entry is part of the pattern, whatever its
+    value. *)
+
 type t
 
-val factorize : Matrix.t -> t
-(** [factorize m] computes the lower-triangular [L] with [m = L Lᵀ].
-    Raises [Not_positive_definite] if a pivot is not strictly positive and
-    [Invalid_argument] if [m] is not square. The strictly upper part of [m]
-    is ignored (assumed symmetric). *)
+val of_matrix : Matrix.t -> sym
+(** The lower triangle of a square dense matrix. The pattern is the
+    strictly lower entries that are [≠ 0], so NaN entries stay in and
+    [−0.0] entries drop out. The strictly upper part is ignored (assumed
+    symmetric). Raises [Invalid_argument] if [m] is not square. *)
 
-val factorize_regularized : ?ridge:float -> Matrix.t -> t
-(** Like {!factorize} but retries with [ridge * mean_diag] added to the
-    diagonal on failure, doubling the ridge up to a bound; raises
-    [Not_positive_definite] only if even the heavily regularized matrix
-    fails. Default initial [ridge] is [1e-10]. *)
+val factorize : sym -> t
+(** [factorize a] computes the lower-triangular [L] with [a = L Lᵀ].
+    Raises [Not_positive_definite] if a pivot is not strictly positive
+    (or is NaN), and [Invalid_argument] if a row's pattern is not
+    strictly increasing below the diagonal or its lengths disagree. *)
+
+val factorize_regularized : ?ridge:float -> sym -> t
+(** Like {!factorize}, but on failure retries with [r · mean_diag] added
+    to the diagonal, where [mean_diag] is the mean [|a_ii|] (or [1] when
+    that mean is [0]). [r] starts at [ridge] and is multiplied by 10
+    after each failure, as long as the [r] that failed is at most
+    [1e-2]: with the default [ridge = 1e-10] it tries [1e-10], [1e-9],
+    …, [1e-1], then raises [Not_positive_definite]. The symbolic
+    analysis is done once and reused by every retry. *)
 
 val lower : t -> Matrix.t
+(** The factor [L] as a dense matrix (zeros above the diagonal and at
+    the pattern's structural zeros). *)
 
 val solve_vec : t -> Vector.t -> Vector.t
 (** [solve_vec f b] solves [L Lᵀ x = b]. *)
 
 val solve : Matrix.t -> Vector.t -> Vector.t
-(** One-shot [factorize] + [solve_vec]. *)
+(** One-shot [factorize (of_matrix m)] + {!solve_vec}. *)
 
 val log_det : t -> float
 (** Log-determinant of the factored matrix. *)

@@ -40,10 +40,6 @@ let set m i j x =
     invalid_arg "Matrix.set: index out of bounds";
   m.data.((i * m.cols) + j) <- x
 
-let unsafe_get m i j = Array.unsafe_get m.data ((i * m.cols) + j)
-
-let unsafe_set m i j x = Array.unsafe_set m.data ((i * m.cols) + j) x
-
 let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
 
 let copy m = { m with data = Array.copy m.data }

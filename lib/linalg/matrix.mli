@@ -3,7 +3,13 @@
     The representation is a flat [float array] with explicit row and column
     counts, so rows can be scanned without per-row bounds checks and the
     whole payload stays in one allocation. Indices are 0-based. Operations
-    raise [Invalid_argument] on dimension mismatches. *)
+    raise [Invalid_argument] on dimension mismatches.
+
+    The library is compiled with [-opaque] in the default build profile,
+    so a call to {!get} or {!set} from another module is never inlined
+    and boxes the float it returns or takes. Inner loops of the
+    factorizations therefore run on their own [float array] copies
+    ({!row} and {!set_row} move whole rows without boxing). *)
 
 type t
 
@@ -30,14 +36,6 @@ val cols : t -> int
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
-
-val unsafe_get : t -> int -> int -> float
-(** [get] without bounds checks, for the inner loops of the factorizations
-    ([Qr], [Cholesky]) where the enclosing loop already pins the indices.
-    Out-of-range indices are undefined behaviour. *)
-
-val unsafe_set : t -> int -> int -> float -> unit
-(** [set] without bounds checks; same contract as {!unsafe_get}. *)
 
 val copy : t -> t
 

@@ -1,4 +1,7 @@
-type block = { idx : int array; lower : Matrix.t }
+(* [lower] is the block's dense lower Cholesky factor, row-major: the
+   triangular solves below read it as a plain float array, since a call
+   into [Matrix] per entry would box every float it returns. *)
+type block = { idx : int array; lower : float array }
 
 type kind =
   | Identity
@@ -51,40 +54,44 @@ let block_jacobi ?jobs ~cols blocks =
           covered.(j) <- true)
         idx)
     blocks;
-  let out = Array.make (Array.length blocks) { idx = [||]; lower = Matrix.zeros 0 0 } in
+  let out = Array.make (Array.length blocks) { idx = [||]; lower = [||] } in
   (* each block factors into its own slot: jobs-invariant by construction *)
   Parallel.Pool.parallel_for ?jobs ~min_block:1 ~n:(Array.length blocks)
     (fun bi ->
       let idx, g = blocks.(bi) in
-      out.(bi) <- { idx; lower = Cholesky.lower (Cholesky.factorize_regularized g) });
+      let l =
+        Cholesky.lower (Cholesky.factorize_regularized (Cholesky.of_matrix g))
+      in
+      let lower = Array.concat (List.init (Array.length idx) (Matrix.row l)) in
+      out.(bi) <- { idx; lower });
   { n = cols; kind = Blocks { jobs; blocks = out } }
 
 (* Per-block dense triangular kernels over the gathered group entries.
    [L] is the lower Cholesky factor of the block's Gram, C = Lᵀ. *)
 
 (* solve Lᵀ x = u (back substitution) *)
-let block_solve l u =
+let block_solve (l : float array) u =
   let s = Array.length u in
   let x = Array.make s 0. in
   for i = s - 1 downto 0 do
     let acc = ref u.(i) in
     for j = i + 1 to s - 1 do
-      acc := !acc -. (Matrix.unsafe_get l j i *. x.(j))
+      acc := !acc -. (l.((j * s) + i) *. x.(j))
     done;
-    x.(i) <- !acc /. Matrix.unsafe_get l i i
+    x.(i) <- !acc /. l.((i * s) + i)
   done;
   x
 
 (* solve L z = s (forward substitution) *)
-let block_solve_t l b =
+let block_solve_t (l : float array) b =
   let s = Array.length b in
   let z = Array.make s 0. in
   for i = 0 to s - 1 do
     let acc = ref b.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Matrix.unsafe_get l i j *. z.(j))
+      acc := !acc -. (l.((i * s) + j) *. z.(j))
     done;
-    z.(i) <- !acc /. Matrix.unsafe_get l i i
+    z.(i) <- !acc /. l.((i * s) + i)
   done;
   z
 

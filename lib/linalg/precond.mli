@@ -57,7 +57,8 @@ val block_jacobi :
 (** [block_jacobi ~cols blocks] factors each [(idx, g)] pair — [idx] the
     strictly increasing column indices of one group, [g] the symmetric
     positive (semi-)definite [|idx| × |idx|] diagonal Gram block — with
-    {!Cholesky.factorize_regularized}, in parallel over [jobs] domains
+    {!Cholesky.factorize_regularized} (its pattern read by
+    {!Cholesky.of_matrix}), in parallel over [jobs] domains
     (default [Parallel.Pool.default_jobs ()]). Groups must be disjoint;
     columns covered by no group pass through unscaled. Raises
     [Invalid_argument] on overlapping/out-of-range indices or a block

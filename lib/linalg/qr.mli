@@ -11,7 +11,12 @@
     factorization and the batched solves run on the [Parallel.Pool]
     domain pool; like the rest of the library's parallel kernels they are
     bit-for-bit identical for every [jobs] value, because each column is
-    computed by exactly one task with a fixed operation order. *)
+    computed by exactly one task with a fixed operation order.
+
+    A factorization keeps its own row-major copy of the matrix as a
+    plain [float array], filled once by {!factorize}; every kernel here
+    reads and writes that array directly, so none of them allocates per
+    entry. *)
 
 type t
 (** A factorization of an [m × n] matrix with [m ≥ 0], [n ≥ 0]. *)
@@ -20,7 +25,7 @@ val factorize : ?jobs:int -> Matrix.t -> t
 (** Householder QR without pivoting. [jobs] (default
     [Parallel.Pool.default_jobs ()]) parallelizes the trailing-matrix
     update over columns; the factors are bit-for-bit identical for every
-    value. *)
+    value. The input is copied; the caller keeps it. *)
 
 val factorize_pivoted : ?jobs:int -> Matrix.t -> t
 (** QR with column pivoting (greedy largest remaining column norm); required

@@ -207,55 +207,73 @@ let cols_index m =
 
 let transpose m = { nrows = m.ncols; ncols = m.nrows; data = cols_index m }
 
-let normal_matrix ?jobs m =
+let gram_lower ?jobs m =
   let nc = m.ncols in
-  (* Gram scatter over row blocks. Every entry of G is a count of 1.0
-     increments — exact in floating point — so per-domain partial
-     accumulators can be merged in any order without changing a bit of
-     the result, whatever the jobs value. *)
-  let blocks = Parallel.Chunk.block_count ~min_block:512 m.nrows in
-  let bufs = Parallel.Pool.Buffers.create (fun () -> Array.make (nc * nc) 0.) in
-  Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-      let lo, hi = Parallel.Chunk.range ~blocks ~n:m.nrows bk in
-      let g = Parallel.Pool.Buffers.borrow bufs in
-      for i = lo to hi - 1 do
-        let r = m.data.(i) in
-        let len = Array.length r in
-        for a = 0 to len - 1 do
-          let base = r.(a) * nc in
-          for b = a to len - 1 do
-            let k = base + r.(b) in
-            g.(k) <- g.(k) +. 1.
-          done
-        done
-      done;
-      Parallel.Pool.Buffers.return bufs g);
-  let g =
-    match Parallel.Pool.Buffers.all bufs with
-    | [] -> Array.make (nc * nc) 0.
-    | first :: rest ->
-        List.iter
-          (fun p ->
-            for k = 0 to (nc * nc) - 1 do
-              first.(k) <- first.(k) +. p.(k)
-            done)
-          rest;
-        first
+  let index = cols_index m in
+  let cols = Array.make nc [||] and vals = Array.make nc [||] in
+  (* Row j of the lower triangle: every column c < j of every row that
+     holds j, counted once per such row. Each row of the result is
+     written by one index, and counts are exact, so the result is the
+     same for every [jobs]. *)
+  let work =
+    Parallel.Pool.Buffers.create (fun () -> (Array.make nc 0, Array.make nc 0))
   in
-  for i = 0 to nc - 1 do
-    for j = 0 to i - 1 do
-      g.((i * nc) + j) <- g.((j * nc) + i)
-    done
-  done;
-  Matrix.init nc nc (fun i j -> g.((i * nc) + j))
+  let blocks = Parallel.Chunk.block_count ~min_block:64 nc in
+  Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
+      let lo, hi = Parallel.Chunk.range ~blocks ~n:nc bk in
+      let count, touched = Parallel.Pool.Buffers.borrow work in
+      for j = lo to hi - 1 do
+        let t = ref 0 in
+        Array.iter
+          (fun i ->
+            let r = m.data.(i) in
+            let a = ref 0 in
+            while r.(!a) < j do
+              let c = r.(!a) in
+              if count.(c) = 0 then begin
+                touched.(!t) <- c;
+                incr t
+              end;
+              count.(c) <- count.(c) + 1;
+              incr a
+            done)
+          index.(j);
+        let cj = Array.sub touched 0 !t in
+        Array.sort Int.compare cj;
+        cols.(j) <- cj;
+        vals.(j) <-
+          Array.map
+            (fun c ->
+              let v = float_of_int count.(c) in
+              count.(c) <- 0;
+              v)
+            cj
+      done;
+      Parallel.Pool.Buffers.return work (count, touched));
+  {
+    Cholesky.diag = Array.map (fun rows -> float_of_int (Array.length rows)) index;
+    cols;
+    vals;
+  }
+
+let normal_matrix ?jobs m =
+  let { Cholesky.diag; cols; vals } = gram_lower ?jobs m in
+  let g = Matrix.diag diag in
+  Array.iteri
+    (fun i c ->
+      Array.iteri
+        (fun k j ->
+          Matrix.set g i j vals.(i).(k);
+          Matrix.set g j i vals.(i).(k))
+        c)
+    cols;
+  g
 
 let normal_rhs = tmul_vec
 
 let least_squares ?ridge ?jobs m b =
-  let g = normal_matrix ?jobs m in
-  let rhs = normal_rhs m b in
-  let f = Cholesky.factorize_regularized ?ridge g in
-  Cholesky.solve_vec f rhs
+  let f = Cholesky.factorize_regularized ?ridge (gram_lower ?jobs m) in
+  Cholesky.solve_vec f (normal_rhs m b)
 
 let equal m1 m2 =
   m1.nrows = m2.nrows && m1.ncols = m2.ncols

@@ -6,8 +6,8 @@
     module provides exactly the operations the tomography pipeline needs:
     row-wise products (the [⊗] of Definition 1), matrix-vector products,
     dense conversion of column subsets, and least squares through the
-    normal equations, which keeps the [n_p(n_p+1)/2 × n_c] system of eq. (8)
-    tractable. *)
+    sparse normal equations, which keeps the [n_p(n_p+1)/2 × n_c] system of
+    eq. (8) tractable. *)
 
 type row = int array
 (** Strictly increasing column indices of the 1-entries. *)
@@ -92,21 +92,28 @@ val cols_index : t -> row array
     with {!get} — the [Core.Rank_reduction] sweep builds it once per
     scan. Entries are fresh arrays the caller may keep. *)
 
+val gram_lower : ?jobs:int -> t -> Cholesky.sym
+(** [gram_lower a] is the Gram matrix [aᵀ a] in the sparse lower-triangle
+    form {!Cholesky.factorize} takes: the pattern of row [j] is the
+    columns [c < j] that share a row of [a] with [j], each entry counts
+    those rows, and the diagonal counts the rows holding [j]. O(nnz) plus
+    O(per-row hits²) work and O(nnz(aᵀa)) memory: no [cols × cols] array.
+    Rows of the result are built in parallel over [jobs] domains
+    (default [Parallel.Pool.default_jobs ()]); every entry is an exact
+    integer count, so the result is the same for every [jobs]. *)
+
 val normal_matrix : ?jobs:int -> t -> Matrix.t
-(** [normal_matrix a] is the dense Gram matrix [aᵀ a], assembled row by row
-    in O(nnz per row squared). Row blocks are scattered in parallel over
-    [jobs] domains (default [Parallel.Pool.default_jobs ()]); since every
-    entry is an exact integer count, the result is bit-for-bit identical
-    for every [jobs]. *)
+(** [normal_matrix a] is the dense Gram matrix [aᵀ a]: {!gram_lower}
+    written out in full, the same for every [jobs]. *)
 
 val normal_rhs : t -> Vector.t -> Vector.t
 (** [normal_rhs a b] is [aᵀ b]. *)
 
 val least_squares : ?ridge:float -> ?jobs:int -> t -> Vector.t -> Vector.t
-(** Minimizes [‖a x − b‖₂] by solving the normal equations with a
-    (regularized) Cholesky factorization. Suitable when [a] has full column
-    rank, which Theorem 1 guarantees for augmented matrices of valid
-    topologies. *)
+(** Minimizes [‖a x − b‖₂] by solving the normal equations {!gram_lower}
+    and {!normal_rhs} with {!Cholesky.factorize_regularized}. Suitable when
+    [a] has full column rank, which Theorem 1 guarantees for augmented
+    matrices of valid topologies. *)
 
 val equal : t -> t -> bool
 

@@ -44,3 +44,94 @@ let solve ?(options = default_options) ?jobs ~a ~sigma_star () =
 let estimate ?options ~r ~y () =
   solve ?options ~a:(Core.Augmented.build r)
     ~sigma_star:(Core.Covariance.sigma_star y) ()
+
+(* The dense left-looking Cholesky factorization, kept as the oracle of
+   the library's sparse kernel: on inputs without -0.0 the sparse kernel
+   must reproduce its factor, its solutions and its Not_positive_definite
+   outcome bit for bit. *)
+module Cholesky = struct
+  module Matrix = Linalg.Matrix
+
+  exception Not_positive_definite = Linalg.Cholesky.Not_positive_definite
+
+  type t = { n : int; l : Matrix.t }
+
+  (* The factorization works on plain rows: going through Matrix.get in the
+     O(n^3) inner loop costs an order of magnitude on the ~1000-link systems
+     the tomography solver produces. *)
+  let factorize m =
+    let n = Matrix.rows m in
+    if n <> Matrix.cols m then invalid_arg "Cholesky.factorize: not square";
+    let l = Array.init n (fun i -> Array.init n (fun j -> Matrix.get m i j)) in
+    for j = 0 to n - 1 do
+      let lj = l.(j) in
+      let s = ref lj.(j) in
+      for k = 0 to j - 1 do
+        let ljk = lj.(k) in
+        s := !s -. (ljk *. ljk)
+      done;
+      if !s <= 0. || Float.is_nan !s then raise Not_positive_definite;
+      let d = sqrt !s in
+      lj.(j) <- d;
+      for i = j + 1 to n - 1 do
+        let li = l.(i) in
+        let s = ref li.(j) in
+        for k = 0 to j - 1 do
+          s := !s -. (li.(k) *. lj.(k))
+        done;
+        li.(j) <- !s /. d
+      done
+    done;
+    let lower = Matrix.init n n (fun i j -> if j <= i then l.(i).(j) else 0.) in
+    { n; l = lower }
+
+  let factorize_regularized ?(ridge = 1e-10) m =
+    let n = Matrix.rows m in
+    let mean_diag =
+      if n = 0 then 0.
+      else begin
+        let s = ref 0. in
+        for i = 0 to n - 1 do
+          s := !s +. Float.abs (Matrix.get m i i)
+        done;
+        !s /. float_of_int n
+      end
+    in
+    let base = if mean_diag > 0. then mean_diag else 1. in
+    let rec attempt r =
+      let shifted =
+        if r = 0. then m
+        else Matrix.init n n (fun i j ->
+                 if i = j then Matrix.get m i j +. (r *. base) else Matrix.get m i j)
+      in
+      match factorize shifted with
+      | f -> f
+      | exception Not_positive_definite ->
+          if r = 0. then attempt ridge
+          else if r > 1e-2 then raise Not_positive_definite
+          else attempt (r *. 10.)
+    in
+    attempt 0.
+
+  let lower f = Matrix.copy f.l
+
+  let solve_vec f b =
+    if Array.length b <> f.n then invalid_arg "Cholesky.solve_vec: dimension mismatch";
+    let y = Array.make f.n 0. in
+    for i = 0 to f.n - 1 do
+      let s = ref (Array.unsafe_get b i) in
+      for k = 0 to i - 1 do
+        s := !s -. (Matrix.get f.l i k *. Array.unsafe_get y k)
+      done;
+      Array.unsafe_set y i (!s /. Matrix.get f.l i i)
+    done;
+    let x = Array.make f.n 0. in
+    for i = f.n - 1 downto 0 do
+      let s = ref (Array.unsafe_get y i) in
+      for k = i + 1 to f.n - 1 do
+        s := !s -. (Matrix.get f.l k i *. Array.unsafe_get x k)
+      done;
+      Array.unsafe_set x i (!s /. Matrix.get f.l i i)
+    done;
+    x
+end

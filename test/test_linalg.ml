@@ -184,18 +184,50 @@ let test_cholesky_solve () =
 let test_cholesky_not_pd () =
   let m = Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 1. |] |] in
   Alcotest.check_raises "not pd" Cholesky.Not_positive_definite (fun () ->
-      ignore (Cholesky.factorize m))
+      ignore (Cholesky.factorize (Cholesky.of_matrix m)))
 
 let test_cholesky_regularized () =
   (* Singular PSD matrix: regularization must make it solvable. *)
   let m = Matrix.of_arrays [| [| 1.; 1. |]; [| 1.; 1. |] |] in
-  let f = Cholesky.factorize_regularized m in
+  let f = Cholesky.factorize_regularized (Cholesky.of_matrix m) in
   let x = Cholesky.solve_vec f (Vector.of_list [ 2.; 2. ]) in
   check_floatish "x0+x1 ~ 2" 2. (x.(0) +. x.(1))
 
+(* The ridge grows tenfold from 1e-10 and stops after 1e-1 of the mean
+   |diagonal| (here 0.525 and 0.53): diag(1, -0.05) needs that last step,
+   diag(1, -0.06) is out of reach. The dense oracle pins the same
+   schedule. *)
+let test_cholesky_ridge_schedule () =
+  let d x = Matrix.diag [| 1.; x |] in
+  let pivot l = Matrix.get l 1 1 in
+  let f = Cholesky.factorize_regularized (Cholesky.of_matrix (d (-0.05))) in
+  Alcotest.(check (float 0.)) "second pivot at ridge 1e-1" 0.050000000000000024
+    (pivot (Cholesky.lower f));
+  let f = Oracle.Cholesky.factorize_regularized (d (-0.05)) in
+  Alcotest.(check (float 0.)) "oracle: same pivot" 0.050000000000000024
+    (pivot (Oracle.Cholesky.lower f));
+  Alcotest.check_raises "beyond the last ridge" Cholesky.Not_positive_definite
+    (fun () ->
+      ignore (Cholesky.factorize_regularized (Cholesky.of_matrix (d (-0.06)))));
+  Alcotest.check_raises "oracle: beyond the last ridge"
+    Cholesky.Not_positive_definite (fun () ->
+      ignore (Oracle.Cholesky.factorize_regularized (d (-0.06))))
+
+let test_cholesky_bad_pattern () =
+  let sym cols vals = { Cholesky.diag = [| 1.; 1. |]; cols; vals } in
+  let bad name s =
+    match Cholesky.factorize s with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  bad "entry on the diagonal" (sym [| [||]; [| 1 |] |] [| [||]; [| 0.5 |] |]);
+  bad "entry above it" (sym [| [| 1 |]; [||] |] [| [| 0.5 |]; [||] |]);
+  bad "lengths disagree" (sym [| [||]; [| 0 |] |] [| [||]; [||] |]);
+  bad "row count" { Cholesky.diag = [| 1. |]; cols = [||]; vals = [||] }
+
 let test_cholesky_log_det () =
   let m = Matrix.of_arrays [| [| 4.; 0. |]; [| 0.; 9. |] |] in
-  let f = Cholesky.factorize m in
+  let f = Cholesky.factorize (Cholesky.of_matrix m) in
   check_floatish "log det" (log 36.) (Cholesky.log_det f)
 
 (* --- Iterative solver tolerance ------------------------------------------ *)
@@ -353,6 +385,89 @@ let prop_cholesky_solves =
       let r = Vector.sub (Matrix.mul_vec spd x) b in
       Vector.norm_inf r < 1e-6 *. (1. +. Vector.norm_inf b))
 
+(* The sparse kernel against the dense one in [Oracle.Cholesky]: the same
+   Not_positive_definite outcome, and otherwise the same L and the same
+   solution, bit for bit, plain and regularized. Inputs hold no -0.0
+   ([x +. 0.] turns -0.0 into 0.0 and leaves every other float alone). *)
+let outcome factor lower solve_vec b =
+  match factor () with
+  | f -> Some (lower f, solve_vec f b)
+  | exception Cholesky.Not_positive_definite -> None
+
+let same_outcome a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (l1, x1), Some (l2, x2) ->
+      Generators.matrix_bits_equal l1 l2 && Generators.vec_bits_equal x1 x2
+  | _ -> false
+
+let kernels_agree s m b =
+  let sparse factor =
+    outcome (fun () -> factor s) Cholesky.lower Cholesky.solve_vec b
+  in
+  let dense factor =
+    outcome (fun () -> factor m) Oracle.Cholesky.lower Oracle.Cholesky.solve_vec b
+  in
+  same_outcome (sparse Cholesky.factorize) (dense Oracle.Cholesky.factorize)
+  && same_outcome
+       (sparse (fun s -> Cholesky.factorize_regularized s))
+       (dense (fun m -> Oracle.Cholesky.factorize_regularized m))
+
+let gen_rhs n =
+  QCheck.Gen.(array_size (return n) (map (fun x -> x +. 0.) float_small))
+
+let prop_cholesky_gram_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:
+      "Cholesky: 0/1 Gram matrices (rank-deficient, empty columns, n = 0, 1) \
+       factor and solve bit for bit as the dense oracle"
+    QCheck.(
+      make
+        Gen.(
+          int_range 0 12 >>= fun n ->
+          (if n = 0 then return []
+           else
+             list_size (int_range 0 (2 * n))
+               (list_size (int_range 0 n) (int_range 0 (n - 1))))
+          >>= fun rows ->
+          gen_rhs n >>= fun b -> return (n, rows, b)))
+    (fun (n, rows, b) ->
+      let row l = Array.of_list (List.sort_uniq compare l) in
+      let a = Sparse.create ~cols:n (Array.of_list (List.map row rows)) in
+      let g = Matrix.gram (Sparse.to_dense a) in
+      let s = Sparse.gram_lower ~jobs:1 a in
+      s = Cholesky.of_matrix g
+      && Generators.matrix_bits_equal g (Sparse.normal_matrix ~jobs:1 a)
+      && kernels_agree s g b)
+
+let prop_cholesky_dense_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:
+      "Cholesky: small dense SPD matrices, some entries zeroed or NaN, \
+       through of_matrix factor and solve bit for bit as the dense oracle"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 8 >>= fun n ->
+          array_size (return (n * n)) float_small >>= fun data ->
+          array_size (return (n * n)) (float_bound_inclusive 1.) >>= fun zero ->
+          int_range 0 (4 * n * n) >>= fun nan_at ->
+          gen_rhs n >>= fun b -> return (n, data, zero, nan_at, b)))
+    (fun (n, data, zero, nan_at, b) ->
+      let a = Matrix.init n n (fun i j -> data.((i * n) + j)) in
+      let m = Matrix.add (Matrix.gram a) (Matrix.identity n) in
+      let set i j x =
+        Matrix.set m i j x;
+        Matrix.set m j i x
+      in
+      for i = 0 to n - 1 do
+        for j = 0 to i - 1 do
+          if zero.((i * n) + j) < 0.3 then set i j 0.
+        done
+      done;
+      if nan_at < n * n then set (nan_at / n) (nan_at mod n) Float.nan;
+      kernels_agree (Cholesky.of_matrix m) m b)
+
 let prop_sparse_matches_dense =
   QCheck.Test.make ~count:100 ~name:"Sparse: mul_vec matches dense"
     QCheck.(
@@ -393,8 +508,9 @@ let prop_rank_bounded =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_qr_reconstructs; prop_cholesky_solves; prop_sparse_matches_dense;
-      prop_rank_bounded ]
+    [ prop_qr_reconstructs; prop_cholesky_solves;
+      prop_cholesky_gram_matches_oracle; prop_cholesky_dense_matches_oracle;
+      prop_sparse_matches_dense; prop_rank_bounded ]
 
 let () =
   Alcotest.run "linalg"
@@ -434,6 +550,8 @@ let () =
           Alcotest.test_case "solve" `Quick test_cholesky_solve;
           Alcotest.test_case "not positive definite" `Quick test_cholesky_not_pd;
           Alcotest.test_case "regularized" `Quick test_cholesky_regularized;
+          Alcotest.test_case "ridge schedule" `Quick test_cholesky_ridge_schedule;
+          Alcotest.test_case "invalid pattern" `Quick test_cholesky_bad_pattern;
           Alcotest.test_case "log det" `Quick test_cholesky_log_det;
         ] );
       ( "conjugate_gradient",

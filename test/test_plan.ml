@@ -10,7 +10,6 @@ module Vector = Linalg.Vector
 module Qr = Linalg.Qr
 module Rng = Nstats.Rng
 
-let bits_equal = Generators.bits_equal
 let vec_bits_equal = Generators.vec_bits_equal
 let matrix_bits_equal = Generators.matrix_bits_equal
 let random_instance = Generators.random_instance
@@ -148,19 +147,6 @@ let test_solve_r_rtol () =
   let x = Qr.solve ~rtol:1e-25 a [| 1.; 1e-20 |] in
   Alcotest.(check bool) "solve ~rtol" true (Float.abs (x.(0) -. 1.) < 1e-9)
 
-let test_unsafe_accessors_match_safe () =
-  let m = Matrix.init 4 7 (fun i j -> float_of_int ((i * 7) + j)) in
-  let ok = ref true in
-  for i = 0 to 3 do
-    for j = 0 to 6 do
-      if not (bits_equal (Matrix.get m i j) (Matrix.unsafe_get m i j)) then
-        ok := false
-    done
-  done;
-  Alcotest.(check bool) "unsafe_get = get" true !ok;
-  Matrix.unsafe_set m 2 3 99.;
-  Alcotest.(check (float 0.)) "unsafe_set visible to get" 99. (Matrix.get m 2 3)
-
 let test_cols_index_matches_get () =
   let s =
     Sparse.create ~cols:5 [| [| 0; 2 |]; [| 2; 4 |]; [||]; [| 0; 1; 2; 3; 4 |] |]
@@ -181,8 +167,6 @@ let unit_tests =
   [
     Alcotest.test_case "qr: solve_r/least_squares/solve honour rtol" `Quick
       test_solve_r_rtol;
-    Alcotest.test_case "matrix: unsafe accessors match safe ones" `Quick
-      test_unsafe_accessors_match_safe;
     Alcotest.test_case "sparse: cols_index agrees with get" `Quick
       test_cols_index_matches_get;
   ]

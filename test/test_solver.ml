@@ -169,7 +169,9 @@ let prop_column_counts_exact =
    of the triangle in blocks of the flat row range, intersecting routing
    rows as it goes. Sequential, but with per-block partial sums of b
    merged in block order, since those fix the floating-point summation
-   order. *)
+   order. It accumulates the dense Gram matrix and factors it with the
+   dense Cholesky of [Oracle.Cholesky], so the library's sparse kernel is
+   checked against an independent factorization. *)
 let all_pairs_streaming ~drop_negative ~clamp ~min_pair_samples ~r ~y =
   let np = Sparse.rows r and nc = Sparse.cols r in
   let m = Matrix.rows y in
@@ -255,9 +257,7 @@ let all_pairs_streaming ~drop_negative ~clamp ~min_pair_samples ~r ~y =
       done)
     partial_b;
   let gm = Matrix.init nc nc (fun i j -> g.((i * nc) + j)) in
-  let v =
-    Linalg.Cholesky.solve_vec (Linalg.Cholesky.factorize_regularized gm) b
-  in
+  let v = Oracle.Cholesky.solve_vec (Oracle.Cholesky.factorize_regularized gm) b in
   let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
   ( v,
     {
