@@ -143,7 +143,7 @@ let kernels ~r ~y_learn ~a =
     ( "covariance_matrix",
       fun jobs -> ignore (Nstats.Descriptive.covariance_matrix ~jobs y_learn) );
     ("augmented_build", fun jobs -> ignore (Core.Augmented.build ~jobs r));
-    ("normal_matrix", fun jobs -> ignore (Sparse.normal_matrix ~jobs a));
+    ("gram_lower", fun jobs -> ignore (Sparse.gram_lower ~jobs a));
   ]
 
 (* Factor-once serving path: one Plan.make + Plan.solve_batch over

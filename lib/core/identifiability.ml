@@ -1,31 +1,21 @@
 module Sparse = Linalg.Sparse
-module Qr = Linalg.Qr
+module Exact_basis = Linalg.Exact_basis
 
 type verdict = Identifiable | Dependent of int list
 
-(* Gram matrix of the augmented matrix over its non-empty rows: G[k,l]
-   counts the path pairs (i <= j) in which both k and l appear in
-   Ri ⊗ Rj. Empty rows add nothing to it. *)
-let augmented_gram r =
-  let _, _, a = Augmented.pairs r in
-  Sparse.normal_matrix a
-
+(* Column j of the augmented matrix over its non-empty rows is the set of
+   path pairs whose routes share link j. Scanning from the highest id
+   down, a column that does not join the basis is in the span of the
+   higher-id columns. *)
 let check r =
-  let nc = Sparse.cols r in
-  if nc = 0 then Identifiable
-  else begin
-    let g = augmented_gram r in
-    (* rank of G = AᵀA equals the column rank of A; the pivoted QR gives a
-       reliable numerical rank plus the entangled columns *)
-    let f = Qr.factorize_pivoted g in
-    let rank = Qr.rank f in
-    if rank = nc then Identifiable
-    else begin
-      let piv = Qr.pivots f in
-      let dependent = Array.to_list (Array.sub piv rank (nc - rank)) in
-      Dependent (List.sort compare dependent)
-    end
-  end
+  let _, _, a = Augmented.pairs r in
+  let columns = Sparse.cols_index a in
+  let basis = Exact_basis.create ~dim:(Sparse.rows a) in
+  let dependent = ref [] in
+  for j = Sparse.cols a - 1 downto 0 do
+    if not (Exact_basis.try_add basis columns.(j)) then dependent := j :: !dependent
+  done;
+  if !dependent = [] then Identifiable else Dependent !dependent
 
 let is_identifiable r = check r = Identifiable
 

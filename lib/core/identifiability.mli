@@ -16,10 +16,11 @@ type verdict =
           separated from the others with the given paths *)
 
 val check : Linalg.Sparse.t -> verdict
-(** [check r] forms the Gram matrix of the augmented matrix over its
-    non-empty rows ({!Augmented.pairs}) and tests the independence of
-    its columns with a pivoted QR; the columns past the numerical rank
-    are reported as dependent. *)
+(** [check r] takes the columns of the augmented matrix over its
+    non-empty rows ({!Augmented.pairs}) from the highest id down into a
+    {!Linalg.Exact_basis}; the columns that do not join it are reported
+    as dependent, in increasing order. Independence is exact, over
+    GF(2³¹ − 1). *)
 
 val is_identifiable : Linalg.Sparse.t -> bool
 

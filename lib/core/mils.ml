@@ -1,28 +1,20 @@
 module Sparse = Linalg.Sparse
-module Ortho = Linalg.Ortho
+module Exact_basis = Linalg.Exact_basis
 
-type t = { r : Sparse.t; row_space : Ortho.t }
+type t = { r : Sparse.t; row_space : Exact_basis.t }
 
 let prepare r =
-  let nc = Sparse.cols r in
-  let row_space = Ortho.create ~dim:nc in
+  let row_space = Exact_basis.create ~dim:(Sparse.cols r) in
   for i = 0 to Sparse.rows r - 1 do
-    let v = Array.make nc 0. in
-    Array.iter (fun j -> v.(j) <- 1.) (Sparse.row r i);
-    ignore (Ortho.try_add row_space v)
+    ignore (Exact_basis.try_add row_space (Sparse.row r i))
   done;
   { r; row_space }
 
-let indicator t cols =
-  let v = Array.make (Sparse.cols t.r) 0. in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= Sparse.cols t.r then invalid_arg "Mils: bad column";
-      v.(j) <- 1.)
-    cols;
-  v
-
-let identifiable t cols = Ortho.in_span t.row_space (indicator t cols)
+(* a segment's links come in traversal order: sort and deduplicate them
+   into the support of its indicator *)
+let identifiable t cols =
+  Exact_basis.in_span t.row_space
+    (Array.of_list (List.sort_uniq Int.compare (Array.to_list cols)))
 
 let decompose_path t cols =
   let n = Array.length cols in

@@ -10,19 +10,23 @@
     granularity with LIA, whose Theorem 1 shows the {e variances} of those
     same links are individually identifiable.
 
-    Identifiability is tested by projecting segment indicators onto an
-    orthonormal basis of the rows of [R]; aggregate rates come from the
-    least-squares solution of the first-moment system (unique on
-    identifiable functionals). *)
+    Identifiability is tested exactly: a segment's indicator is reduced
+    by a {!Linalg.Exact_basis} of the rows of [R] over GF(2³¹ − 1);
+    aggregate rates come from the least-squares solution of the
+    first-moment system (unique on identifiable functionals). *)
 
 type t
+(** Queries use the basis's scratch space: use a [t] from one domain at
+    a time. *)
 
 val prepare : Linalg.Sparse.t -> t
 (** Precomputes the row-space basis of the routing matrix. *)
 
 val identifiable : t -> int array -> bool
 (** [identifiable t cols]: is the sum of [X] over these columns uniquely
-    determined by the first-moment equations? *)
+    determined by the first-moment equations? [cols] may come in any
+    order and repeat a column; an out-of-range column raises
+    [Invalid_argument]. *)
 
 val decompose_path : t -> int array -> int array list
 (** [decompose_path t cols] partitions a path's column sequence (in

@@ -7,14 +7,15 @@
     per-deployment work once — variance-ordered rank reduction, dense
     extraction of [R*], and its Householder factorization — and serves
     each measurement with an O(n_p·k) Q-apply plus back-substitution
-    ([k] = columns of [R*]), instead of redoing the full
-    O(n_c·n_p·k + n_p·k²) pipeline per call as [Lia.infer_with_variances]
+    ([k] = columns of [R*]), instead of redoing the rank reduction and
+    the O(n_p·k²) factorization per call as [Lia.infer_with_variances]
     did before it became a wrapper over this module.
 
     Build-vs-solve complexity, for [n_p] paths, [n_c] links, [k] kept
     columns, [M] snapshots:
 
-    - [make]: O(n_c·n_p·k) rank reduction + O(n_p·k²) factorization, once;
+    - [make]: exact rank reduction, O(nnz(R)) plus the elimination's
+      fill (at most O(k²·n_p)), + O(n_p·k²) factorization, once;
     - [solve]: O(n_p·k) per measurement;
     - [solve_batch]: O(n_p·k·M), one blocked reflector pass for all [M].
 

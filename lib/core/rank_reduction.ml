@@ -1,37 +1,37 @@
 module Sparse = Linalg.Sparse
 module Vector = Linalg.Vector
-module Ortho = Linalg.Ortho
+module Exact_basis = Linalg.Exact_basis
 
 type result = { kept : int array; removed : int array }
 
-(* Scatter column j through a CSC-style index (one Sparse.cols_index pass
-   per scan): O(nnz of the column) instead of n_p binary searches. *)
-let dense_column ~np index j =
-  let col = Array.make np 0. in
-  Array.iter (fun i -> col.(i) <- 1.) index.(j);
-  col
-
-(* Columns in descending variance order; index ties broken towards higher
-   ids first so that the ascending removal order of the paper (stable sort,
-   remove from the front) is mirrored exactly. *)
+(* Columns in descending order of their grid keys (see the interface).
+   Inside a grid cell, higher column ids come first so that the ascending
+   removal order of the paper (stable sort, remove from the front) is
+   mirrored exactly. *)
 let descending_order r v =
   if Array.length v <> Sparse.cols r then
     invalid_arg "Rank_reduction: variance length mismatch";
-  let asc = Vector.sort_indices v in
+  let top =
+    Array.fold_left
+      (fun m x -> if Float.is_finite x then Float.max m (Float.abs x) else m)
+      0. v
+  in
+  let g = 1e-12 *. top in
+  let key = if g = 0. then v else Array.map (fun x -> Float.round (x /. g)) v in
+  let asc = Vector.sort_indices key in
   let n = Array.length asc in
   Array.init n (fun k -> asc.(n - 1 - k))
 
 let scan ~stop_at_first_dependent r v =
   let order = descending_order r v in
-  let np = Sparse.rows r in
   let index = Sparse.cols_index r in
-  let basis = Ortho.create ~dim:np in
+  let basis = Exact_basis.create ~dim:(Sparse.rows r) in
   let kept = ref [] and removed = ref [] in
   let stopped = ref false in
   Array.iter
     (fun j ->
       if !stopped then removed := j :: !removed
-      else if Ortho.try_add basis (dense_column ~np index j) then kept := j :: !kept
+      else if Exact_basis.try_add basis index.(j) then kept := j :: !kept
       else begin
         removed := j :: !removed;
         if stop_at_first_dependent then stopped := true
@@ -42,13 +42,3 @@ let scan ~stop_at_first_dependent r v =
 let eliminate r v = scan ~stop_at_first_dependent:true r v
 
 let eliminate_greedy r v = scan ~stop_at_first_dependent:false r v
-
-let is_full_column_rank r =
-  let np = Sparse.rows r in
-  let index = Sparse.cols_index r in
-  let basis = Ortho.create ~dim:np in
-  let ok = ref true in
-  for j = 0 to Sparse.cols r - 1 do
-    if !ok && not (Ortho.try_add basis (dense_column ~np index j)) then ok := false
-  done;
-  !ok

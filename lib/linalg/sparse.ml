@@ -256,19 +256,6 @@ let gram_lower ?jobs m =
     vals;
   }
 
-let normal_matrix ?jobs m =
-  let { Cholesky.diag; cols; vals } = gram_lower ?jobs m in
-  let g = Matrix.diag diag in
-  Array.iteri
-    (fun i c ->
-      Array.iteri
-        (fun k j ->
-          Matrix.set g i j vals.(i).(k);
-          Matrix.set g j i vals.(i).(k))
-        c)
-    cols;
-  g
-
 let normal_rhs = tmul_vec
 
 let least_squares ?ridge ?jobs m b =

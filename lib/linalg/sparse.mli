@@ -87,10 +87,10 @@ val transpose : t -> t
 val cols_index : t -> row array
 (** CSC-style column index, built in one O(nnz) pass: entry [j] is the
     strictly increasing array of the rows whose support contains column
-    [j] (exactly the rows of {!transpose}). Lets a consumer scatter a
-    column densely in O(nnz of the column) instead of probing all rows
-    with {!get} — the [Core.Rank_reduction] sweep builds it once per
-    scan. Entries are fresh arrays the caller may keep. *)
+    [j] (exactly the rows of {!transpose}). Each entry is the support of
+    a column, the form {!Exact_basis.try_add} takes, so a consumer reads
+    a column in O(nnz of the column) instead of probing all rows with
+    {!get}. Entries are fresh arrays the caller may keep. *)
 
 val gram_lower : ?jobs:int -> t -> Cholesky.sym
 (** [gram_lower a] is the Gram matrix [aᵀ a] in the sparse lower-triangle
@@ -101,10 +101,6 @@ val gram_lower : ?jobs:int -> t -> Cholesky.sym
     Rows of the result are built in parallel over [jobs] domains
     (default [Parallel.Pool.default_jobs ()]); every entry is an exact
     integer count, so the result is the same for every [jobs]. *)
-
-val normal_matrix : ?jobs:int -> t -> Matrix.t
-(** [normal_matrix a] is the dense Gram matrix [aᵀ a]: {!gram_lower}
-    written out in full, the same for every [jobs]. *)
 
 val normal_rhs : t -> Vector.t -> Vector.t
 (** [normal_rhs a b] is [aᵀ b]. *)

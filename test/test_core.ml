@@ -263,13 +263,6 @@ let test_eliminate_all_independent () =
   Alcotest.(check int) "removes nothing" 0 (Array.length removed);
   Alcotest.(check (array int)) "descending variance order" [| 0; 2; 1 |] kept
 
-let test_is_full_column_rank () =
-  Alcotest.(check bool) "independent" true
-    (RR.is_full_column_rank (Sparse.create ~cols:2 [| [| 0 |]; [| 1 |] |]));
-  (* two rows cannot support three independent columns *)
-  Alcotest.(check bool) "dependent" false
-    (RR.is_full_column_rank (Sparse.create ~cols:3 [| [| 0; 2 |]; [| 1; 2 |] |]))
-
 let test_greedy_superset_of_paper () =
   let rng = Rng.create 23 in
   let tb = Topology.Waxman.generate rng ~nodes:50 ~hosts:8 () in
@@ -582,8 +575,13 @@ let prop_rank_reduction_partition =
       let seen = Array.make (Sparse.cols r) 0 in
       Array.iter (fun j -> seen.(j) <- seen.(j) + 1) kept;
       Array.iter (fun j -> seen.(j) <- seen.(j) + 1) removed;
+      let k = Array.length kept in
       Array.for_all (fun c -> c = 1) seen
-      && Qr.matrix_rank (Sparse.dense_cols r kept) = Array.length kept)
+      && Qr.matrix_rank (Sparse.dense_cols r kept) = k
+      (* maximal: the first removed column is dependent on the kept ones *)
+      && (removed = [||]
+         || Qr.matrix_rank (Sparse.dense_cols r (Array.append kept [| removed.(0) |]))
+            = k))
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
@@ -629,7 +627,6 @@ let () =
           Alcotest.test_case "suffix semantics vs greedy" `Quick
             test_eliminate_suffix_semantics;
           Alcotest.test_case "all independent" `Quick test_eliminate_all_independent;
-          Alcotest.test_case "full column rank test" `Quick test_is_full_column_rank;
           Alcotest.test_case "greedy keeps more" `Quick test_greedy_superset_of_paper;
         ] );
       ( "lia",

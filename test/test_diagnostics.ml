@@ -32,8 +32,41 @@ let test_duplicate_columns_not_identifiable () =
   match Identifiability.check r with
   | Identifiability.Identifiable -> Alcotest.fail "should be dependent"
   | Identifiability.Dependent deps ->
-      Alcotest.(check bool) "reports an entangled alias link" true
-        (List.mem 1 deps || List.mem 2 deps)
+      Alcotest.(check (list int)) "the lower-id alias link is in the span" [ 1 ]
+        deps
+
+(* Dependent is exactly "in the span of the higher-id columns": column j
+   is listed iff its dense augmented column does not raise the float rank
+   of columns j+1 .. n_c-1. *)
+let prop_check_matches_float_rank =
+  QCheck.Test.make ~count:60
+    ~name:
+      "check: Dependent = the columns that do not raise the QR rank of the \
+       higher-id augmented columns (routing with empty rows)"
+    Generators.seed_arb
+    (fun seed ->
+      let r = Generators.with_empty_rows seed (Generators.random_routing seed) in
+      let a = Core.Augmented.build ~jobs:1 r in
+      let live =
+        List.filter (fun k -> Sparse.row a k <> [||]) (List.init (Sparse.rows a) Fun.id)
+      in
+      let a = Sparse.select_rows a (Array.of_list live) in
+      let nc = Sparse.cols r in
+      let rank_from j =
+        Linalg.Qr.matrix_rank (Sparse.dense_cols a (Array.init (nc - j) (fun t -> j + t)))
+      in
+      let rec expected j above acc =
+        if j < 0 then acc
+        else
+          let rank = rank_from j in
+          expected (j - 1) rank (if rank = above then j :: acc else acc)
+      in
+      let dependent =
+        match Identifiability.check r with
+        | Identifiability.Identifiable -> []
+        | Identifiability.Dependent deps -> deps
+      in
+      dependent = expected (nc - 1) 0 [])
 
 let test_empty_matrix () =
   let r = Sparse.create ~cols:0 [||] in
@@ -200,6 +233,7 @@ let () =
             test_duplicate_columns_not_identifiable;
           Alcotest.test_case "empty" `Quick test_empty_matrix;
           Alcotest.test_case "assumptions report" `Quick test_assumptions_report;
+          QCheck_alcotest.to_alcotest prop_check_matches_float_rank;
         ] );
       ( "schedule",
         [

@@ -305,42 +305,53 @@ let test_sparse_transpose () =
 
 let test_sparse_normal_equations () =
   let s = Sparse.create ~cols:2 [| [| 0 |]; [| 1 |]; [| 0; 1 |] |] in
-  let g = Sparse.normal_matrix s in
-  Alcotest.check mat "gram" (Matrix.gram (Sparse.to_dense s)) g;
+  Alcotest.(check bool) "gram" true
+    (Sparse.gram_lower s = Cholesky.of_matrix (Matrix.gram (Sparse.to_dense s)));
   let b = Vector.of_list [ 1.; 2.; 3.5 ] in
   let x = Sparse.least_squares s b in
   let dense_x = Qr.solve (Sparse.to_dense s) b in
   Alcotest.(check bool) "matches dense QR" true (Vector.approx_equal ~tol:1e-6 x dense_x)
 
-(* --- Ortho -------------------------------------------------------------- *)
+(* --- Exact_basis ------------------------------------------------------- *)
 
-let test_ortho_independence () =
-  let b = Ortho.create ~dim:3 in
-  Alcotest.(check bool) "e1" true (Ortho.try_add b [| 1.; 0.; 0. |]);
-  Alcotest.(check bool) "e2" true (Ortho.try_add b [| 0.; 1.; 0. |]);
-  Alcotest.(check bool) "e1+e2 dependent" false (Ortho.try_add b [| 1.; 1.; 0. |]);
-  Alcotest.(check int) "size" 2 (Ortho.size b);
-  Alcotest.(check bool) "e3 independent" true (Ortho.try_add b [| 0.; 0.; 1. |]);
-  Alcotest.(check bool) "now full" false (Ortho.try_add b [| 1.; 2.; 3. |])
+let test_exact_basis_independence () =
+  let b = Exact_basis.create ~dim:3 in
+  Alcotest.(check bool) "e1" true (Exact_basis.try_add b [| 0 |]);
+  Alcotest.(check bool) "e2" true (Exact_basis.try_add b [| 1 |]);
+  Alcotest.(check bool) "e1+e2 dependent" false (Exact_basis.try_add b [| 0; 1 |]);
+  Alcotest.(check int) "size" 2 (Exact_basis.size b);
+  Alcotest.(check bool) "e3 independent" true (Exact_basis.try_add b [| 2 |]);
+  Alcotest.(check bool) "now full" false (Exact_basis.try_add b [| 0; 1; 2 |]);
+  (* dependent over GF(2) (they sum to zero there), independent over the
+     rationals: the field is not a small one *)
+  let c = Exact_basis.create ~dim:3 in
+  Alcotest.(check (list bool)) "e1+e2, e2+e3, e1+e3" [ true; true; true ]
+    (List.map (Exact_basis.try_add c) [ [| 0; 1 |]; [| 1; 2 |]; [| 0; 2 |] ])
 
-let test_ortho_zero () =
-  let b = Ortho.create ~dim:2 in
-  Alcotest.(check bool) "zero dependent" false (Ortho.try_add b [| 0.; 0. |])
+let test_exact_basis_zero () =
+  let b = Exact_basis.create ~dim:2 in
+  Alcotest.(check bool) "zero dependent" false (Exact_basis.try_add b [||]);
+  Alcotest.(check int) "size" 0 (Exact_basis.size b)
 
-let test_ortho_in_span () =
-  let b = Ortho.create ~dim:2 in
-  ignore (Ortho.try_add b [| 1.; 1. |]);
-  Alcotest.(check bool) "span yes" true (Ortho.in_span b [| 2.; 2. |]);
-  Alcotest.(check bool) "span no" false (Ortho.in_span b [| 1.; 0. |]);
-  Alcotest.(check int) "unchanged" 1 (Ortho.size b)
+let test_exact_basis_in_span () =
+  let b = Exact_basis.create ~dim:3 in
+  ignore (Exact_basis.try_add b [| 0; 1 |]);
+  ignore (Exact_basis.try_add b [| 1 |]);
+  Alcotest.(check bool) "span yes" true (Exact_basis.in_span b [| 0 |]);
+  Alcotest.(check bool) "span no" false (Exact_basis.in_span b [| 0; 2 |]);
+  Alcotest.(check bool) "zero in span" true (Exact_basis.in_span b [||]);
+  Alcotest.(check int) "unchanged" 2 (Exact_basis.size b)
 
-let test_ortho_copy_isolated () =
-  let b = Ortho.create ~dim:2 in
-  ignore (Ortho.try_add b [| 1.; 0. |]);
-  let c = Ortho.copy b in
-  ignore (Ortho.try_add c [| 0.; 1. |]);
-  Alcotest.(check int) "original unchanged" 1 (Ortho.size b);
-  Alcotest.(check int) "copy grew" 2 (Ortho.size c)
+let test_exact_basis_invalid () =
+  let b = Exact_basis.create ~dim:3 in
+  List.iter
+    (fun s ->
+      match Exact_basis.try_add b s with
+      | _ -> Alcotest.fail "accepted a bad support"
+      | exception Invalid_argument _ -> ())
+    [ [| 1; 0 |]; [| 1; 1 |]; [| 3 |]; [| -1 |] ];
+  Alcotest.(check int) "nothing added" 0 (Exact_basis.size b);
+  Alcotest.(check bool) "scratch left clear" true (Exact_basis.try_add b [| 2 |])
 
 (* --- Properties ---------------------------------------------------------- *)
 
@@ -436,9 +447,7 @@ let prop_cholesky_gram_matches_oracle =
       let a = Sparse.create ~cols:n (Array.of_list (List.map row rows)) in
       let g = Matrix.gram (Sparse.to_dense a) in
       let s = Sparse.gram_lower ~jobs:1 a in
-      s = Cholesky.of_matrix g
-      && Generators.matrix_bits_equal g (Sparse.normal_matrix ~jobs:1 a)
-      && kernels_agree s g b)
+      s = Cholesky.of_matrix g && kernels_agree s g b)
 
 let prop_cholesky_dense_matches_oracle =
   QCheck.Test.make ~count:300
@@ -487,8 +496,14 @@ let prop_sparse_matches_dense =
            (Sparse.tmul_vec s (Array.make (Sparse.rows s) 1.))
            (Matrix.tmul_vec d (Array.make (Sparse.rows s) 1.)))
 
+(* the rank of the 0/1 vectors with these supports, over GF(2^31 - 1) *)
+let exact_rank ~dim supports =
+  let b = Exact_basis.create ~dim in
+  Array.iter (fun s -> ignore (Exact_basis.try_add b s)) supports;
+  Exact_basis.size b
+
 let prop_rank_bounded =
-  QCheck.Test.make ~count:100 ~name:"QR rank ≤ min(m,n) and Ortho agrees"
+  QCheck.Test.make ~count:100 ~name:"QR rank ≤ min(m,n) and the exact rank agrees"
     QCheck.(
       make
         Gen.(
@@ -499,18 +514,63 @@ let prop_rank_bounded =
     (fun (m, n, data) ->
       let a = Matrix.init m n (fun i j -> data.((i * n) + j)) in
       let r = Qr.matrix_rank a in
-      let b = Ortho.create ~dim:m in
-      let greedy = ref 0 in
-      for j = 0 to n - 1 do
-        if Ortho.try_add b (Matrix.col a j) then incr greedy
-      done;
-      r <= min m n && r = !greedy)
+      let column j =
+        Array.of_list (List.filter (fun i -> Matrix.get a i j = 1.) (List.init m Fun.id))
+      in
+      r <= min m n && r = exact_rank ~dim:m (Array.init n column))
+
+(* The exact rank equals the rational one unless the prime divides every
+   maximal minor, which the float rank would expose. Each routing family
+   is checked whole and with a seeded half of its rows dropped (mostly
+   rank-deficient), and Mils' span test against the float one,
+   rank [R; 1_S] = rank R, on a random window of every row. *)
+let prop_exact_rank_on_routing =
+  QCheck.Test.make ~count:40
+    ~name:
+      "exact rank = QR rank and Mils.identifiable = QR span test, on every \
+       routing family, whole and with half the rows dropped"
+    Generators.seed_arb
+    (fun seed ->
+      let rng = Nstats.Rng.create (seed + 11) in
+      let full = Generators.random_routing seed in
+      let np = Sparse.rows full in
+      let half = Nstats.Rng.sample_without_replacement rng (np / 2) np in
+      Array.sort Int.compare half;
+      List.for_all
+        (fun r ->
+          let d = Sparse.to_dense r in
+          let rank = Qr.matrix_rank d in
+          let mils = Core.Mils.prepare r in
+          let window i =
+            let row = Sparse.row r i in
+            let n = Array.length row in
+            let start = Nstats.Rng.int rng n in
+            Array.sub row start (1 + Nstats.Rng.int rng (n - start))
+          in
+          let float_span s =
+            let stacked =
+              Matrix.init (Matrix.rows d + 1) (Matrix.cols d) (fun i j ->
+                  if i < Matrix.rows d then Matrix.get d i j
+                  else if Array.mem j s then 1.
+                  else 0.)
+            in
+            Qr.matrix_rank stacked = rank
+          in
+          rank = exact_rank ~dim:(Sparse.rows r) (Sparse.cols_index r)
+          && List.for_all
+               (fun i ->
+                 Array.length (Sparse.row r i) = 0
+                 ||
+                 let s = window i in
+                 Core.Mils.identifiable mils s = float_span s)
+               (List.init (Sparse.rows r) Fun.id))
+        [ full; Sparse.select_rows full half ])
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_qr_reconstructs; prop_cholesky_solves;
       prop_cholesky_gram_matches_oracle; prop_cholesky_dense_matches_oracle;
-      prop_sparse_matches_dense; prop_rank_bounded ]
+      prop_sparse_matches_dense; prop_rank_bounded; prop_exact_rank_on_routing ]
 
 let () =
   Alcotest.run "linalg"
@@ -570,12 +630,12 @@ let () =
           Alcotest.test_case "transpose" `Quick test_sparse_transpose;
           Alcotest.test_case "normal equations" `Quick test_sparse_normal_equations;
         ] );
-      ( "ortho",
+      ( "exact_basis",
         [
-          Alcotest.test_case "independence" `Quick test_ortho_independence;
-          Alcotest.test_case "zero vector" `Quick test_ortho_zero;
-          Alcotest.test_case "in_span" `Quick test_ortho_in_span;
-          Alcotest.test_case "copy isolation" `Quick test_ortho_copy_isolated;
+          Alcotest.test_case "independence" `Quick test_exact_basis_independence;
+          Alcotest.test_case "zero vector" `Quick test_exact_basis_zero;
+          Alcotest.test_case "in_span" `Quick test_exact_basis_in_span;
+          Alcotest.test_case "invalid support" `Quick test_exact_basis_invalid;
         ] );
       ("properties", properties);
     ]

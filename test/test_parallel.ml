@@ -228,18 +228,18 @@ let prop_covariance_matrix_jobs_invariant =
           matrix_bits_equal s1 (Nstats.Descriptive.covariance_matrix ~jobs y_learn))
         [ 2; 4 ])
 
-let prop_normal_matrix_jobs_invariant =
+let prop_gram_lower_jobs_invariant =
   QCheck.Test.make ~count:6
-    ~name:"normal_matrix + Augmented.build: jobs in {2,4} = jobs 1"
+    ~name:"gram_lower + Augmented.build: jobs in {2,4} = jobs 1"
     QCheck.(int_range 1 5000)
     (fun seed ->
       let r, _ = random_campaign seed in
       let a1 = Core.Augmented.build ~jobs:1 r in
-      let g1 = Sparse.normal_matrix ~jobs:1 a1 in
+      let g1 = Sparse.gram_lower ~jobs:1 a1 in
       List.for_all
         (fun jobs ->
           let a = Core.Augmented.build ~jobs r in
-          Sparse.equal a1 a && matrix_bits_equal g1 (Sparse.normal_matrix ~jobs a))
+          Sparse.equal a1 a && Sparse.gram_lower ~jobs a = g1)
         [ 2; 4 ])
 
 (* the pre-refactor covariance_matrix: center the full m×p matrix, then
@@ -291,7 +291,7 @@ let determinism_tests =
     [
       prop_estimate_streaming_jobs_invariant;
       prop_covariance_matrix_jobs_invariant;
-      prop_normal_matrix_jobs_invariant;
+      prop_gram_lower_jobs_invariant;
       prop_covariance_matrix_matches_oracle;
     ]
 

@@ -33,18 +33,28 @@ let prop_lia_output_well_formed =
            (fun j -> res.Core.Lia.loss_rates.(j) = 0.)
            res.Core.Lia.removed)
 
+(* Phase 2 orders variances on the grid g = 1e-12 · max |v|: a column
+   counts as round (v / g), and inside a grid cell the higher id comes
+   first. *)
 let prop_lia_kept_descending_variance =
-  QCheck.Test.make ~count:12 ~name:"LIA: kept columns in descending variance order"
+  QCheck.Test.make ~count:12
+    ~name:
+      "LIA: kept columns in descending variance order on the 1e-12 relative \
+       grid, higher id first inside a cell"
     QCheck.(int_range 1 5000)
     (fun seed ->
       let r, y_learn, target = random_tree_trial seed in
       let res = Core.Lia.infer ~r ~y_learn ~y_now:target.Snapshot.y () in
       let v = res.Core.Lia.variances in
+      let g = 1e-12 *. Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. v in
+      let key j = if g = 0. then v.(j) else Float.round (v.(j) /. g) in
       let rec descending = function
-        | a :: (b :: _ as rest) -> v.(a) >= v.(b) && descending rest
+        | a :: (b :: _ as rest) ->
+            (key a > key b || (key a = key b && a > b)) && descending rest
         | _ -> true
       in
-      descending (Array.to_list res.Core.Lia.kept))
+      Array.for_all Float.is_finite v
+      && descending (Array.to_list res.Core.Lia.kept))
 
 (* --- Simulator conservation ------------------------------------------------ *)
 

@@ -586,44 +586,49 @@ let prop_full_sample_is_identity =
 (* Lia.infer's two phases — Phase 1 under each solver, then a plan over
    Lia.plan_backend — with drop-negative and clamping off, so the Phase-1
    system keeps full column rank and both solvers reach its unique
-   minimizer *)
+   minimizer; Phase 2's grid order then keeps the same columns *)
+let infer_cgls_matches_dense seed =
+  let r, y_learn, target = Generators.random_tree_trial seed in
+  let solver =
+    Core.Lia.Cgls
+      { tol = 1e-14; max_iter = None; sample = None; precond = VE.Pc_jacobi }
+  in
+  let serve solver variances =
+    Core.Plan.solve
+      (Core.Plan.make ~backend:(Core.Lia.plan_backend solver) ~r ~variances ())
+      target.Netsim.Snapshot.y
+  in
+  let dense =
+    serve Core.Lia.Dense
+      (VE.estimate ~drop_negative:false ~clamp:false ~r ~y:y_learn ())
+  in
+  let options =
+    {
+      VE.default_matfree_options with
+      VE.tol = 1e-14;
+      mf_drop_negative = false;
+      mf_clamp = false;
+    }
+  in
+  let v, _, _ = VE.estimate_matfree_ess ~options ~r ~y:y_learn () in
+  let cgls = serve solver v in
+  dense.Core.Plan.kept = cgls.Core.Plan.kept
+  && close ~rtol:1e-6 dense.Core.Plan.variances cgls.Core.Plan.variances
+  && close ~rtol:1e-6 dense.Core.Plan.loss_rates cgls.Core.Plan.loss_rates
+
 let prop_infer_cgls_matches_dense =
   QCheck.Test.make ~count:12
     ~name:
       "Lia.infer solver:cgls: loss rates track the dense pipeline (full-rank \
        regime)"
-    Generators.seed_arb
-    (fun seed ->
-      let r, y_learn, target = Generators.random_tree_trial seed in
-      let solver =
-        Core.Lia.Cgls
-          { tol = 1e-14; max_iter = None; sample = None; precond = VE.Pc_jacobi }
-      in
-      let serve solver variances =
-        Core.Plan.solve
-          (Core.Plan.make ~backend:(Core.Lia.plan_backend solver) ~r ~variances
-             ())
-          target.Netsim.Snapshot.y
-      in
-      let dense =
-        serve Core.Lia.Dense
-          (VE.estimate ~drop_negative:false ~clamp:false ~r ~y:y_learn ())
-      in
-      let options =
-        {
-          VE.default_matfree_options with
-          VE.tol = 1e-14;
-          mf_drop_negative = false;
-          mf_clamp = false;
-        }
-      in
-      let v, _, _ = VE.estimate_matfree_ess ~options ~r ~y:y_learn () in
-      let cgls = serve solver v in
-      (* kept is chosen greedily in estimated-variance order, so
-         solver-tolerance differences can elect a different (equally
-         valid) basis on near-ties — the estimates are what must agree *)
-      close ~rtol:1e-6 dense.Core.Plan.variances cgls.Core.Plan.variances
-      && close ~rtol:1e-6 dense.Core.Plan.loss_rates cgls.Core.Plan.loss_rates)
+    Generators.seed_arb infer_cgls_matches_dense
+
+(* Input seed 371: two sibling leaf links whose variances tie in exact
+   arithmetic come out of the dense solve 1 ulp apart, and out of CGLS
+   equal *)
+let test_cgls_matches_dense_on_tie () =
+  Alcotest.(check bool) "same kept columns and estimates" true
+    (infer_cgls_matches_dense 371)
 
 let prop_checked_cgls_verdict_parity =
   QCheck.Test.make ~count:12
@@ -772,6 +777,8 @@ let unit_tests =
       test_cgls_zero_rhs;
     Alcotest.test_case "sample_mask is seeded and honours the fraction" `Quick
       test_sample_mask_fraction;
+    Alcotest.test_case "cgls keeps the dense columns on a variance tie (seed 371)"
+      `Quick test_cgls_matches_dense_on_tie;
   ]
 
 let () =
