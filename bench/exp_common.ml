@@ -82,23 +82,6 @@ let mean xs = Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
    independently of the others. *)
 let seeds ~base n = Array.init n (fun k -> base + (k * 7919))
 
-(* CPU availability for honest speedup reporting: on a 1-CPU host a jobs
-   sweep measures scheduling overhead, not parallelism, so its speedups
-   are recorded as advisory. *)
-let host_cpus () =
-  try
-    let ic = open_in "/proc/cpuinfo" in
-    let n = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.length line >= 9 && String.sub line 0 9 = "processor" then
-           incr n
-       done
-     with End_of_file -> close_in ic);
-    if !n > 0 then !n else Domain.recommended_domain_count ()
-  with Sys_error _ -> Domain.recommended_domain_count ()
-
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 

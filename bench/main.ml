@@ -1,8 +1,10 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (Sections 6 and 7). With no argument it runs everything;
-   otherwise pass experiment ids (fig3 fig5 fig6 tab2 fig7 fig8 fig9 tab3
-   duration timing ablations). See DESIGN.md for the per-experiment
-   index and EXPERIMENTS.md for paper-vs-measured numbers. *)
+   evaluation (Sections 6 and 7) and the extensions next to them. With no
+   argument it runs everything; otherwise pass experiment ids (fig3 fig5
+   fig6 tab2 fig7 fig8 fig9 tab3 duration timing ablations delay
+   baselines dual). See DESIGN.md for the per-experiment index and
+   EXPERIMENTS.md for paper-vs-measured numbers. Speed claims beyond the
+   paper's Section 6.4 come from the benchmark in bench/ledger. *)
 
 let experiments =
   [
@@ -16,17 +18,6 @@ let experiments =
     ("tab3", Tab3.run);
     ("duration", Tab3.run);
     ("timing", Timing.run);
-    ("timing-sweep", Timing.run_sweep);
-    ("timing-smoke", Timing.run_smoke);
-    ("obs-smoke", Timing.run_obs_smoke);
-    ("obs2-smoke", Timing.run_obs2_smoke);
-    ("chaos-smoke", Chaos.run_smoke);
-    ("solver-smoke", Solver.run_smoke);
-    ("solver-crossover", Solver.run_crossover);
-    ("precond-crossover", Solver.run_precond_crossover);
-    ("precond-smoke", Solver.run_precond_smoke);
-    ("crossval-smoke", Crossval.run_smoke);
-    ("crossval-grid", Crossval.run_grid);
     ("ablations", Ablations.run);
     ("delay", Ext_delay.run);
     ("baselines", Baselines.run);

@@ -74,8 +74,10 @@ let field_of_json = function
 let fields_of =
   List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (field_of_json v))
 
-(* The three outputs are told apart by shape: a dump line has "kind", a
-   trace line "ph", a convergence line "solver". *)
+(* The three outputs are told apart by shape: a convergence line has
+   "solver", a dump line "kind", a trace line "ph". The convergence line
+   is the only one that writes event fields at top level, where a field
+   may be named "kind" or "ph", so its key is tested first. *)
 let event_of members =
   let get k = List.assoc_opt k members in
   let str k = Option.bind (get k) Json.to_string_opt in
@@ -88,24 +90,24 @@ let event_of members =
       kind ts_us fields =
     Some { Recorder.seq = int "seq"; domain; ts_us; kind; name; fields }
   in
-  match (str "kind", str "ph", str "solver") with
-  | Some kind, _, _ ->
+  match (str "solver", str "kind", str "ph") with
+  | Some solver, _, _ ->
+      event ~name:solver "solver_iter" 0L
+        (fields_of (List.remove_assoc "solver" members))
+  | None, Some kind, _ ->
       (* a dump header carries its fields at top level, an event under args *)
       let fixed = [ "kind"; "name"; "domain"; "seq"; "ts_us" ] in
       event kind (us "ts_us")
         (if get "args" <> None then args
          else fields_of (List.filter (fun (k, _) -> not (List.mem k fixed)) members))
-  | None, Some "X", _ -> (
+  | None, None, Some "X" -> (
       match (get "dur", Option.bind (get "dur") Json.to_float_opt) with
       | Some dur, Some d ->
           event ~domain:(int "tid") "span_end"
             (Int64.add (us "ts") (Int64.of_float d))
             (args @ fields_of [ ("dur_us", dur) ])
       | _ -> None)
-  | None, Some "i", _ -> event ~domain:(int "tid") "instant" (us "ts") args
-  | None, None, Some solver ->
-      event ~name:solver "solver_iter" 0L
-        (fields_of (List.remove_assoc "solver" members))
+  | None, None, Some "i" -> event ~domain:(int "tid") "instant" (us "ts") args
   | _ -> None
 
 let decode line =

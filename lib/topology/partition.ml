@@ -73,12 +73,6 @@ let order p =
 
 let cols p = p.ncols
 
-let border_cols p =
-  Array.fold_left
-    (fun acc g ->
-      match g.label with Border -> acc + Array.length g.cols | As _ -> acc)
-    0 p.groups
-
 let pp ppf p =
   Format.fprintf ppf "@[<v>partition of %d columns:" p.ncols;
   Array.iter

@@ -46,7 +46,4 @@ val order : t -> int array
 val cols : t -> int
 (** Total number of columns partitioned. *)
 
-val border_cols : t -> int
-(** Size of the border group (0 when absent). *)
-
 val pp : Format.formatter -> t -> unit

@@ -120,6 +120,9 @@ let fault_kinds =
   [
     "drop=0.5"; "miss=0.3"; "nan=0.2"; "oor=0.2"; "neg=0.2"; "dup=0.5";
     "churn=2@0.5"; "route_shift=0.5"; "drop=0.9,miss=0.9"; "miss=1";
+    (* every kind at once *)
+    "drop=0.15,miss=0.08,nan=0.03,oor=0.03,neg=0.02,dup=0.1,churn=1@0.5,\
+     route_shift=0.5";
   ]
 
 let prop_trichotomy =

@@ -4,7 +4,8 @@
    all-pairs triangle sweep bit for bit, CGLS must agree with the dense
    oracles to solver tolerance, the end-to-end --solver cgls pipeline must
    track the dense pipeline on clean and faulted input, and everything
-   must be bit-for-bit jobs-invariant. *)
+   must be bit-for-bit jobs-invariant. The preconditioners' Phase-1
+   iteration counts are pinned on one instance. *)
 
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
@@ -363,8 +364,12 @@ let ts_campaign seed =
     Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated
   in
   let run = Netsim.Simulator.run rng config r ~count:12 in
-  let y_learn, _ = Netsim.Simulator.split_learning run ~learning:11 in
-  (tb, red, r, y_learn)
+  let y_learn, target = Netsim.Simulator.split_learning run ~learning:11 in
+  (tb, red, r, y_learn, target)
+
+let as_groups tb red =
+  Topology.Partition.group_cols
+    (Topology.Partition.by_as tb.Topology.Testbed.graph red)
 
 let prop_permuted_operator_matches =
   QCheck.Test.make ~count:20
@@ -454,13 +459,11 @@ let prop_block_jacobi_jobs_invariant =
        (transit-stub AS partition)"
     Generators.seed_arb
     (fun seed ->
-      let tb, red, r, y_learn = ts_campaign seed in
-      let part = Topology.Partition.by_as tb.Topology.Testbed.graph red in
-      let groups = Topology.Partition.group_cols part in
+      let tb, red, r, y_learn, _ = ts_campaign seed in
       let options =
         {
           VE.default_matfree_options with
-          VE.mf_precond = VE.Pc_block_jacobi groups;
+          VE.mf_precond = VE.Pc_block_jacobi (as_groups tb red);
         }
       in
       let v1, _, _ =
@@ -586,12 +589,12 @@ let prop_full_sample_is_identity =
 (* Lia.infer's two phases — Phase 1 under each solver, then a plan over
    Lia.plan_backend — with drop-negative and clamping off, so the Phase-1
    system keeps full column rank and both solvers reach its unique
-   minimizer; Phase 2's grid order then keeps the same columns *)
-let infer_cgls_matches_dense seed =
-  let r, y_learn, target = Generators.random_tree_trial seed in
+   minimizer; Phase 2's grid order then keeps the same columns. [precond]
+   goes to Phase 1 and, through Lia.plan_backend, to Phase 2, as
+   [--precond] does. *)
+let infer_cgls_matches_dense ~precond (r, y_learn, target) =
   let solver =
-    Core.Lia.Cgls
-      { tol = 1e-14; max_iter = None; sample = None; precond = VE.Pc_jacobi }
+    Core.Lia.Cgls { tol = 1e-14; max_iter = None; sample = None; precond }
   in
   let serve solver variances =
     Core.Plan.solve
@@ -608,6 +611,7 @@ let infer_cgls_matches_dense seed =
       VE.tol = 1e-14;
       mf_drop_negative = false;
       mf_clamp = false;
+      mf_precond = precond;
     }
   in
   let v, _, _ = VE.estimate_matfree_ess ~options ~r ~y:y_learn () in
@@ -621,14 +625,65 @@ let prop_infer_cgls_matches_dense =
     ~name:
       "Lia.infer solver:cgls: loss rates track the dense pipeline (full-rank \
        regime)"
-    Generators.seed_arb infer_cgls_matches_dense
+    Generators.seed_arb
+    (fun seed ->
+      infer_cgls_matches_dense ~precond:VE.Pc_jacobi
+        (Generators.random_tree_trial seed))
+
+let prop_infer_block_jacobi_matches_dense =
+  QCheck.Test.make ~count:20
+    ~name:
+      "Lia.infer solver:cgls + Pc_block_jacobi: loss rates track the dense \
+       pipeline (full-rank regime, transit-stub AS partition)"
+    Generators.seed_arb
+    (fun seed ->
+      let tb, red, r, y_learn, target = ts_campaign seed in
+      infer_cgls_matches_dense
+        ~precond:(VE.Pc_block_jacobi (as_groups tb red))
+        (r, y_learn, target))
 
 (* Input seed 371: two sibling leaf links whose variances tie in exact
    arithmetic come out of the dense solve 1 ulp apart, and out of CGLS
    equal *)
 let test_cgls_matches_dense_on_tie () =
   Alcotest.(check bool) "same kept columns and estimates" true
-    (infer_cgls_matches_dense 371)
+    (infer_cgls_matches_dense ~precond:VE.Pc_jacobi
+       (Generators.random_tree_trial 371))
+
+(* Iteration counts do not depend on the host, so the preconditioners'
+   effect is pinned exactly on one transit-stub instance with deep stubs
+   (2 transit domains of 4 nodes, 2 stubs of 8 nodes per transit node,
+   24 hosts, 552 paths; m = 50, tol 1e-8). Path lengths are skewed
+   there: a backbone link sits in most pair rows, a stub-tail link in a
+   handful. Block-Jacobi over the AS partition takes 2.12x fewer Phase-1
+   iterations than Jacobi. *)
+let test_precond_iteration_counts () =
+  let rng = Rng.create 9224 in
+  let tb =
+    Topology.Transit_stub.generate rng ~transit_domains:2 ~transit_size:4
+      ~stubs_per_transit_node:2 ~stub_size:8 ~hosts:24 ()
+  in
+  let red = Topology.Testbed.routing tb in
+  let r = red.Topology.Routing.matrix in
+  let config =
+    Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated
+  in
+  let run = Netsim.Simulator.run rng config r ~count:51 in
+  let y_learn, _ = Netsim.Simulator.split_learning run ~learning:50 in
+  let iterations precond =
+    let options =
+      { VE.default_matfree_options with VE.tol = 1e-8; mf_precond = precond }
+    in
+    let _, _, stats = VE.estimate_matfree_ess ~options ~r ~y:y_learn () in
+    Alcotest.(check bool) "converged" true
+      stats.Linalg.Conjugate_gradient.converged;
+    stats.Linalg.Conjugate_gradient.iterations
+  in
+  Alcotest.(check int) "paths" 552 (Sparse.rows r);
+  Alcotest.(check (list int)) "iterations: none, jacobi, block-jacobi"
+    [ 131; 55; 26 ]
+    (List.map iterations
+       [ VE.Pc_none; VE.Pc_jacobi; VE.Pc_block_jacobi (as_groups tb red) ])
 
 let prop_checked_cgls_verdict_parity =
   QCheck.Test.make ~count:12
@@ -743,7 +798,23 @@ let test_sample_mask_fraction () =
   Alcotest.(check bool) "fraction 0.5 keeps roughly half" true
     (abs ((2 * count half) - n) < n / 4);
   Alcotest.(check int) "fraction 0 keeps nothing" 0
-    (count (Augmented.sample_mask ~np ~fraction:0. ~seed:3))
+    (count (Augmented.sample_mask ~np ~fraction:0. ~seed:3));
+  (* the sketch through the estimator: a seeded half of the pair rows
+     drops the only row of some leaf links, and the estimate stays
+     finite and repeats bit for bit *)
+  let r, y_learn, _ = Generators.random_tree_trial 3 in
+  let sketch () =
+    let options =
+      { VE.default_matfree_options with VE.sample = Some (0.5, 99) }
+    in
+    let v, _, _ = VE.estimate_matfree_ess ~options ~r ~y:y_learn () in
+    v
+  in
+  let s1 = sketch () in
+  Alcotest.(check bool) "fraction 0.5 sketch repeats bit for bit" true
+    (vec_bits_equal s1 (sketch ()));
+  Alcotest.(check bool) "fraction 0.5 sketch is finite" true
+    (Array.for_all Float.is_finite s1)
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
@@ -761,6 +832,7 @@ let properties =
       prop_matfree_estimator_jobs_invariant;
       prop_full_sample_is_identity;
       prop_infer_cgls_matches_dense;
+      prop_infer_block_jacobi_matches_dense;
       prop_checked_cgls_verdict_parity;
       prop_plan_cgls_matches_dense_qr;
       prop_plan_cgls_batch_matches_solve;
@@ -779,6 +851,9 @@ let unit_tests =
       test_sample_mask_fraction;
     Alcotest.test_case "cgls keeps the dense columns on a variance tie (seed 371)"
       `Quick test_cgls_matches_dense_on_tie;
+    Alcotest.test_case
+      "precond iteration counts on a deep-stub transit-stub (24 hosts)" `Quick
+      test_precond_iteration_counts;
   ]
 
 let () =
