@@ -51,10 +51,7 @@ let tests (r, y_learn, target, variances) =
            (let plan = Core.Plan.make ~r ~variances () in
             fun () -> Core.Plan.solve plan y_now));
       Test.make ~name:"normal-solve-cholesky"
-        (Staged.stage (fun () ->
-             Linalg.Cholesky.solve_vec
-               (Linalg.Cholesky.factorize_regularized gram)
-               rhs));
+        (Staged.stage (fun () -> Linalg.Cholesky.solve_ordered gram rhs));
     ]
 
 let run () =

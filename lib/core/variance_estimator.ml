@@ -220,8 +220,7 @@ let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
         b.(j) <- b.(j) +. p.(j)
       done)
     partial_b;
-  let f = Linalg.Cholesky.factorize_regularized g in
-  let v = Linalg.Cholesky.solve_vec f b in
+  let v = Linalg.Cholesky.solve_ordered g b in
   let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
   (v, ess_of ~min_pair_samples overlap)
 

@@ -58,13 +58,13 @@ val estimate :
     non-empty pair rows ({!Augmented.pairs}), accumulating [AᵀA] and
     [AᵀΣ̂*] directly. [AᵀA] is assembled over the kept rows straight into
     the sparse lower triangle ({!Linalg.Sparse.gram_lower}) that
-    {!Linalg.Cholesky.factorize_regularized} factors, so no
-    [n_c × n_c] array is formed. Work is O(P*·(m + L²) + Σⱼ|Lⱼ|²) for
-    [P*] pairs sharing a link, [m] snapshots, support length [L] and the
-    column counts [|Lⱼ|] of the Cholesky factor; memory is O(P*·L) for
-    the pair list plus O(nnz(L)). This is what makes the PlanetLab-scale
-    systems (hundreds of thousands of path pairs) solvable in seconds,
-    as reported in Section 6.4.
+    {!Linalg.Cholesky.solve_ordered} factors in ascending-degree order,
+    so no [n_c × n_c] array is formed. Work is O(P*·(m + L²) + Σⱼ|Lⱼ|²)
+    for [P*] pairs sharing a link, [m] snapshots, support length [L] and
+    the column counts [|Lⱼ|] of the ordered Cholesky factor; memory is
+    O(P*·L) for the pair list plus O(nnz(L)). This is what makes the
+    PlanetLab-scale systems (hundreds of thousands of path pairs)
+    solvable in seconds, as reported in Section 6.4.
 
     [AᵀA]'s entries are exact integer counts. [AᵀΣ̂*] is summed in
     blocks of the flat row range (the pair triangle's canonical order),
@@ -74,7 +74,8 @@ val estimate :
     result is bit-for-bit identical for every [jobs] value — and to a
     sweep over the whole triangle, whose empty rows add nothing — and,
     since the sparse Cholesky reproduces the dense one bit for bit on
-    these inputs, to a dense factorization of the same Gram matrix.
+    these inputs, to a dense factorization of the same Gram matrix in
+    the same order.
 
     [drop_negative] (default true) ignores the equations with
     [Σ̂ᵢᵢ' < 0]; [clamp] (default true) clamps the solution at 0.

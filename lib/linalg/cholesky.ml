@@ -193,6 +193,61 @@ let solve_vec f b =
 
 let solve m b = solve_vec (factorize (of_matrix m)) b
 
+(* Ascending degree, ties by the lower index (a stable sort of 0..n-1):
+   a column with few neighbours is eliminated before the hubs it touches,
+   so little fill lands in their rows. Entry (i, j) of the lower triangle
+   moves to row max (inv i, inv j), column min (inv i, inv j); bucketing
+   the entries by that column (a counting sort) and then dealing them
+   out column by column fills every row in increasing column order. *)
+let solve_ordered ?ridge s b =
+  check_sym "solve_ordered" s;
+  let n = Array.length s.diag in
+  if Array.length b <> n then
+    invalid_arg "Cholesky.solve_ordered: dimension mismatch";
+  let deg = Array.map Array.length s.cols in
+  Array.iter (Array.iter (fun j -> deg.(j) <- deg.(j) + 1)) s.cols;
+  let perm = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Int.compare deg.(i) deg.(j)) perm;
+  let inv = Array.make n 0 in
+  Array.iteri (fun a i -> inv.(i) <- a) perm;
+  (* [f hi lo i t] for entry [t] of row [i], at its permuted place *)
+  let entries f =
+    Array.iteri
+      (fun i c ->
+        Array.iteri
+          (fun t j -> f (Int.max inv.(i) inv.(j)) (Int.min inv.(i) inv.(j)) i t)
+          c)
+      s.cols
+  in
+  let len = Array.make n 0 and start = Array.make (n + 1) 0 in
+  entries (fun hi lo _ _ ->
+      len.(hi) <- len.(hi) + 1;
+      start.(lo + 1) <- start.(lo + 1) + 1);
+  for c = 0 to n - 1 do
+    start.(c + 1) <- start.(c + 1) + start.(c)
+  done;
+  let row = Array.make start.(n) 0 and value = Array.make start.(n) 0. in
+  let next = Array.sub start 0 n in
+  entries (fun hi lo i t ->
+      row.(next.(lo)) <- hi;
+      value.(next.(lo)) <- s.vals.(i).(t);
+      next.(lo) <- next.(lo) + 1);
+  let cols = Array.map (fun l -> Array.make l 0) len in
+  let vals = Array.map (fun l -> Array.make l 0.) len in
+  Array.fill len 0 n 0;
+  for c = 0 to n - 1 do
+    for p = start.(c) to start.(c + 1) - 1 do
+      let r = row.(p) in
+      cols.(r).(len.(r)) <- c;
+      vals.(r).(len.(r)) <- value.(p);
+      len.(r) <- len.(r) + 1
+    done
+  done;
+  let diag = Array.map (fun i -> s.diag.(i)) perm in
+  let f = factorize_regularized ?ridge { diag; cols; vals } in
+  let x = solve_vec f (Array.map (fun i -> b.(i)) perm) in
+  Array.map (fun a -> x.(a)) inv
+
 let log_det f =
   let acc = ref 0. in
   for i = 0 to f.n - 1 do

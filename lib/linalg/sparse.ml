@@ -259,8 +259,7 @@ let gram_lower ?jobs m =
 let normal_rhs = tmul_vec
 
 let least_squares ?ridge ?jobs m b =
-  let f = Cholesky.factorize_regularized ?ridge (gram_lower ?jobs m) in
-  Cholesky.solve_vec f (normal_rhs m b)
+  Cholesky.solve_ordered ?ridge (gram_lower ?jobs m) (normal_rhs m b)
 
 let equal m1 m2 =
   m1.nrows = m2.nrows && m1.ncols = m2.ncols

@@ -107,9 +107,10 @@ val normal_rhs : t -> Vector.t -> Vector.t
 
 val least_squares : ?ridge:float -> ?jobs:int -> t -> Vector.t -> Vector.t
 (** Minimizes [‖a x − b‖₂] by solving the normal equations {!gram_lower}
-    and {!normal_rhs} with {!Cholesky.factorize_regularized}. Suitable when
-    [a] has full column rank, which Theorem 1 guarantees for augmented
-    matrices of valid topologies. *)
+    and {!normal_rhs} with {!Cholesky.solve_ordered}. When [a] lacks full
+    column rank (a row filter such as Phase 1's drop-negative rule can
+    cost it), the Gram matrix is singular and the values along its null
+    space are whatever rounding and the ridge make of them. *)
 
 val equal : t -> t -> bool
 

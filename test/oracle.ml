@@ -48,7 +48,8 @@ let estimate ?options ~r ~y () =
 (* The dense left-looking Cholesky factorization, kept as the oracle of
    the library's sparse kernel: on inputs without -0.0 the sparse kernel
    must reproduce its factor, its solutions and its Not_positive_definite
-   outcome bit for bit. *)
+   outcome bit for bit, and its ordered solve must reproduce
+   [solve_ordered]. *)
 module Cholesky = struct
   module Matrix = Linalg.Matrix
 
@@ -134,4 +135,31 @@ module Cholesky = struct
       Array.unsafe_set x i (!s /. Matrix.get f.l i i)
     done;
     x
+
+  (* The regularized solve of P m Pᵀ for P b, scattered back through P,
+     where P sorts the rows by their off-diagonal nonzeros, ascending,
+     ties by the lower index. The order is read off the dense matrix,
+     independently of the library's sparse one. *)
+  let solve_ordered m b =
+    let n = Matrix.rows m in
+    let degree =
+      Array.init n (fun i ->
+          List.length
+            (List.filter
+               (fun j -> j <> i && Matrix.get m i j <> 0.)
+               (List.init n Fun.id)))
+    in
+    let perm =
+      Array.of_list
+        (List.stable_sort
+           (fun i j -> compare degree.(i) degree.(j))
+           (List.init n Fun.id))
+    in
+    let pm = Matrix.init n n (fun a c -> Matrix.get m perm.(a) perm.(c)) in
+    let x =
+      solve_vec (factorize_regularized pm) (Array.map (fun i -> b.(i)) perm)
+    in
+    let out = Array.make n 0. in
+    Array.iteri (fun a i -> out.(i) <- x.(a)) perm;
+    out
 end

@@ -211,13 +211,20 @@ let test_cholesky_ridge_schedule () =
       ignore (Cholesky.factorize_regularized (Cholesky.of_matrix (d (-0.06)))));
   Alcotest.check_raises "oracle: beyond the last ridge"
     Cholesky.Not_positive_definite (fun () ->
-      ignore (Oracle.Cholesky.factorize_regularized (d (-0.06))))
+      ignore (Oracle.Cholesky.factorize_regularized (d (-0.06))));
+  Alcotest.check_raises "ordered: beyond the last ridge"
+    Cholesky.Not_positive_definite (fun () ->
+      ignore
+        (Cholesky.solve_ordered (Cholesky.of_matrix (d (-0.06))) [| 1.; 1. |]))
 
 let test_cholesky_bad_pattern () =
   let sym cols vals = { Cholesky.diag = [| 1.; 1. |]; cols; vals } in
   let bad name s =
-    match Cholesky.factorize s with
+    (match Cholesky.factorize s with
     | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ());
+    match Cholesky.solve_ordered s [| 1.; 1. |] with
+    | _ -> Alcotest.failf "%s: accepted by solve_ordered" name
     | exception Invalid_argument _ -> ()
   in
   bad "entry on the diagonal" (sym [| [||]; [| 1 |] |] [| [||]; [| 0.5 |] |]);
@@ -427,25 +434,55 @@ let kernels_agree s m b =
 let gen_rhs n =
   QCheck.Gen.(array_size (return n) (map (fun x -> x +. 0.) float_small))
 
+(* 0/1 Gram matrices, rank-deficient ones and empty columns included:
+   the generator's rows, their Gram and its right-hand side *)
+let gen_gram =
+  QCheck.Gen.(
+    int_range 0 12 >>= fun n ->
+    (if n = 0 then return []
+     else
+       list_size (int_range 0 (2 * n))
+         (list_size (int_range 0 n) (int_range 0 (n - 1))))
+    >>= fun rows ->
+    let row l = Array.of_list (List.sort_uniq compare l) in
+    let a = Sparse.create ~cols:n (Array.of_list (List.map row rows)) in
+    gen_rhs n >>= fun b -> return (a, Matrix.gram (Sparse.to_dense a), b))
+
+(* small dense SPD matrices (AᵀA + I), some off-diagonal pairs zeroed
+   and, in about a quarter of the draws, one symmetric pair made NaN *)
+let gen_dense_spd =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    array_size (return (n * n)) float_small >>= fun data ->
+    array_size (return (n * n)) (float_bound_inclusive 1.) >>= fun zero ->
+    int_range 0 (4 * n * n) >>= fun nan_at ->
+    gen_rhs n >>= fun b ->
+    let a = Matrix.init n n (fun i j -> data.((i * n) + j)) in
+    let m = Matrix.add (Matrix.gram a) (Matrix.identity n) in
+    let set i j x =
+      Matrix.set m i j x;
+      Matrix.set m j i x
+    in
+    for i = 0 to n - 1 do
+      for j = 0 to i - 1 do
+        if zero.((i * n) + j) < 0.3 then set i j 0.
+      done
+    done;
+    if nan_at < n * n then set (nan_at / n) (nan_at mod n) Float.nan;
+    return (m, b))
+
+let print_system (m, b) =
+  Printf.sprintf "G = %s, b = %s"
+    (Format.asprintf "%a" Matrix.pp m)
+    (String.concat " " (Array.to_list (Array.map string_of_float b)))
+
 let prop_cholesky_gram_matches_oracle =
   QCheck.Test.make ~count:300
     ~name:
       "Cholesky: 0/1 Gram matrices (rank-deficient, empty columns, n = 0, 1) \
        factor and solve bit for bit as the dense oracle"
-    QCheck.(
-      make
-        Gen.(
-          int_range 0 12 >>= fun n ->
-          (if n = 0 then return []
-           else
-             list_size (int_range 0 (2 * n))
-               (list_size (int_range 0 n) (int_range 0 (n - 1))))
-          >>= fun rows ->
-          gen_rhs n >>= fun b -> return (n, rows, b)))
-    (fun (n, rows, b) ->
-      let row l = Array.of_list (List.sort_uniq compare l) in
-      let a = Sparse.create ~cols:n (Array.of_list (List.map row rows)) in
-      let g = Matrix.gram (Sparse.to_dense a) in
+    (QCheck.make gen_gram)
+    (fun (a, g, b) ->
       let s = Sparse.gram_lower ~jobs:1 a in
       s = Cholesky.of_matrix g && kernels_agree s g b)
 
@@ -454,28 +491,33 @@ let prop_cholesky_dense_matches_oracle =
     ~name:
       "Cholesky: small dense SPD matrices, some entries zeroed or NaN, \
        through of_matrix factor and solve bit for bit as the dense oracle"
-    QCheck.(
-      make
-        Gen.(
-          int_range 1 8 >>= fun n ->
-          array_size (return (n * n)) float_small >>= fun data ->
-          array_size (return (n * n)) (float_bound_inclusive 1.) >>= fun zero ->
-          int_range 0 (4 * n * n) >>= fun nan_at ->
-          gen_rhs n >>= fun b -> return (n, data, zero, nan_at, b)))
-    (fun (n, data, zero, nan_at, b) ->
-      let a = Matrix.init n n (fun i j -> data.((i * n) + j)) in
-      let m = Matrix.add (Matrix.gram a) (Matrix.identity n) in
-      let set i j x =
-        Matrix.set m i j x;
-        Matrix.set m j i x
+    (QCheck.make gen_dense_spd)
+    (fun (m, b) -> kernels_agree (Cholesky.of_matrix m) m b)
+
+(* The ordered entry point against the dense oracle on P G Pᵀ and P b,
+   scattered back, with P read off the dense matrix: the same solution
+   bit for bit, or Not_positive_definite from both (every NaN draw, and
+   zeroed draws beyond the last ridge). *)
+let prop_cholesky_ordered_matches_oracle =
+  QCheck.Test.make ~count:600
+    ~name:
+      "Cholesky.solve_ordered: 0/1 Grams and dense SPD matrices solve bit \
+       for bit as the dense oracle on P G Pᵀ, scattered back"
+    (QCheck.make ~print:print_system
+       QCheck.Gen.(oneof [ map (fun (_, g, b) -> (g, b)) gen_gram; gen_dense_spd ]))
+    (fun (m, b) ->
+      let outcome solve =
+        match solve () with
+        | x -> Some x
+        | exception Cholesky.Not_positive_definite -> None
       in
-      for i = 0 to n - 1 do
-        for j = 0 to i - 1 do
-          if zero.((i * n) + j) < 0.3 then set i j 0.
-        done
-      done;
-      if nan_at < n * n then set (nan_at / n) (nan_at mod n) Float.nan;
-      kernels_agree (Cholesky.of_matrix m) m b)
+      match
+        ( outcome (fun () -> Cholesky.solve_ordered (Cholesky.of_matrix m) b),
+          outcome (fun () -> Oracle.Cholesky.solve_ordered m b) )
+      with
+      | None, None -> true
+      | Some x, Some y -> Generators.vec_bits_equal x y
+      | _ -> false)
 
 let prop_sparse_matches_dense =
   QCheck.Test.make ~count:100 ~name:"Sparse: mul_vec matches dense"
@@ -570,7 +612,8 @@ let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_qr_reconstructs; prop_cholesky_solves;
       prop_cholesky_gram_matches_oracle; prop_cholesky_dense_matches_oracle;
-      prop_sparse_matches_dense; prop_rank_bounded; prop_exact_rank_on_routing ]
+      prop_cholesky_ordered_matches_oracle; prop_sparse_matches_dense;
+      prop_rank_bounded; prop_exact_rank_on_routing ]
 
 let () =
   Alcotest.run "linalg"

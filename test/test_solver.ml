@@ -170,10 +170,11 @@ let prop_column_counts_exact =
    of the triangle in blocks of the flat row range, intersecting routing
    rows as it goes. Sequential, but with per-block partial sums of b
    merged in block order, since those fix the floating-point summation
-   order. It accumulates the dense Gram matrix and factors it with the
-   dense Cholesky of [Oracle.Cholesky], so the library's sparse kernel is
-   checked against an independent factorization. *)
-let all_pairs_streaming ~drop_negative ~clamp ~min_pair_samples ~r ~y =
+   order. It accumulates the dense Gram matrix G and b and hands them to
+   [solve]: the library's ordered sparse kernel is checked against the
+   dense Cholesky of [Oracle.Cholesky] on P G Pᵀ
+   ([Oracle.Cholesky.solve_ordered]), an independent factorization. *)
+let all_pairs_streaming ~solve ~drop_negative ~clamp ~min_pair_samples ~r ~y =
   let np = Sparse.rows r and nc = Sparse.cols r in
   let m = Matrix.rows y in
   let columns = Array.init np (fun i -> Array.init m (fun l -> Matrix.get y l i)) in
@@ -258,7 +259,7 @@ let all_pairs_streaming ~drop_negative ~clamp ~min_pair_samples ~r ~y =
       done)
     partial_b;
   let gm = Matrix.init nc nc (fun i j -> g.((i * nc) + j)) in
-  let v = Oracle.Cholesky.solve_vec (Oracle.Cholesky.factorize_regularized gm) b in
+  let v = solve gm b in
   let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
   ( v,
     {
@@ -287,7 +288,8 @@ let prop_streaming_matches_all_pairs =
       List.for_all
         (fun (y, min_pair_samples) ->
           let v_ref, ess_ref =
-            all_pairs_streaming ~drop_negative ~clamp ~min_pair_samples ~r ~y
+            all_pairs_streaming ~solve:Oracle.Cholesky.solve_ordered
+              ~drop_negative ~clamp ~min_pair_samples ~r ~y
           in
           List.for_all
             (fun jobs ->
@@ -298,6 +300,34 @@ let prop_streaming_matches_all_pairs =
               vec_bits_equal v_ref v && ess = ess_ref)
             [ 1; 2; 4 ])
         [ (y_learn, 2); (punch_holes seed y_learn, 2 + Rng.int rng 4) ])
+
+(* In the full-rank regime (drop-negative and clamping off) the order of
+   the Phase-1 factorization moves only the variances' last bits: Phase 2
+   keeps the columns a natural-order Phase 1 of the same G and b keeps,
+   so it serves the same loss rates bit for bit. *)
+let prop_ordered_phase1_keeps_natural_plan =
+  QCheck.Test.make ~count:30
+    ~name:
+      "estimate (full-rank regime): Plan.kept and loss rates bit for bit \
+       those of a natural-order oracle Phase 1"
+    Generators.seed_arb
+    (fun seed ->
+      let r, y, target = Generators.random_tree_trial seed in
+      let natural_solve gm b =
+        Oracle.Cholesky.solve_vec (Oracle.Cholesky.factorize_regularized gm) b
+      in
+      let v_natural, _ =
+        all_pairs_streaming ~solve:natural_solve ~drop_negative:false ~clamp:false
+          ~min_pair_samples:2 ~r ~y
+      in
+      let serve variances =
+        Core.Plan.solve (Core.Plan.make ~r ~variances ()) target.Netsim.Snapshot.y
+      in
+      let ordered =
+        serve (VE.estimate ~drop_negative:false ~clamp:false ~r ~y ())
+      and natural = serve v_natural in
+      ordered.Core.Plan.kept = natural.Core.Plan.kept
+      && vec_bits_equal ordered.Core.Plan.loss_rates natural.Core.Plan.loss_rates)
 
 (* --- Theorem 1 against the materialized A, every topology family ------ *)
 
@@ -822,6 +852,7 @@ let properties =
       prop_pairs_match_brute_force;
       prop_streaming_matches_all_pairs;
       prop_theorem1_every_family;
+      prop_ordered_phase1_keeps_natural_plan;
       prop_live_rows_match_build;
       prop_live_rows_jobs_invariant;
       prop_column_counts_exact;
