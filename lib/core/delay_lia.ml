@@ -1,6 +1,5 @@
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
-module Qr = Linalg.Qr
 
 type result = {
   variances : float array;
@@ -30,8 +29,7 @@ let infer ~r ~y_learn ~y_now =
   let base = baselines y_learn in
   let excess = Array.mapi (fun i y -> Float.max 0. (y -. base.(i))) y_now in
   let { Rank_reduction.kept; removed } = Rank_reduction.eliminate r variances in
-  let r_star = Sparse.dense_cols r kept in
-  let q_star = Qr.solve r_star excess in
+  let q_star = Sparse.least_squares (Sparse.select_cols r kept) excess in
   let queueing = Array.make nc 0. in
   Array.iteri (fun k j -> queueing.(j) <- Float.max 0. q_star.(k)) kept;
   { variances; queueing; kept; removed }

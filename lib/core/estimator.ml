@@ -378,7 +378,9 @@ let lia_adapter ~name ~descr ~solver ~golden =
 
 let lia_dense =
   lia_adapter ~name:"lia-dense"
-    ~descr:"LIA two-phase inference, dense QR solvers (the paper, Sec. 5.3)"
+    ~descr:
+      "LIA two-phase inference, sparse Cholesky normal-equation solvers \
+       (the paper, Sec. 5.3)"
     ~solver:Lia.Dense ~golden:(Abs_err 0.02)
 
 let lia_cgls =

@@ -29,9 +29,12 @@ type result = Plan.result = {
 (** How both phases solve their linear systems. *)
 type solver =
   | Dense
-      (** the historical path: streaming normal equations for Phase 1
-          ({!Variance_estimator.estimate}), dense Householder QR for
-          Phase 2. Exact, and fastest while the dense panels fit. *)
+      (** the default path: the normal equations of both phases, each
+          factored by the sparse Cholesky in ascending-degree order —
+          Phase 1's streamed Gram ({!Variance_estimator.estimate}), and
+          Phase 2's [R*ᵀR*] ({!Plan.Dense_qr}). Exact, and the faster
+          path end to end on the ledger's overlays at 240 to 2 070
+          paths. *)
   | Cgls of {
       tol : float;  (** CGLS relative tolerance (1e-10 in {!default_cgls}) *)
       max_iter : int option;  (** [None] = the CGLS default cap *)
@@ -96,7 +99,7 @@ val infer :
     [Dense]) picks the linear-algebra path: {!learn}, then a plan over
     {!plan_backend}. [jobs] (default
     [Parallel.Pool.default_jobs ()]) runs Phase 1's covariance and
-    normal-equation kernels and Phase 2's QR on a domain pool; the
+    normal-equation kernels and Phase 2's Gram on a domain pool; the
     inferred rates are bit-for-bit independent of its value. *)
 
 val infer_with_variances :

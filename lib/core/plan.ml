@@ -1,6 +1,6 @@
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
-module Qr = Linalg.Qr
+module Cholesky = Linalg.Cholesky
 
 type result = {
   variances : float array;
@@ -18,11 +18,11 @@ type backend =
       precond : Variance_estimator.precond_spec;
     }
 
-(* the factored system behind a plan: a Householder QR of the dense R*,
-   or the sparse R* kept implicit behind CGLS (with an optional
-   preconditioner factored once at plan-build time) *)
+(* the factored system behind a plan: the sparse R* with the ordered
+   Cholesky factor of R*ᵀR*, or the sparse R* kept implicit behind CGLS
+   (with an optional preconditioner factored once at plan-build time) *)
 type fact =
-  | Direct of Qr.t
+  | Direct of { r_star : Sparse.t; factor : Cholesky.ordered }
   | Iterative of {
       op : Linalg.Lsqr.operator;
       tol : float;
@@ -44,7 +44,7 @@ type t = {
 
 let m_build =
   Obs.Metrics.histogram Obs.Metrics.default
-    ~help:"Seconds per inference-plan build (rank reduction + QR)"
+    ~help:"Seconds per inference-plan build (rank reduction + factor)"
     "plan_build_seconds"
 
 let m_solve =
@@ -71,13 +71,22 @@ let make ?jobs ?(backend = Dense_qr) ~r ~variances () =
     "plan.build"
   @@ fun () ->
   let { Rank_reduction.kept; removed } = Rank_reduction.eliminate r variances in
+  (* columns renumbered in kept order: solutions index like [kept] *)
+  let r_star = Sparse.select_cols r kept in
   let fact =
     match backend with
-    | Dense_qr -> Direct (Qr.factorize ?jobs (Sparse.dense_cols r kept))
+    | Dense_qr -> (
+        (* R* has exact full column rank, so R*ᵀR* is positive definite
+           but for rounding: no ridge *)
+        match
+          Cholesky.factorize_ordered Cholesky.factorize
+            (Sparse.gram_lower ?jobs r_star)
+        with
+        | factor -> Direct { r_star; factor }
+        | exception Cholesky.Not_positive_definite ->
+            failwith "Plan.make: R*ᵀR* is not positive definite to working \
+                      precision")
     | Cgls { tol; max_iter; precond } ->
-        (* columns renumbered in kept order, so solutions index like the
-           QR path's *)
-        let r_star = Sparse.select_cols r kept in
         let k = Array.length kept in
         let pc =
           match precond with
@@ -166,7 +175,8 @@ let result_of_x p x_star =
 
 let least_squares_x p y_now =
   match p.fact with
-  | Direct fact -> Qr.least_squares fact y_now
+  | Direct { r_star; factor } ->
+      Cholesky.solve_ordered_vec factor (Sparse.normal_rhs r_star y_now)
   | Iterative { op; tol; max_iter; precond; context } ->
       fst (Linalg.Lsqr.cgls ~tol ?max_iter ?precond ~context op y_now)
 
@@ -184,25 +194,15 @@ let solve_batch ?jobs p y =
   let t0 =
     if Obs.Metrics.enabled Obs.Metrics.default then Obs.Clock.now_ns () else 0L
   in
-  let out =
-    match p.fact with
-    | Direct fact ->
-        (* one RHS per column: reflectors then sweep all snapshots per pass *)
-        let b = Matrix.transpose y in
-        let x = Qr.least_squares_batch ?jobs fact b in
-        Array.init snapshots (fun l -> result_of_x p (Matrix.col x l))
-    | Iterative _ ->
-        (* snapshots are independent CGLS runs; each output slot is
-           written by exactly one index, so the batch is bit-for-bit
-           [solve] per row for every [jobs] value *)
-        let out = Array.make snapshots (result_of_x p (Array.make (rank p) 0.)) in
-        Parallel.Pool.parallel_for ?jobs ~min_block:1 ~n:snapshots (fun l ->
-            out.(l) <- result_of_x p (least_squares_x p (Matrix.row y l)));
-        out
-  in
+  (* snapshots are independent solves; each output slot is written by
+     exactly one index, so the batch is bit-for-bit [solve] per row for
+     every [jobs] value *)
+  let out = Array.make snapshots (result_of_x p (Array.make (rank p) 0.)) in
+  Parallel.Pool.parallel_for ?jobs ~min_block:1 ~n:snapshots (fun l ->
+      out.(l) <- result_of_x p (least_squares_x p (Matrix.row y l)));
   if Obs.Metrics.enabled Obs.Metrics.default && snapshots > 0 then begin
-    (* the blocked kernel solves all snapshots in one pass; attribute the
-       per-snapshot average to each so the histogram stays per-snapshot *)
+    (* the batch is timed as one pass; attribute the per-snapshot
+       average to each so the histogram stays per-snapshot *)
     let per = Obs.Clock.seconds_since t0 /. float_of_int snapshots in
     for _ = 1 to snapshots do
       Obs.Metrics.observe m_solve per

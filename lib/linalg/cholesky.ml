@@ -193,17 +193,17 @@ let solve_vec f b =
 
 let solve m b = solve_vec (factorize (of_matrix m)) b
 
+type ordered = { perm : int array; factor : t }
+
 (* Ascending degree, ties by the lower index (a stable sort of 0..n-1):
    a column with few neighbours is eliminated before the hubs it touches,
    so little fill lands in their rows. Entry (i, j) of the lower triangle
    moves to row max (inv i, inv j), column min (inv i, inv j); bucketing
    the entries by that column (a counting sort) and then dealing them
    out column by column fills every row in increasing column order. *)
-let solve_ordered ?ridge s b =
-  check_sym "solve_ordered" s;
+let factorize_ordered factor s =
+  check_sym "factorize_ordered" s;
   let n = Array.length s.diag in
-  if Array.length b <> n then
-    invalid_arg "Cholesky.solve_ordered: dimension mismatch";
   let deg = Array.map Array.length s.cols in
   Array.iter (Array.iter (fun j -> deg.(j) <- deg.(j) + 1)) s.cols;
   let perm = Array.init n Fun.id in
@@ -244,9 +244,21 @@ let solve_ordered ?ridge s b =
     done
   done;
   let diag = Array.map (fun i -> s.diag.(i)) perm in
-  let f = factorize_regularized ?ridge { diag; cols; vals } in
-  let x = solve_vec f (Array.map (fun i -> b.(i)) perm) in
-  Array.map (fun a -> x.(a)) inv
+  { perm; factor = factor { diag; cols; vals } }
+
+let solve_ordered_vec { perm; factor } b =
+  let n = Array.length perm in
+  if Array.length b <> n then
+    invalid_arg "Cholesky.solve_ordered_vec: dimension mismatch";
+  let x = solve_vec factor (Array.map (fun i -> b.(i)) perm) in
+  let out = Array.make n 0. in
+  Array.iteri (fun a i -> out.(i) <- x.(a)) perm;
+  out
+
+let solve_ordered ?ridge s b =
+  if Array.length b <> Array.length s.diag then
+    invalid_arg "Cholesky.solve_ordered: dimension mismatch";
+  solve_ordered_vec (factorize_ordered (factorize_regularized ?ridge) s) b
 
 let log_det f =
   let acc = ref 0. in

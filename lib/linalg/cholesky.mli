@@ -3,13 +3,16 @@
     Used to solve the normal equations [AᵀA v = AᵀΣ*] of the
     variance-identification system (eq. 8 of the paper), whose Gram
     matrix is mostly zeros: a path pair's row of [A] covers only the
-    links the two paths share. The factorization is up-looking in the
-    column order it is given: a symbolic pass builds the elimination
-    tree and the pattern of every row of [L] (the entries' reach up the
-    tree), then row [k] of [L] is computed at step [k], each entry a dot
-    product over that pattern in increasing column order. The normal
-    equations go through {!solve_ordered}, which first reorders the
-    columns to cut the fill.
+    links the two paths share; and those of eq. (9), [R*ᵀR* x = R*ᵀy],
+    whose Gram links only the kept columns that share a path. The
+    factorization is up-looking in the column order it is given: a
+    symbolic pass builds the elimination tree and the pattern of every
+    row of [L] (the entries' reach up the tree), then row [k] of [L] is
+    computed at step [k], each entry a dot product over that pattern in
+    increasing column order. The normal equations of Phase 1
+    ({!solve_ordered}) and of Phase 2's plan ({!factorize_ordered} once,
+    {!solve_ordered_vec} per snapshot) first reorder the columns to cut
+    the fill.
 
     {b Bit-identity with the dense algorithm.} This runs exactly the
     floating-point operations of the dense left-looking Cholesky and of
@@ -21,8 +24,8 @@
     right-hand side with no [−0.0] entry, {!lower}, {!solve_vec} and the
     [Not_positive_definite] outcome are bit for bit those of the dense
     algorithm. A [−0.0] entry can flip the sign of an exact zero in the
-    result. Gram counts and Phase 1's right-hand side never contain
-    [−0.0]. *)
+    result. Gram counts and the right-hand sides of Phase 1 and of
+    {!Sparse.normal_rhs} never contain [−0.0]. *)
 
 exception Not_positive_definite
 
@@ -72,22 +75,36 @@ val solve_vec : t -> Vector.t -> Vector.t
 val solve : Matrix.t -> Vector.t -> Vector.t
 (** One-shot [factorize (of_matrix m)] + {!solve_vec}. *)
 
-val solve_ordered : ?ridge:float -> sym -> Vector.t -> Vector.t
-(** [solve_ordered g b] solves [g x = b] under a fill-reducing symmetric
-    permutation [P]: it factors [P g Pᵀ] with {!factorize_regularized}
-    (same [ridge]), solves for [P b] with {!solve_vec}, and scatters the
-    solution back to [g]'s column order. [P] sorts the columns by
-    ascending degree in [g]'s pattern (listed off-diagonal entries in the
-    column's row and column), ties by the lower index, so a column with
-    few neighbours is eliminated before the hubs it touches. Ordering and
-    permuting cost O(n log n + nnz(g)); on the Phase-1 Grams of
-    PlanetLab-like overlays at 240–2 070 paths the factor holds 5–14×
-    fewer entries than in the natural order.
+type ordered
+(** A factorization of [P g Pᵀ] for the fill-reducing symmetric
+    permutation [P] of {!factorize_ordered}, kept with [P]. *)
 
-    The result is bit for bit the dense algorithm's on [P g Pᵀ] and [P b]
-    (by the argument above, applied to the permuted matrix), scattered
-    back, and so differs from a natural-order solve in the last bits.
-    Raises [Not_positive_definite] as {!factorize_regularized} does, and
+val factorize_ordered : (sym -> t) -> sym -> ordered
+(** [factorize_ordered factor g] runs [factor] ({!factorize}, or
+    {!factorize_regularized} with its ridge) on [P g Pᵀ]. [P] sorts the
+    columns by ascending degree in [g]'s pattern (listed off-diagonal
+    entries in the column's row and column), ties by the lower index, so
+    a column with few neighbours is eliminated before the hubs it
+    touches. Ordering and permuting cost O(n log n + nnz(g)); on the
+    Phase-1 Grams of PlanetLab-like overlays at 240–2 070 paths the
+    factor holds 5–14× fewer entries than in the natural order. Raises
+    what [factor] raises, and [Invalid_argument] on a malformed [g]. *)
+
+val solve_ordered_vec : ordered -> Vector.t -> Vector.t
+(** [solve_ordered_vec f b] solves [g x = b] for the [g] that [f]
+    factors: {!solve_vec} on [P b], scattered back to [g]'s column
+    order. Raises [Invalid_argument] on a [b] of the wrong length.
+
+    The result is bit for bit the dense algorithm's on [P g Pᵀ] and
+    [P b] (by the argument above, applied to the permuted matrix),
+    scattered back, and so differs from a natural-order solve in the
+    last bits. *)
+
+val solve_ordered : ?ridge:float -> sym -> Vector.t -> Vector.t
+(** [solve_ordered g b] is
+    [solve_ordered_vec (factorize_ordered (factorize_regularized ?ridge) g) b]:
+    the one-shot regularized solve of Phase 1's normal equations. Raises
+    [Not_positive_definite] as {!factorize_regularized} does, and
     [Invalid_argument] on a malformed [g] or a [b] of the wrong length. *)
 
 val log_det : t -> float

@@ -1,6 +1,3 @@
-module Pool = Parallel.Pool
-module Chunk = Parallel.Chunk
-
 type t = {
   m : int;
   n : int;
@@ -72,19 +69,7 @@ let apply_house_to_col a m n k beta j =
     set a n i j (get a n i j -. (s *. get a n i k))
   done
 
-(* Distinct columns touch disjoint state, so the trailing update can run
-   one column per pool task; blocks are sized so each carries a few
-   thousand flops whatever the column height. Column j's arithmetic is
-   independent of which domain runs it — bit-for-bit jobs-invariant. *)
-let update_trailing ?jobs a m n k beta =
-  let cols = n - k - 1 in
-  if cols > 0 then
-    Pool.parallel_for ?jobs
-      ~min_block:(max 8 (4096 / (max 1 (m - k))))
-      ~n:cols
-      (fun t -> apply_house_to_col a m n k beta (k + 1 + t))
-
-let factorize_gen ?jobs ~pivot mat =
+let factorize_gen ~pivot mat =
   let m = Matrix.rows mat and n = Matrix.cols mat in
   let a = flat mat in
   let steps = min m n in
@@ -120,7 +105,10 @@ let factorize_gen ?jobs ~pivot mat =
     end;
     let b = house_column a m n k in
     beta.(k) <- b;
-    if b <> 0. then update_trailing ?jobs a m n k b;
+    if b <> 0. then
+      for j = k + 1 to n - 1 do
+        apply_house_to_col a m n k b j
+      done;
     if pivot then
       for j = k + 1 to n - 1 do
         let rkj = get a n k j in
@@ -129,9 +117,9 @@ let factorize_gen ?jobs ~pivot mat =
   done;
   { m; n; a; beta; piv }
 
-let factorize ?jobs mat = factorize_gen ?jobs ~pivot:false mat
+let factorize mat = factorize_gen ~pivot:false mat
 
-let factorize_pivoted ?jobs mat = factorize_gen ?jobs ~pivot:true mat
+let factorize_pivoted mat = factorize_gen ~pivot:true mat
 
 let pivots f = Array.copy f.piv
 
@@ -184,21 +172,15 @@ let apply_qt f b =
   done;
   y
 
-let default_solve_rtol = 1e-13
-
-let check_solvable ~rtol f =
-  if f.m < f.n then failwith "Qr.solve_r: underdetermined system";
-  let dmax = max_abs_diag f in
-  for i = 0 to f.n - 1 do
-    if negligible ~rtol ~dmax (get f.a f.n i i) then
-      failwith "Qr.solve_r: singular triangular factor"
-  done
-
-let solve_r ?(rtol = default_solve_rtol) f c =
+let solve_r ?(rtol = 1e-13) f c =
   let n = f.n in
   if f.m < n then failwith "Qr.solve_r: underdetermined system";
   if Array.length c < n then invalid_arg "Qr.solve_r: dimension mismatch";
-  check_solvable ~rtol f;
+  let dmax = max_abs_diag f in
+  for i = 0 to n - 1 do
+    if negligible ~rtol ~dmax (get f.a n i i) then
+      failwith "Qr.solve_r: singular triangular factor"
+  done;
   let x = Array.make n 0. in
   for i = n - 1 downto 0 do
     let d = get f.a n i i in
@@ -219,77 +201,6 @@ let least_squares ?rtol f b =
   done;
   out
 
-(* Batched right-hand sides. The work matrix keeps one RHS per column, so
-   a reflector pass scans contiguous rows once for the whole column slice
-   instead of once per RHS; slices of at least 8 columns keep every
-   fetched cache line fully used. Per column the arithmetic and its order
-   are exactly those of [apply_qt] + [solve_r], and each task owns a
-   disjoint column range, so column c of the result is bit-for-bit
-   [least_squares f (Matrix.col b c)] for every [jobs] value. *)
-let least_squares_batch ?(rtol = default_solve_rtol) ?jobs f b =
-  if Matrix.rows b <> f.m then
-    invalid_arg "Qr.least_squares_batch: dimension mismatch";
-  check_solvable ~rtol f;
-  let n = f.n and m = f.m in
-  let nrhs = Matrix.cols b in
-  let w = flat b in
-  let x = Array.make (n * nrhs) 0. in
-  let steps = Array.length f.beta in
-  let solve_slice clo chi =
-    let width = chi - clo in
-    let s = Array.make (max width 0) 0. in
-    (* Qᵀ applied to every column of the slice, reflector by reflector *)
-    for k = 0 to steps - 1 do
-      let beta = f.beta.(k) in
-      if beta <> 0. then begin
-        for c = 0 to width - 1 do
-          Array.unsafe_set s c (get w nrhs k (clo + c))
-        done;
-        for i = k + 1 to m - 1 do
-          let v = get f.a n i k in
-          for c = 0 to width - 1 do
-            Array.unsafe_set s c
-              (Array.unsafe_get s c +. (v *. get w nrhs i (clo + c)))
-          done
-        done;
-        for c = 0 to width - 1 do
-          let sc = beta *. Array.unsafe_get s c in
-          Array.unsafe_set s c sc;
-          set w nrhs k (clo + c) (get w nrhs k (clo + c) -. sc)
-        done;
-        for i = k + 1 to m - 1 do
-          let v = get f.a n i k in
-          for c = 0 to width - 1 do
-            set w nrhs i (clo + c)
-              (get w nrhs i (clo + c) -. (Array.unsafe_get s c *. v))
-          done
-        done
-      end
-    done;
-    (* back-substitution on the leading n×n block of R, per column *)
-    for i = n - 1 downto 0 do
-      let d = get f.a n i i in
-      for c = 0 to width - 1 do
-        let acc = ref (get w nrhs i (clo + c)) in
-        for j = i + 1 to n - 1 do
-          acc := !acc -. (get f.a n i j *. get x nrhs j (clo + c))
-        done;
-        set x nrhs i (clo + c) (!acc /. d)
-      done
-    done
-  in
-  let blocks = Chunk.block_count ~min_block:8 nrhs in
-  if blocks > 0 then
-    Pool.for_blocks ?jobs blocks (fun bk ->
-        let clo, chi = Chunk.range ~blocks ~n:nrhs bk in
-        solve_slice clo chi);
-  (* undo the column pivoting (identity for unpivoted factorizations) *)
-  let out = Matrix.zeros n nrhs in
-  for j = 0 to n - 1 do
-    Matrix.set_row out f.piv.(j) (Array.sub x (j * nrhs) nrhs)
-  done;
-  out
-
 let matrix_rank ?rtol mat = rank ?rtol (factorize_pivoted mat)
 
-let solve ?rtol ?jobs mat b = least_squares ?rtol (factorize ?jobs mat) b
+let solve ?rtol mat b = least_squares ?rtol (factorize mat) b

@@ -5,13 +5,11 @@
     the Householder vectors in factored form and never materialize [Q],
     which is all that least-squares solving and rank queries need.
 
-    The factorization is built once and can then serve many right-hand
-    sides ({!least_squares}, {!least_squares_batch}) — the serving-path
-    pattern of [Core.Plan]. The trailing-matrix update of the
-    factorization and the batched solves run on the [Parallel.Pool]
-    domain pool; like the rest of the library's parallel kernels they are
-    bit-for-bit identical for every [jobs] value, because each column is
-    computed by exactly one task with a fixed operation order.
+    No library module solves through it: Phase 1 and Phase 2 both solve
+    their normal equations with {!Cholesky}. It stays as the accuracy
+    reference of the tests' oracles, the rank of small dense matrices
+    ({!matrix_rank}) and the paper's own solver in the elimination-rule
+    ablation.
 
     A factorization keeps its own row-major copy of the matrix as a
     plain [float array], filled once by {!factorize}; every kernel here
@@ -21,13 +19,11 @@
 type t
 (** A factorization of an [m × n] matrix with [m ≥ 0], [n ≥ 0]. *)
 
-val factorize : ?jobs:int -> Matrix.t -> t
-(** Householder QR without pivoting. [jobs] (default
-    [Parallel.Pool.default_jobs ()]) parallelizes the trailing-matrix
-    update over columns; the factors are bit-for-bit identical for every
-    value. The input is copied; the caller keeps it. *)
+val factorize : Matrix.t -> t
+(** Householder QR without pivoting. The input is copied; the caller
+    keeps it. *)
 
-val factorize_pivoted : ?jobs:int -> Matrix.t -> t
+val factorize_pivoted : Matrix.t -> t
 (** QR with column pivoting (greedy largest remaining column norm); required
     for reliable rank decisions on rank-deficient matrices. *)
 
@@ -58,19 +54,9 @@ val least_squares : ?rtol:float -> t -> Vector.t -> Vector.t
     (raises [Failure] otherwise, under the [rtol] rule of {!solve_r}).
     Pivoting is undone, so the solution is in the original column order. *)
 
-val least_squares_batch : ?rtol:float -> ?jobs:int -> t -> Matrix.t -> Matrix.t
-(** [least_squares_batch f b] solves one least-squares problem per column
-    of the [m × nrhs] matrix [b]: column [c] of the [n × nrhs] result is
-    bit-for-bit [least_squares f (Matrix.col b c)]. Each reflector is
-    applied across all right-hand sides in one cache-friendly blocked
-    pass, pool-parallel over column blocks ([jobs], default
-    [Parallel.Pool.default_jobs ()]); the result is identical for every
-    [jobs] value. Raises [Failure] once, up front, if [R] is singular to
-    [rtol] — the check depends only on the factorization. *)
-
 val matrix_rank : ?rtol:float -> Matrix.t -> int
 (** Convenience: rank via pivoted QR. *)
 
-val solve : ?rtol:float -> ?jobs:int -> Matrix.t -> Vector.t -> Vector.t
+val solve : ?rtol:float -> Matrix.t -> Vector.t -> Vector.t
 (** Convenience: factorize then [least_squares]. For square systems this is
     a linear solve; for tall systems the least-squares solution. *)

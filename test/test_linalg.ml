@@ -217,6 +217,29 @@ let test_cholesky_ridge_schedule () =
       ignore
         (Cholesky.solve_ordered (Cholesky.of_matrix (d (-0.06))) [| 1.; 1. |]))
 
+(* Phase 2's plan factors once, in order, with no ridge: a singular Gram
+   raises there, where the one-shot regularized solve of Phase 1 answers;
+   and that one-shot solve is the factor-once path, bit for bit. *)
+let test_cholesky_ordered_factor () =
+  let m =
+    Matrix.of_arrays [| [| 1.; 1.; 0. |]; [| 1.; 1.; 0. |]; [| 0.; 0.; 2. |] |]
+  in
+  let b = [| 1.; 1.; 3. |] in
+  Alcotest.check_raises "no ridge" Cholesky.Not_positive_definite (fun () ->
+      ignore
+        (Cholesky.factorize_ordered Cholesky.factorize (Cholesky.of_matrix m)));
+  let f =
+    Cholesky.factorize_ordered Cholesky.factorize_regularized
+      (Cholesky.of_matrix m)
+  in
+  Alcotest.(check bool) "factor once = one-shot" true
+    (Generators.vec_bits_equal
+       (Cholesky.solve_ordered_vec f b)
+       (Cholesky.solve_ordered (Cholesky.of_matrix m) b));
+  Alcotest.check_raises "rhs length"
+    (Invalid_argument "Cholesky.solve_ordered_vec: dimension mismatch")
+    (fun () -> ignore (Cholesky.solve_ordered_vec f [| 1.; 1. |]))
+
 let test_cholesky_bad_pattern () =
   let sym cols vals = { Cholesky.diag = [| 1.; 1. |]; cols; vals } in
   let bad name s =
@@ -655,6 +678,8 @@ let () =
           Alcotest.test_case "regularized" `Quick test_cholesky_regularized;
           Alcotest.test_case "ridge schedule" `Quick test_cholesky_ridge_schedule;
           Alcotest.test_case "invalid pattern" `Quick test_cholesky_bad_pattern;
+          Alcotest.test_case "ordered factor, no ridge" `Quick
+            test_cholesky_ordered_factor;
           Alcotest.test_case "log det" `Quick test_cholesky_log_det;
         ] );
       ( "conjugate_gradient",

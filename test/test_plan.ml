@@ -1,8 +1,9 @@
 (* Property tests for the factor-once serving path: Plan.solve must be
-   bit-for-bit the seed per-call pipeline (rank reduction + fresh dense QR
-   per measurement), Plan.solve_batch must agree row-wise with Plan.solve
-   for every jobs value, and the pool-parallel QR factorization itself
-   must be jobs-invariant. *)
+   bit-for-bit the per-call pipeline (rank reduction, then the dense
+   normal equations of R* solved afresh per measurement), must keep the
+   columns of the dense QR pipeline and agree with its loss rates, and
+   Plan.solve_batch must agree row-wise with Plan.solve for every jobs
+   value. *)
 
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
@@ -11,22 +12,35 @@ module Qr = Linalg.Qr
 module Rng = Nstats.Rng
 
 let vec_bits_equal = Generators.vec_bits_equal
-let matrix_bits_equal = Generators.matrix_bits_equal
 let random_instance = Generators.random_instance
 
-(* The seed implementation of Lia.infer_with_variances, frozen here as the
-   oracle: everything recomputed per call, sequential QR. *)
-let seed_phase2 ~r ~variances ~y_now =
-  let nc = Sparse.cols r in
-  let { Core.Rank_reduction.kept; removed } =
-    Core.Rank_reduction.eliminate r variances
-  in
-  let r_star = Sparse.dense_cols r kept in
-  let x_star = Qr.solve ~jobs:1 r_star y_now in
+let transmission_of ~nc kept x_star =
   let transmission = Array.make nc 1. in
   Array.iteri
     (fun k j -> transmission.(j) <- Float.min 1. (exp x_star.(k)))
     kept;
+  transmission
+
+(* The per-call Phase 2, frozen here as the oracle: the same rank
+   reduction, then the normal equations of R* formed densely (the Gram
+   R*ᵀR* of the dense panel, R*ᵀy summed over the rows in increasing
+   order) and solved by the dense oracle Cholesky in the ascending-degree
+   order, read off the dense Gram. *)
+let seed_phase2 ~r ~variances ~y_now =
+  let { Core.Rank_reduction.kept; removed } =
+    Core.Rank_reduction.eliminate r variances
+  in
+  let r_star = Sparse.dense_cols r kept in
+  let rhs =
+    Array.init (Array.length kept) (fun j ->
+        let acc = ref 0. in
+        for i = 0 to Matrix.rows r_star - 1 do
+          if Matrix.get r_star i j <> 0. then acc := !acc +. y_now.(i)
+        done;
+        !acc)
+  in
+  let x_star = Oracle.Cholesky.solve_ordered (Matrix.gram r_star) rhs in
+  let transmission = transmission_of ~nc:(Sparse.cols r) kept x_star in
   let loss_rates = Array.map (fun t -> 1. -. t) transmission in
   (transmission, loss_rates, kept, removed)
 
@@ -81,48 +95,54 @@ let prop_solve_batch_matches_solve =
                batch singles)
         [ 1; 2; 4 ])
 
-let random_dense = Generators.random_dense
+(* The dense Householder QR of R* — Phase 2 as the paper solves it — as
+   the accuracy reference for the normal equations, which square R*'s
+   condition number: the same kept and removed columns, and loss rates
+   within 1e-12. Each case checks a routing matrix of family [seed mod 8]
+   with random variances and measurement, and a simulated tree campaign
+   through dense Phase 1. *)
+let qr_phase2 ~r ~variances ~y_now =
+  let { Core.Rank_reduction.kept; removed } =
+    Core.Rank_reduction.eliminate r variances
+  in
+  let x_star = Qr.solve (Sparse.dense_cols r kept) y_now in
+  let transmission = transmission_of ~nc:(Sparse.cols r) kept x_star in
+  (Array.map (fun t -> 1. -. t) transmission, kept, removed)
 
-let prop_parallel_qr_jobs_invariant =
-  QCheck.Test.make ~count:30
-    ~name:"Qr.factorize(+pivoted): jobs in {2,4} bit-for-bit = jobs 1"
-    QCheck.(int_range 1 5000)
+let prop_plan_matches_qr =
+  QCheck.Test.make ~count:40
+    ~name:
+      "Plan.solve: the dense QR pipeline's kept columns, loss rates within \
+       1e-12 (every routing family, tree campaigns)"
+    Generators.seed_arb
     (fun seed ->
-      let a = random_dense seed in
-      let f1 = Qr.factorize ~jobs:1 a and p1 = Qr.factorize_pivoted ~jobs:1 a in
-      List.for_all
-        (fun jobs ->
-          let f = Qr.factorize ~jobs a and p = Qr.factorize_pivoted ~jobs a in
-          matrix_bits_equal (Qr.r f1) (Qr.r f)
-          && matrix_bits_equal (Qr.r p1) (Qr.r p)
-          && Qr.pivots p1 = Qr.pivots p)
-        [ 2; 4 ])
-
-let prop_least_squares_batch_matches_columns =
-  QCheck.Test.make ~count:30
-    ~name:"Qr.least_squares_batch: column c = least_squares on column c"
-    QCheck.(int_range 1 5000)
-    (fun seed ->
-      let a = random_dense seed in
-      let rng = Rng.create (seed + 77) in
-      let nrhs = 1 + (seed mod 13) in
-      let b =
-        Matrix.init (Matrix.rows a) nrhs (fun _ _ -> Rng.uniform rng (-1.) 1.)
+      let agrees what ~r ~variances ~y_now =
+        let res = Core.Plan.solve (Core.Plan.make ~r ~variances ()) y_now in
+        let loss_rates, kept, removed = qr_phase2 ~r ~variances ~y_now in
+        let err =
+          Vector.norm_inf (Vector.sub loss_rates res.Core.Plan.loss_rates)
+        in
+        if kept <> res.Core.Plan.kept || removed <> res.Core.Plan.removed then
+          QCheck.Test.fail_reportf "%s: kept columns differ" what
+        else if not (err <= 1e-12) then
+          QCheck.Test.fail_reportf "%s: loss rates differ by %g" what err
+        else true
       in
-      let f = Qr.factorize a in
-      match Qr.least_squares_batch f b with
-      | x ->
-          let ok = ref (Matrix.rows x = Matrix.cols a && Matrix.cols x = nrhs) in
-          for c = 0 to nrhs - 1 do
-            if not (vec_bits_equal (Qr.least_squares f (Matrix.col b c)) (Matrix.col x c))
-            then ok := false
-          done;
-          !ok
-      | exception Failure _ ->
-          (* near-singular draw: the per-column path must refuse too *)
-          (match Qr.least_squares f (Matrix.col b 0) with
-          | _ -> false
-          | exception Failure _ -> true))
+      let r = Generators.random_routing seed in
+      let rng = Rng.create (seed + 11) in
+      let variances =
+        Array.init (Sparse.cols r) (fun _ -> Rng.uniform rng 1e-6 1e-2)
+      in
+      let y_now =
+        Array.init (Sparse.rows r) (fun _ -> -.Rng.uniform rng 0. 0.5)
+      in
+      agrees "routing family" ~r ~variances ~y_now
+      &&
+      let r, y_learn, target = Generators.random_tree_trial seed in
+      let variances, _ =
+        Core.Lia.learn ~jobs:1 ~solver:Core.Lia.Dense ~r ~y:y_learn ()
+      in
+      agrees "tree campaign" ~r ~variances ~y_now:target.Netsim.Snapshot.y)
 
 (* --- unit tests: rtol plumbing and the unsafe accessors ----------------- *)
 
@@ -177,8 +197,7 @@ let properties =
       prop_plan_solve_matches_seed;
       prop_infer_with_variances_matches_plan;
       prop_solve_batch_matches_solve;
-      prop_parallel_qr_jobs_invariant;
-      prop_least_squares_batch_matches_columns;
+      prop_plan_matches_qr;
     ]
 
 let () =
