@@ -63,29 +63,65 @@ let random_instance seed =
   let y = Matrix.init (5 + (seed mod 7)) np (fun _ _ -> -.Rng.uniform rng 0. 0.5) in
   (r, variances, y)
 
-(* A routing matrix from each topology generator in turn (seed mod 8
-   picks the family), at sizes small enough for brute-force oracles. *)
-let random_routing seed =
+(* A testbed from each topology generator in turn (seed mod 8 picks the
+   family), at sizes small enough for brute-force oracles. *)
+let random_testbed seed =
   let rng = Rng.create seed in
   let hosts = 4 + (seed mod 5) in
-  let tb =
-    match seed mod 8 with
-    | 0 ->
-        Topology.Tree_gen.generate rng ~nodes:(30 + (seed mod 60))
-          ~max_branching:5 ()
-    | 1 -> Topology.Waxman.generate rng ~nodes:40 ~hosts ()
-    | 2 -> Topology.Barabasi_albert.generate rng ~nodes:40 ~hosts ()
-    | 3 ->
-        Topology.Hierarchical.generate rng
-          ~flavour:Topology.Hierarchical.Top_down ~ases:3 ~routers_per_as:6 ~hosts
-    | 4 ->
-        Topology.Hierarchical.generate rng
-          ~flavour:Topology.Hierarchical.Bottom_up ~ases:3 ~routers_per_as:6 ~hosts
-    | 5 -> Topology.Overlay.planetlab_like rng ~hosts ()
-    | 6 -> Topology.Transit_stub.generate rng ~hosts ()
-    | _ -> Topology.Overlay.dimes_like rng ~hosts ()
+  match seed mod 8 with
+  | 0 ->
+      Topology.Tree_gen.generate rng ~nodes:(30 + (seed mod 60))
+        ~max_branching:5 ()
+  | 1 -> Topology.Waxman.generate rng ~nodes:40 ~hosts ()
+  | 2 -> Topology.Barabasi_albert.generate rng ~nodes:40 ~hosts ()
+  | 3 ->
+      Topology.Hierarchical.generate rng
+        ~flavour:Topology.Hierarchical.Top_down ~ases:3 ~routers_per_as:6 ~hosts
+  | 4 ->
+      Topology.Hierarchical.generate rng
+        ~flavour:Topology.Hierarchical.Bottom_up ~ases:3 ~routers_per_as:6 ~hosts
+  | 5 -> Topology.Overlay.planetlab_like rng ~hosts ()
+  | 6 -> Topology.Transit_stub.generate rng ~hosts ()
+  | _ -> Topology.Overlay.dimes_like rng ~hosts ()
+
+(* The routing matrix of [random_testbed seed]. *)
+let random_routing seed =
+  (Topology.Testbed.routing (random_testbed seed)).Topology.Routing.matrix
+
+(* The complete digraph on [n] routers: an edge for every ordered pair of
+   distinct nodes. *)
+let complete_digraph n =
+  Topology.Graph.create
+    ~nodes:
+      (Array.init n (fun id ->
+           { Topology.Graph.id; kind = Topology.Graph.Router; as_id = 0 }))
+    ~edges:
+      (* node u's n-1 edges, skipping u itself *)
+      (Array.init (n * (n - 1)) (fun k ->
+           let u = k / (n - 1) and v = k mod (n - 1) in
+           (u, if v < u then v else v + 1)))
+
+(* A path set for the T.2 walk: 2-41 routes on a complete digraph of 4-9
+   nodes. About half the sets hold simple routes; the others hold walks
+   of up to 8 hops, which often cross an edge more than once. *)
+let random_path_set seed =
+  let rng = Rng.create seed in
+  let n = 4 + Rng.int rng 6 in
+  let graph = complete_digraph n in
+  let walks = Rng.bool rng 0.5 in
+  let route () =
+    if walks then begin
+      let nodes = Array.make (2 + Rng.int rng 8) (Rng.int rng n) in
+      for k = 1 to Array.length nodes - 1 do
+        (* any node but the current one *)
+        nodes.(k) <- (nodes.(k - 1) + 1 + Rng.int rng (n - 1)) mod n
+      done;
+      nodes
+    end
+    else Rng.sample_without_replacement rng (2 + Rng.int rng (n - 1)) n
   in
-  (Topology.Testbed.routing tb).Topology.Routing.matrix
+  Array.init (2 + Rng.int rng 40) (fun _ ->
+      Topology.Path.make ~graph ~nodes:(route ()))
 
 (* [r] with a seeded ~fifth of its rows emptied (a path whose links all
    left the system), for kernels that must skip empty rows. *)

@@ -163,3 +163,65 @@ module Cholesky = struct
     Array.iteri (fun a i -> out.(i) <- x.(a)) perm;
     out
 end
+
+(* The all-pairs check of Assumption T.2, kept as the oracle of the
+   library's edge-indexed walk ([Topology.Flutter]): every pair [i < j]
+   is tested, each through a hash table and two lists, and the greedy
+   removal lets only a kept path drop later ones. The walk must give
+   exactly its answers, also on routes that repeat an edge. *)
+module Flutter = struct
+  module Path = Topology.Path
+
+  let shared_subsequence p q =
+    let in_q = Hashtbl.create 16 in
+    Array.iter (fun e -> Hashtbl.replace in_q e ()) q.Path.edges;
+    let hits = ref [] in
+    Array.iteri
+      (fun i e -> if Hashtbl.mem in_q e then hits := (i, e) :: !hits)
+      p.Path.edges;
+    List.rev !hits
+
+  let contiguous indices =
+    let rec check = function
+      | a :: (b :: _ as rest) -> b = a + 1 && check rest
+      | [ _ ] | [] -> true
+    in
+    check indices
+
+  let pair_flutters p q =
+    let sp = shared_subsequence p q in
+    if List.length sp <= 1 then false
+    else begin
+      let sq = shared_subsequence q p in
+      let idx_p = List.map fst sp and idx_q = List.map fst sq in
+      let seq_p = List.map snd sp and seq_q = List.map snd sq in
+      not (contiguous idx_p && contiguous idx_q && seq_p = seq_q)
+    end
+
+  let check paths =
+    let n = Array.length paths in
+    let offending = ref [] in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if pair_flutters paths.(i) paths.(j) then offending := (i, j) :: !offending
+      done
+    done;
+    List.rev !offending
+
+  let remove_fluttering paths =
+    let n = Array.length paths in
+    let dropped = Array.make n false in
+    for i = 0 to n - 1 do
+      if not dropped.(i) then
+        for j = i + 1 to n - 1 do
+          if (not dropped.(j)) && pair_flutters paths.(i) paths.(j) then
+            dropped.(j) <- true
+        done
+    done;
+    let kept = ref [] and removed = ref [] in
+    for i = n - 1 downto 0 do
+      if dropped.(i) then removed := paths.(i) :: !removed
+      else kept := paths.(i) :: !kept
+    done;
+    (Array.of_list !kept, Array.of_list !removed)
+end

@@ -222,9 +222,10 @@ let test_weighted_paths_form_tree () =
 
 (* --- Flutter ------------------------------------------------------------------ *)
 
-(* A mesh where two paths meet, diverge, and meet again:
-   p: 0 ->1 -> 2 -> 3 -> 4 ; q: 5 -> 1 -> 6 -> 3 -> 4 shares (1,?) no...
-   build explicit: shared edges (1,2) and (3,4) with different middles. *)
+(* Three routes on one small mesh. p = 0->1->2->3->4 and q = 5->1->2->3->4
+   share the one block 1->2->3->4. q_fluttering = 5->1->6->3->4 shares only
+   3->4 with p, but with q it shares 5->1 and 3->4 and takes another way in
+   between: the two meet, diverge and meet again. *)
 let flutter_fixture () =
   let nodes = mk_nodes ~hosts:[ 0; 5; 4 ] 7 in
   let edges =
@@ -246,9 +247,8 @@ let test_flutter_detection () =
     (Flutter.pair_flutters q qf)
 
 let test_flutter_meet_diverge_meet () =
-  (* craft: p shares e(1,2) and e(3,4) with r, but not e(2,3):
-     r: 5 -> 1 -> 2 -> 7?? need a path through (1,2) then another way to 3.
-     Use: nodes 0..; edges (0,1)(1,2)(2,3)(3,4) and (2,5)(5,3). *)
+  (* p = 0->1->2->3->4 and q = 0->1->2->5->3->4 share 0->1->2 and 3->4 but
+     not 2->3: q leaves p at node 2 and rejoins it at node 3 *)
   let nodes = mk_nodes ~hosts:[ 0; 4 ] 6 in
   let edges = [| (0, 1); (1, 2); (2, 3); (3, 4); (2, 5); (5, 3) |] in
   let graph = Graph.create ~nodes ~edges in
@@ -268,6 +268,22 @@ let test_flutter_check_pairs () =
   let q = Path.make ~graph ~nodes:[| 0; 1; 2; 5; 3; 4 |] in
   Alcotest.(check (list (pair int int))) "offending pair" [ (0, 1) ]
     (Flutter.check [| p; q |])
+
+(* The greedy order on the complete digraph of 7 nodes. p0 = 0->1->2->3 and
+   p1 = 0->1->4->2->3 share 0->1 and 2->3 but not the hops between; so do
+   p1 and p2 = 5->1->4->6->2->3, with 1->4 and 2->3; p0 and p2 share only
+   2->3. p0 drops p1, and p1, once dropped, drops nothing, so p2 stays. *)
+let test_flutter_greedy_order () =
+  let graph = Generators.complete_digraph 7 in
+  let p0 = Path.make ~graph ~nodes:[| 0; 1; 2; 3 |] in
+  let p1 = Path.make ~graph ~nodes:[| 0; 1; 4; 2; 3 |] in
+  let p2 = Path.make ~graph ~nodes:[| 5; 1; 4; 6; 2; 3 |] in
+  let paths = [| p0; p1; p2 |] in
+  Alcotest.(check (list (pair int int))) "offending pairs" [ (0, 1); (1, 2) ]
+    (Flutter.check paths);
+  let kept, removed = Flutter.remove_fluttering paths in
+  Alcotest.(check bool) "keeps p0 and p2" true (kept = [| p0; p2 |]);
+  Alcotest.(check bool) "removes p1" true (removed = [| p1 |])
 
 (* --- Generators ------------------------------------------------------------------ *)
 
@@ -563,9 +579,59 @@ let prop_reduce_keeps_path_semantics =
         red.Routing.paths;
       !ok)
 
+(* The T.2 walk must give the all-pairs oracle's answers: the offending
+   pairs in order, and the same kept and removed paths. *)
+let same_as_oracle paths =
+  Flutter.check paths = Oracle.Flutter.check paths
+  && Flutter.remove_fluttering paths = Oracle.Flutter.remove_fluttering paths
+
+let prop_flutter_walk_on_path_sets =
+  QCheck.Test.make ~count:300
+    ~name:"flutter walk = all-pairs oracle on path sets"
+    Generators.seed_arb
+    (fun seed -> same_as_oracle (Generators.random_path_set seed))
+
+let prop_flutter_walk_on_routes =
+  QCheck.Test.make ~count:10
+    ~name:"flutter walk = all-pairs oracle on BFS and weighted routes"
+    QCheck.(int_range 0 600)
+    (fun seed ->
+      (* the eight generator families, BFS and weighted routes *)
+      List.for_all
+        (fun family ->
+          let tb = Generators.random_testbed ((8 * seed) + family) in
+          let g = tb.Testbed.graph
+          and beacons = tb.Testbed.beacons
+          and destinations = tb.Testbed.destinations in
+          same_as_oracle (Routing.paths_between g ~beacons ~destinations)
+          && same_as_oracle
+               (Routing.paths_between_weighted g
+                  ~weight:(fun e -> 1. +. float_of_int (e mod 7))
+                  ~beacons ~destinations))
+        (List.init 8 Fun.id))
+
+let prop_pair_flutters_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"pair_flutters = oracle on every ordered pair"
+    Generators.seed_arb
+    (fun seed ->
+      let paths = Generators.random_path_set seed in
+      Array.for_all
+        (fun p ->
+          Array.for_all
+            (fun q -> Flutter.pair_flutters p q = Oracle.Flutter.pair_flutters p q)
+            paths)
+        paths)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_tree_paths_form_tree; prop_reduce_keeps_path_semantics ]
+    [
+      prop_tree_paths_form_tree;
+      prop_reduce_keeps_path_semantics;
+      prop_flutter_walk_on_path_sets;
+      prop_flutter_walk_on_routes;
+      prop_pair_flutters_oracle;
+    ]
 
 let () =
   Alcotest.run "topology"
@@ -607,6 +673,7 @@ let () =
           Alcotest.test_case "detection basics" `Quick test_flutter_detection;
           Alcotest.test_case "meet-diverge-meet" `Quick test_flutter_meet_diverge_meet;
           Alcotest.test_case "check pairs" `Quick test_flutter_check_pairs;
+          Alcotest.test_case "greedy order" `Quick test_flutter_greedy_order;
         ] );
       ( "generators",
         [
