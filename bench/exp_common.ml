@@ -60,7 +60,7 @@ let absolute_errors t =
 
 let error_factors t =
   Metrics.error_factors ~actual:t.target.Snapshot.realized
-    ~inferred:t.result.Core.Lia.loss_rates ()
+    ~inferred:t.result.Core.Lia.loss_rates
 
 (* Error samples restricted to the actually-congested links — the links
    whose loss rates LIA determines (Table 2 / Figure 6 convention: on the

@@ -22,7 +22,7 @@ let runs_per_topology = 5
 let topologies =
   [
     ( "Barabasi-Albert",
-      fun rng -> Topology.Barabasi_albert.generate rng ~nodes:1000 ~hosts:30 () );
+      fun rng -> Topology.Barabasi_albert.generate rng ~nodes:1000 ~hosts:30 );
     ("Waxman", fun rng -> Topology.Waxman.generate rng ~nodes:1000 ~hosts:30 ());
     ( "Hierarchical (TD)",
       fun rng ->
@@ -32,7 +32,7 @@ let topologies =
         H.generate rng ~flavour:H.Bottom_up ~ases:25 ~routers_per_as:12 ~hosts:25 );
     ( "PlanetLab-like",
       fun rng -> Topology.Overlay.planetlab_like rng ~hosts:30 () );
-    ("DIMES-like", fun rng -> Topology.Overlay.dimes_like rng ~hosts:30 ()) ]
+    ("DIMES-like", fun rng -> Topology.Overlay.dimes_like rng ~hosts:30) ]
 
 type stats = {
   name : string;

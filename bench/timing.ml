@@ -30,7 +30,7 @@ let tests (r, y_learn, target, variances) =
   (* ablation inputs: the normal equations of the materialized A *)
   let a = Core.Augmented.build r in
   let gram = Sparse.gram_lower a in
-  let rhs = Sparse.normal_rhs a (Core.Covariance.sigma_star y_learn) in
+  let rhs = Sparse.tmul_vec a (Core.Covariance.sigma_star y_learn) in
   Test.make_grouped ~name:"lia"
     [
       Test.make ~name:"build-A" (Staged.stage (fun () -> Core.Augmented.build r));

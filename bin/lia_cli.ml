@@ -71,17 +71,16 @@ let jobs_arg =
 (* --- solver selection --------------------------------------------------- *)
 
 let solver_arg =
-  let choices = [ ("auto", `Auto); ("dense", `Dense); ("cgls", `Cgls) ] in
+  let choices = [ ("dense", `Dense); ("cgls", `Cgls) ] in
   Arg.(
     value
-    & opt (enum choices) `Auto
+    & opt (enum choices) `Dense
     & info [ "solver" ] ~docv:"S"
         ~doc:
-          "Linear-algebra path: $(b,dense) factors the normal equations \
-           of both phases by sparse Cholesky (exact; the faster path on \
-           every testbed measured, up to 2 070 paths), $(b,cgls) is \
-           matrix-free iterative (memory stays near the non-zeros). \
-           $(b,auto) (default) currently means $(b,dense).")
+          "Linear-algebra path: $(b,dense) (default) factors the normal \
+           equations of both phases by sparse Cholesky (exact; the faster \
+           path on every testbed measured, up to 2 070 paths), $(b,cgls) is \
+           matrix-free iterative (memory stays near the non-zeros).")
 
 let cgls_tol_arg =
   Arg.(
@@ -95,35 +94,21 @@ let cgls_max_iter_arg =
     & info [ "cgls-max-iter" ] ~docv:"N"
         ~doc:"CGLS iteration cap; $(b,0) (default) means twice the unknowns.")
 
-(* [--precond] and [--partition] are validated here rather than through
-   a cmdliner enum so an unknown value reports through the standard
-   data-error path (exit 2), like every other semantic failure *)
+(* [--precond] is validated here rather than through a cmdliner enum so
+   an unknown value reports through the standard data-error path (exit 2),
+   like every other semantic failure *)
 let precond_arg =
   Arg.(
     value & opt string "jacobi"
     & info [ "precond" ] ~docv:"P"
         ~doc:
           "CGLS preconditioner: $(b,none), $(b,jacobi) (default; column \
-           equalization), or $(b,block-jacobi) (hierarchical: per-partition \
-           Cholesky blocks of the Gram matrix, the AS-sharded solve path). \
-           Ignored by the dense solver.")
+           equalization), or $(b,block-jacobi) (hierarchical: per-AS \
+           Cholesky blocks of the Gram matrix, with AS-boundary links in a \
+           border group; the AS-sharded solve path). Ignored by the dense \
+           solver.")
 
-let partition_arg =
-  Arg.(
-    value & opt string "as"
-    & info [ "partition" ] ~docv:"SCHEME"
-        ~doc:
-          "Column partition behind $(b,--precond block-jacobi): $(b,as) \
-           (default) groups virtual links by autonomous system, with \
-           AS-boundary links in a border group.")
-
-let precond_spec_of ~precond ~partition ~graph ~red =
-  (* validate the partition scheme up front, even when the chosen
-     preconditioner ends up not consulting it — a typo should never be
-     silently accepted *)
-  if partition <> "as" then
-    failwith
-      (Printf.sprintf "unknown partition scheme %S (expected \"as\")" partition);
+let precond_spec_of ~precond ~graph ~red =
   let groups () =
     Topology.Partition.group_cols (Topology.Partition.by_as graph red)
   in
@@ -140,7 +125,7 @@ let precond_spec_of ~precond ~partition ~graph ~red =
 
 let solver_of ~solver ~cgls_tol ~cgls_max_iter ~precond =
   match solver with
-  | `Auto | `Dense -> Core.Lia.Dense
+  | `Dense -> Core.Lia.Dense
   | `Cgls ->
       Core.Lia.Cgls
         {
@@ -280,12 +265,10 @@ let with_obs cfg f =
     f
 
 let model_conv =
-  let parse = function
-    | "llrd1" -> Ok Lossmodel.Loss_model.llrd1
-    | "llrd1-calibrated" -> Ok Lossmodel.Loss_model.llrd1_calibrated
-    | "llrd2" -> Ok Lossmodel.Loss_model.llrd2
-    | "internet" -> Ok Lossmodel.Loss_model.internet
-    | s -> Error (`Msg (Printf.sprintf "unknown loss model %S" s))
+  let parse s =
+    match List.assoc_opt s Lossmodel.Loss_model.builtins with
+    | Some m -> Ok m
+    | None -> Error (`Msg (Printf.sprintf "unknown loss model %S" s))
   in
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf m.Lossmodel.Loss_model.name)
 
@@ -346,7 +329,7 @@ let gen_cmd =
       match kind with
       | "tree" -> Topology.Tree_gen.generate rng ~nodes ~max_branching:10 ()
       | "waxman" -> Topology.Waxman.generate rng ~nodes ~hosts ()
-      | "ba" -> Topology.Barabasi_albert.generate rng ~nodes ~hosts ()
+      | "ba" -> Topology.Barabasi_albert.generate rng ~nodes ~hosts
       | "hier-td" ->
           Topology.Hierarchical.generate rng ~flavour:Topology.Hierarchical.Top_down
             ~ases:(max 2 (nodes / 40)) ~routers_per_as:12 ~hosts
@@ -355,7 +338,7 @@ let gen_cmd =
             ~ases:(max 2 (nodes / 40)) ~routers_per_as:12 ~hosts
       | "planetlab" -> Topology.Overlay.planetlab_like rng ~hosts ()
       | "transit-stub" -> Topology.Transit_stub.generate rng ~hosts ()
-      | "dimes" -> Topology.Overlay.dimes_like rng ~hosts ()
+      | "dimes" -> Topology.Overlay.dimes_like rng ~hosts
       | other -> failwith (Printf.sprintf "unknown topology kind %S" other)
     in
     Topology.Serial.save output tb;
@@ -388,8 +371,11 @@ let sim_cmd =
       & opt model_conv Lossmodel.Loss_model.llrd1_calibrated
       & info [ "model" ] ~docv:"MODEL"
           ~doc:
-            "Loss model: $(b,llrd1), $(b,llrd1-calibrated), $(b,llrd2), \
-             $(b,internet).")
+            (Printf.sprintf "Loss model: %s."
+               (String.concat ", "
+                  (List.map
+                     (fun (name, _) -> "$(b," ^ name ^ ")")
+                     Lossmodel.Loss_model.builtins))))
   in
   let dynamics =
     Arg.(
@@ -475,14 +461,14 @@ let infer_cmd =
              snapshot instead of the full link table).")
   in
   let run testbed measurements snapshots fault_spec threshold top jobs solver
-      cgls_tol cgls_max_iter precond partition obs_cfg =
+      cgls_tol cgls_max_iter precond obs_cfg =
     with_obs obs_cfg @@ fun () ->
     let log = Obs.Logger.default in
     let tb = Topology.Serial.load testbed in
     let red = routing_of_testbed tb in
     let r = red.Topology.Routing.matrix in
     let precond =
-      precond_spec_of ~precond ~partition ~graph:tb.Topology.Testbed.graph ~red
+      precond_spec_of ~precond ~graph:tb.Topology.Testbed.graph ~red
     in
     let solver = solver_of ~solver ~cgls_tol ~cgls_max_iter ~precond in
     Obs.Logger.info log "loaded testbed"
@@ -576,7 +562,7 @@ let infer_cmd =
     Term.(
       const run $ testbed_arg $ measurements_arg $ snapshots_arg $ fault_spec_arg
       $ threshold $ top $ jobs_arg $ solver_arg $ cgls_tol_arg $ cgls_max_iter_arg
-      $ precond_arg $ partition_arg $ obs_term)
+      $ precond_arg $ obs_term)
   in
   Cmd.v
     (Cmd.info "infer"

@@ -2,7 +2,13 @@ module Matrix = Linalg.Matrix
 
 type model = { mean : float array; std : float array }
 
-let learn ?(std_floor = 1e-4) y =
+(* keeps a zero-variance path from firing on any noise *)
+let std_floor = 1e-4
+
+(* standard deviations below baseline that make a path anomalous *)
+let z_threshold = 3.
+
+let learn y =
   let m = Matrix.rows y and np = Matrix.cols y in
   if m < 2 then invalid_arg "Anomaly.learn: need at least 2 snapshots";
   let mean = Nstats.Descriptive.mean_vector y in
@@ -17,17 +23,15 @@ let learn ?(std_floor = 1e-4) y =
   in
   { mean; std }
 
+(* standardized residuals; negative = worse than baseline *)
 let path_scores model ~y_now =
   if Array.length y_now <> Array.length model.mean then
     invalid_arg "Anomaly.path_scores: length mismatch";
   Array.mapi (fun i y -> (y -. model.mean.(i)) /. model.std.(i)) y_now
 
-let anomalous_paths ?(z_threshold = 3.) model ~y_now =
-  if z_threshold <= 0. then invalid_arg "Anomaly: non-positive z threshold";
+let anomalous_paths model ~y_now =
   Array.map (fun z -> z < -.z_threshold) (path_scores model ~y_now)
 
-let localize r ~anomalous = Scfs.infer r ~bad_paths:anomalous
-
-let detect ?z_threshold model ~r ~y_now =
-  let paths = anomalous_paths ?z_threshold model ~y_now in
-  (paths, localize r ~anomalous:paths)
+let detect model ~r ~y_now =
+  let paths = anomalous_paths model ~y_now in
+  (paths, Scfs.infer r ~bad_paths:paths)

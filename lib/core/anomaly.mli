@@ -11,31 +11,21 @@
 
 type model = {
   mean : float array;  (** per-path baseline mean of [Y] *)
-  std : float array;  (** per-path baseline standard deviation (>= a floor) *)
+  std : float array;  (** per-path baseline standard deviation (>= 1e-4) *)
 }
 
-val learn : ?std_floor:float -> Linalg.Matrix.t -> model
-(** [learn y] from the learning window (rows = snapshots). [std_floor]
-    (default [1e-4]) prevents zero-variance paths from firing on any
-    noise. Raises [Invalid_argument] with fewer than two snapshots. *)
+val learn : Linalg.Matrix.t -> model
+(** [learn y] from the learning window (rows = snapshots). The standard
+    deviation is floored at [1e-4], so zero-variance paths do not fire
+    on any noise. Raises [Invalid_argument] with fewer than two
+    snapshots. *)
 
-val path_scores : model -> y_now:Linalg.Vector.t -> float array
-(** Standardized residuals; negative = worse than baseline. *)
-
-val anomalous_paths :
-  ?z_threshold:float -> model -> y_now:Linalg.Vector.t -> bool array
-(** Paths whose measurement is more than [z_threshold] (default 3)
-    standard deviations {e below} baseline (losses only get worse). *)
-
-val localize :
-  Linalg.Sparse.t -> anomalous:bool array -> bool array
-(** Smallest consistent explanation of the anomalous paths (links on
-    non-anomalous paths are exonerated). *)
+val anomalous_paths : model -> y_now:Linalg.Vector.t -> bool array
+(** Paths whose measurement is more than 3 standard deviations {e below}
+    baseline (losses only get worse). *)
 
 val detect :
-  ?z_threshold:float ->
-  model ->
-  r:Linalg.Sparse.t ->
-  y_now:Linalg.Vector.t ->
-  bool array * bool array
-(** [(anomalous_paths, suspect_links)] in one call. *)
+  model -> r:Linalg.Sparse.t -> y_now:Linalg.Vector.t -> bool array * bool array
+(** [(anomalous_paths, suspect_links)] in one call: the suspects are the
+    smallest consistent explanation of the anomalous paths ({!Scfs.infer};
+    links on non-anomalous paths are exonerated). *)

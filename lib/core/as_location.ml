@@ -22,8 +22,3 @@ let classify ~graph ~routing ~loss_rates ~threshold =
       if vlink_is_inter graph routing j then incr inter else incr intra
   done;
   { inter = !inter; intra = !intra }
-
-let pp ppf r =
-  let f = inter_fraction r in
-  Format.fprintf ppf "inter-AS %.1f%% / intra-AS %.1f%%" (100. *. f)
-    (100. *. (1. -. f))

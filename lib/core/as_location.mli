@@ -22,5 +22,3 @@ val classify :
   report
 (** Counts inferred-congested links ([loss > threshold]) by location.
     [loss_rates] is indexed by columns of the reduced routing matrix. *)
-
-val pp : Format.formatter -> report -> unit

@@ -152,27 +152,3 @@ let sample_mask ~np ~fraction ~seed =
     if u < fraction then Bytes.unsafe_set b k '\001'
   done;
   b
-
-let update_rows r ~rows:changed a =
-  let np = Sparse.rows r in
-  if Sparse.rows a <> row_count ~np || Sparse.cols a <> Sparse.cols r then
-    invalid_arg "Augmented.update_rows: dimension mismatch";
-  let is_changed = Array.make np false in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= np then invalid_arg "Augmented.update_rows: bad row";
-      is_changed.(i) <- true)
-    changed;
-  let out = Array.init (Sparse.rows a) (fun k -> Sparse.row a k) in
-  for i = 0 to np - 1 do
-    let ri = Sparse.row r i in
-    for j = i to np - 1 do
-      if is_changed.(i) || is_changed.(j) then begin
-        let row =
-          if i = j then ri else Sparse.row_product ri (Sparse.row r j)
-        in
-        out.(row_index ~np ~i ~j) <- row
-      end
-    done
-  done;
-  Sparse.create ~cols:(Sparse.cols r) out

@@ -54,10 +54,3 @@ val sample_mask : np:int -> fraction:float -> seed:int -> Bytes.t
     [(np, fraction, seed)] always selects the same rows, on every
     platform. [fraction] outside [0, 1] raises [Invalid_argument];
     [fraction = 1.] keeps every row. *)
-
-val update_rows : Linalg.Sparse.t -> rows:int list -> Linalg.Sparse.t -> Linalg.Sparse.t
-(** [update_rows r ~rows a] recomputes only the augmented rows involving
-    the given routing-matrix rows (after a beacon joins/leaves or a route
-    changes), reusing every other row of the previously built [a] — the
-    incremental update discussed in Section 5.1. [a] must have been built
-    from a routing matrix with the same dimensions as [r]. *)

@@ -3,6 +3,7 @@ module Matrix = Linalg.Matrix
 module Snapshot = Netsim.Snapshot
 module Simulator = Netsim.Simulator
 module Faults = Netsim.Faults
+module Field = Obs.Field
 
 type grid = {
   families : string list;
@@ -23,7 +24,7 @@ let known_families =
     "transit-stub";
   ]
 
-let known_models = [ "llrd1"; "llrd1-calibrated"; "llrd2"; "internet" ]
+let known_models = List.map fst Lossmodel.Loss_model.builtins
 
 let default_grid =
   {
@@ -172,12 +173,10 @@ type cell = {
 
 (* --- scenario data ----------------------------------------------------- *)
 
-let model_of_name = function
-  | "llrd1" -> Lossmodel.Loss_model.llrd1
-  | "llrd1-calibrated" -> Lossmodel.Loss_model.llrd1_calibrated
-  | "llrd2" -> Lossmodel.Loss_model.llrd2
-  | "internet" -> Lossmodel.Loss_model.internet
-  | other -> failwith (Printf.sprintf "unknown loss model %S" other)
+let model_of_name name =
+  match List.assoc_opt name Lossmodel.Loss_model.builtins with
+  | Some m -> m
+  | None -> failwith (Printf.sprintf "unknown loss model %S" name)
 
 let testbed_of rng s =
   let size = s.size in
@@ -185,7 +184,7 @@ let testbed_of rng s =
   | "tree" -> Topology.Tree_gen.generate rng ~nodes:size ~max_branching:4 ()
   | "waxman" -> Topology.Waxman.generate rng ~nodes:(8 * size) ~hosts:size ()
   | "ba" ->
-      Topology.Barabasi_albert.generate rng ~nodes:(8 * size) ~hosts:size ()
+      Topology.Barabasi_albert.generate rng ~nodes:(8 * size) ~hosts:size
   | "hier-td" ->
       Topology.Hierarchical.generate rng ~flavour:Topology.Hierarchical.Top_down
         ~ases:(max 2 (size / 4)) ~routers_per_as:6 ~hosts:size
@@ -194,7 +193,7 @@ let testbed_of rng s =
         ~flavour:Topology.Hierarchical.Bottom_up ~ases:(max 2 (size / 4))
         ~routers_per_as:6 ~hosts:size
   | "planetlab" -> Topology.Overlay.planetlab_like rng ~hosts:size ()
-  | "dimes" -> Topology.Overlay.dimes_like rng ~hosts:size ()
+  | "dimes" -> Topology.Overlay.dimes_like rng ~hosts:size
   | "transit-stub" -> Topology.Transit_stub.generate rng ~hosts:size ()
   | other -> failwith (Printf.sprintf "unknown topology family %S" other)
 
@@ -251,7 +250,7 @@ let score_output ~threshold ~(truth : Snapshot.t) (out : Estimator.output) =
               Metrics.absolute_errors ~actual:actual_rates ~inferred:rates
             in
             let ef =
-              Metrics.error_factors ~actual:actual_rates ~inferred:rates ()
+              Metrics.error_factors ~actual:actual_rates ~inferred:rates
             in
             ( Some (mean errs),
               Some (Metrics.spread errs).Metrics.max,
@@ -494,24 +493,6 @@ let render ?(timing = false) cells =
 
 (* --- JSONL ------------------------------------------------------------- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let json_float v =
   if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
@@ -525,25 +506,26 @@ let to_jsonl cells =
       let common =
         Printf.sprintf
           "\"family\":%s,\"size\":%d,\"model\":%s,\"fault\":%s,\"seed\":%d,\"estimator\":%s"
-          (json_string s.family) s.size (json_string s.model)
-          (json_string (Faults.to_string s.fault))
-          s.seed (json_string c.estimator)
+          (Field.json_string s.family) s.size (Field.json_string s.model)
+          (Field.json_string (Faults.to_string s.fault))
+          s.seed
+          (Field.json_string c.estimator)
       in
       let body =
         match c.outcome with
         | Scored { score; health; note } ->
             Printf.sprintf
               "\"outcome\":\"scored\",\"health\":%s,\"note\":%s,\"abs_mean\":%s,\"abs_max\":%s,\"err_factor_median\":%s,\"dr\":%s,\"fpr\":%s"
-              (json_string health) (json_string note) (json_opt score.abs_mean)
-              (json_opt score.abs_max)
+              (Field.json_string health) (Field.json_string note)
+              (json_opt score.abs_mean) (json_opt score.abs_max)
               (json_opt score.err_factor_median)
               (json_float score.dr) (json_float score.fpr)
         | Refused reason ->
             Printf.sprintf "\"outcome\":\"refused\",\"reason\":%s"
-              (json_string reason)
+              (Field.json_string reason)
         | Skipped reason ->
             Printf.sprintf "\"outcome\":\"skipped\",\"reason\":%s"
-              (json_string reason)
+              (Field.json_string reason)
       in
       Buffer.add_string buf
         (Printf.sprintf "{%s,%s,\"wall_s\":%s,\"alloc_words\":%s}\n" common

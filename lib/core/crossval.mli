@@ -28,29 +28,25 @@
     health label into the grid. *)
 
 type grid = {
-  families : string list;  (** topology families, {!known_families} *)
+  families : string list;
+      (** topology families: [tree], [waxman], [ba], [hier-td],
+          [hier-bu], [planetlab], [dimes], [transit-stub] — the [gen]
+          command's families. Only [tree] produces the single-beacon
+          trees the multicast-family backends require. *)
   sizes : int list;  (** end-host count (tree: node count) *)
-  models : string list;  (** loss model names, {!known_models} *)
+  models : string list;
+      (** loss model names, {!Lossmodel.Loss_model.builtins} *)
   faults : Netsim.Faults.t list;
 }
-
-val known_families : string list
-(** [tree], [waxman], [ba], [hier-td], [hier-bu], [planetlab], [dimes],
-    [transit-stub] — the [gen] command's families. Only [tree] produces
-    the single-beacon trees the multicast-family backends require. *)
-
-val known_models : string list
-(** [llrd1], [llrd1-calibrated], [llrd2], [internet]. *)
-
-val default_grid : grid
-(** [family=tree,planetlab; size=15; model=llrd1-calibrated; fault=none]. *)
 
 val parse_grid : string -> (grid, string) result
 (** DSL: semicolon-separated axes, comma-separated values —
     [family=tree,planetlab;size=15,30;model=llrd1;fault=none|drop=0.2,seed=7].
     Fault alternatives are [|]-separated because specs contain commas.
-    Omitted axes keep their {!default_grid} value; unknown families,
-    models, axis keys, and malformed specs are reported in the error. *)
+    Omitted axes keep their default value
+    ([family=tree,planetlab;size=15;model=llrd1-calibrated;fault=none]);
+    unknown families, models, axis keys, and malformed specs are reported
+    in the error. *)
 
 type scenario = {
   family : string;
@@ -63,9 +59,6 @@ type scenario = {
 val scenarios : grid -> seeds:int list -> scenario list
 (** The grid unrolled in fixed nesting order (family, size, model,
     fault, seed) — the order cells are reported in. *)
-
-val scenario_label : scenario -> string
-(** Without the seed: ["tree/15 llrd1 fault=none"]. *)
 
 type score = {
   abs_mean : float option;  (** mean per-link |q̂ - q|; rate backends *)

@@ -19,9 +19,15 @@ let log_likelihood r ~delivered ~probes t =
   done;
   !acc
 
-(* the whole coordinate-ascent pipeline; [estimate] and the
-   record-shaped [estimate_input] are both thin wrappers over this *)
-let estimate_core ~max_sweeps ~tol ~init r ~delivered ~probes =
+(* the ascent starts every link at [init] and stops once a sweep gains
+   less than [tol] (relative) in likelihood, or after [max_sweeps] *)
+let init = 0.99
+
+let tol = 1e-7
+
+let max_sweeps = 200
+
+let estimate r ~delivered ~probes =
   let np = Sparse.rows r and nc = Sparse.cols r in
   if Array.length delivered <> np then
     invalid_arg "Em_tomography.estimate: delivery length mismatch";
@@ -31,7 +37,6 @@ let estimate_core ~max_sweeps ~tol ~init r ~delivered ~probes =
       if k < 0 || k > probes then
         invalid_arg "Em_tomography.estimate: delivery count out of range")
     delivered;
-  if init <= 0. || init >= 1. then invalid_arg "Em_tomography.estimate: bad init";
   let t = Array.make nc init in
   let cols = Sparse.transpose r in
   (* per-path product of current rates, maintained incrementally *)
@@ -93,11 +98,7 @@ let estimate_core ~max_sweeps ~tol ~init r ~delivered ~probes =
   done;
   { transmission = t; log_likelihood = !ll; sweeps = !sweeps }
 
-let estimate ?(max_sweeps = 200) ?(tol = 1e-7) ?(init = 0.99) r ~delivered ~probes =
-  estimate_core ~max_sweeps ~tol ~init r ~delivered ~probes
-
-let estimate_input ?(max_sweeps = 200) ?(tol = 1e-7) ?(init = 0.99)
-    (input : Measurement.t) =
-  estimate_core ~max_sweeps ~tol ~init input.Measurement.r
-    ~delivered:(Measurement.delivered input) ~probes:input.Measurement.probes
+let estimate_input (input : Measurement.t) =
+  estimate input.Measurement.r ~delivered:(Measurement.delivered input)
+    ~probes:input.Measurement.probes
 

@@ -28,22 +28,13 @@ val log_likelihood :
     link transmission rates. *)
 
 val estimate :
-  ?max_sweeps:int ->
-  ?tol:float ->
-  ?init:float ->
-  Linalg.Sparse.t ->
-  delivered:int array ->
-  probes:int ->
-  result
+  Linalg.Sparse.t -> delivered:int array -> probes:int -> result
 (** [estimate r ~delivered ~probes]: coordinate ascent from the uniform
-    start [init] (default 0.99) until the likelihood gain per sweep drops
-    below [tol] (default 1e-7) or [max_sweeps] (default 200) is reached.
-    Raises [Invalid_argument] on dimension or range errors. A thin
-    wrapper over the same pipeline as {!estimate_input} — both shapes run
-    bit-for-bit the same ascent. *)
+    start 0.99 until the relative likelihood gain per sweep drops below
+    1e-7 or 200 sweeps are done. Raises [Invalid_argument] on dimension
+    or range errors. *)
 
-val estimate_input :
-  ?max_sweeps:int -> ?tol:float -> ?init:float -> Measurement.t -> result
+val estimate_input : Measurement.t -> result
 (** The record-shaped entry: reconstructs the per-path delivery counts
     from the bundle's target snapshot ({!Measurement.delivered}) and runs
     {!estimate} on them. On clean simulated data the reconstruction is

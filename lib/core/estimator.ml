@@ -60,11 +60,15 @@ let check e (input : Measurement.t) =
 
 let verdicts_of_rates ~threshold rates = Array.map (fun l -> l > threshold) rates
 
+let refused note =
+  Ok { loss_rates = None; verdicts = None; health = "refused"; note }
+
+(* the adapters that restrict to the finitely measured paths refuse a
+   target with none *)
+let no_target = refused "no finite target measurements"
+
 (* data faults become a typed refusal, never an exception escape *)
-let guard f =
-  try f () with
-  | Invalid_argument msg | Failure msg ->
-      Ok { loss_rates = None; verdicts = None; health = "refused"; note = msg }
+let guard f = try f () with Invalid_argument msg | Failure msg -> refused msg
 
 let rate_output ?(health = "clean") ?(note = "") ~threshold rates =
   let rates = Array.map (fun l -> if Float.is_finite l then l else 0.) rates in
@@ -149,14 +153,7 @@ let em =
   let estimate ~threshold (input : Measurement.t) =
     guard (fun () ->
         let valid = Measurement.valid_target input in
-        if Array.length valid = 0 then
-          Ok
-            {
-              loss_rates = None;
-              verdicts = None;
-              health = "refused";
-              note = "no finite target measurements";
-            }
+        if Array.length valid = 0 then no_target
         else
           let res =
             if Array.length valid = Array.length input.Measurement.y_now then
@@ -191,16 +188,18 @@ let em =
 let mils =
   let estimate ~threshold (input : Measurement.t) =
     guard (fun () ->
-        let est = Mils.estimate input in
         let valid = Measurement.valid_target input in
-        let health, note = target_health input valid in
-        let note =
-          let g =
-            Printf.sprintf "granularity %.2f" est.Mils.mean_segment_length
+        if Array.length valid = 0 then no_target
+        else
+          let est = Mils.estimate input in
+          let health, note = target_health input valid in
+          let note =
+            let g =
+              Printf.sprintf "granularity %.2f" est.Mils.mean_segment_length
+            in
+            if note = "" then g else note ^ "; " ^ g
           in
-          if note = "" then g else note ^ "; " ^ g
-        in
-        rate_output ~health ~note ~threshold est.Mils.loss_rates)
+          rate_output ~health ~note ~threshold est.Mils.loss_rates)
   in
   {
     name = "mils";
@@ -228,14 +227,7 @@ let scfs =
   let estimate ~threshold (input : Measurement.t) =
     guard (fun () ->
         match restrict_target input with
-        | None ->
-            Ok
-              {
-                loss_rates = None;
-                verdicts = None;
-                health = "refused";
-                note = "no finite target measurements";
-              }
+        | None -> no_target
         | Some (r, y_now, valid) ->
             let bad = Scfs.classify_paths r ~y_now ~threshold in
             let verdicts = Scfs.infer r ~bad_paths:bad in
@@ -258,14 +250,7 @@ let clink =
     else
       guard (fun () ->
           match restrict_target input with
-          | None ->
-              Ok
-                {
-                  loss_rates = None;
-                  verdicts = None;
-                  health = "refused";
-                  note = "no finite target measurements";
-                }
+          | None -> no_target
           | Some (r, y_now, valid) ->
               let gf =
                 Clink.good_fractions input.Measurement.y_learn
@@ -299,7 +284,7 @@ let fourier =
           guard (fun () ->
               let res =
                 Fourier.infer ~routing ~y_learn:input.Measurement.y_learn
-                  ~y_now:input.Measurement.y_now ()
+                  ~y_now:input.Measurement.y_now
               in
               let health, note =
                 if res.Fourier.unresolved = 0 then ("clean", "")
@@ -329,14 +314,7 @@ let plan =
     | Some variances ->
         guard (fun () ->
             match restrict_target input with
-            | None ->
-                Ok
-                  {
-                    loss_rates = None;
-                    verdicts = None;
-                    health = "refused";
-                    note = "no finite target measurements";
-                  }
+            | None -> no_target
             | Some (r, y_now, valid) ->
                 let res = Lia.infer_with_variances ~r ~variances ~y_now in
                 let health, note = target_health input valid in
@@ -371,7 +349,7 @@ let lia_adapter ~name ~descr ~solver ~golden =
             | h -> Lia.health_summary h
           in
           match checked.Lia.result with
-          | None -> Ok { loss_rates = None; verdicts = None; health; note }
+          | None -> refused note
           | Some res -> rate_output ~health ~note ~threshold res.Lia.loss_rates)
   in
   { name; descr; caps; golden; estimate }

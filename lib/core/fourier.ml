@@ -42,10 +42,17 @@ let var_finite xs =
     !acc /. float_of_int !n
   end
 
+(* The characteristic functions are evaluated at [grid] points t_j, with
+   t_j · sd spanning up to [t_scale], sd the pooled sample spread of the
+   two representative paths. *)
+let t_scale = 1.0
+
+let grid = 4
+
 (* |φ_S(t)|² from the empirical characteristic functions of two paths
    sharing the segment S, over the pairwise-complete snapshots; the
    variance estimate is averaged over the t grid. nan when unusable. *)
-let ecf_segment_variance ~t_scale ~grid y1 y2 =
+let ecf_segment_variance y1 y2 =
   let n = ref 0 in
   let a = ref [] and b = ref [] in
   Array.iteri
@@ -95,12 +102,14 @@ let ecf_segment_variance ~t_scale ~grid y1 y2 =
         List.fold_left ( +. ) 0. es /. float_of_int (List.length es)
   end
 
-let variances ?(t_scale = 1.0) ?(grid = 4) ~tree ~y_learn () =
+(* [(v, unresolved)]: the per-link variance estimates (clamped at 0) and
+   the number of tree nodes whose segment variance could not be estimated
+   (fewer than 2 usable samples, or a degenerate empirical characteristic
+   function) and fell back to the parent's. *)
+let variances ~tree ~y_learn =
   let nc = Array.length tree.Multicast.parent in
   let m = Matrix.rows y_learn in
   if m < 2 then invalid_arg "Fourier.variances: need at least 2 snapshots";
-  if grid < 1 then invalid_arg "Fourier.variances: grid < 1";
-  if t_scale <= 0. then invalid_arg "Fourier.variances: t_scale <= 0";
   let sub = subtree_paths tree in
   let terminating = Array.make nc [] in
   Array.iteri
@@ -122,7 +131,7 @@ let variances ?(t_scale = 1.0) ?(grid = 4) ~tree ~y_learn () =
             let children = tree.Multicast.children.(v) in
             if Array.length children >= 2 then
               let p1 = sub.(children.(0)).(0) and p2 = sub.(children.(1)).(0) in
-              ecf_segment_variance ~t_scale ~grid (col p1) (col p2)
+              ecf_segment_variance (col p1) (col p2)
             else
               (* a non-terminating chain node cannot survive routing
                  reduction (its path set equals its child's); treat a
@@ -149,12 +158,12 @@ let variances ?(t_scale = 1.0) ?(grid = 4) ~tree ~y_learn () =
 
 type result = { result : Plan.result; unresolved : int }
 
-let infer ?t_scale ?grid ~routing ~y_learn ~y_now () =
+let infer ~routing ~y_learn ~y_now =
   let tree = Multicast.tree_of_routing routing in
   let r = routing.Topology.Routing.matrix in
   if Array.length y_now <> Sparse.rows r then
     invalid_arg "Fourier.infer: target length <> path count";
-  let vars, unresolved = variances ?t_scale ?grid ~tree ~y_learn () in
+  let vars, unresolved = variances ~tree ~y_learn in
   let valid = ref [] in
   for i = Array.length y_now - 1 downto 0 do
     if Float.is_finite y_now.(i) then valid := i :: !valid

@@ -31,42 +31,30 @@ val subtree_paths : Netsim.Multicast.tree -> int array array
 (** Per virtual link: the paths (rows) whose destination lies in its
     subtree, ascending. Every entry is non-empty on a covered tree. *)
 
-val variances :
-  ?t_scale:float ->
-  ?grid:int ->
-  tree:Netsim.Multicast.tree ->
-  y_learn:Linalg.Matrix.t ->
-  unit ->
-  Linalg.Vector.t * int
-(** [(v, unresolved)]: the per-link variance estimates (clamped at 0)
-    and the number of tree nodes whose segment variance could not be
-    estimated (fewer than 2 usable samples, or a degenerate empirical
-    characteristic function) and fell back to the parent's. The
-    characteristic functions are evaluated at [grid] (default 4) points
-    [t_j] with [t_j · sd] spanning up to [t_scale] (default 1.0), [sd]
-    the pooled sample spread of the two representative paths. Raises
-    [Invalid_argument] when [y_learn] has fewer than 2 rows, [grid < 1],
-    or [t_scale <= 0]. Deterministic: a pure function of the inputs. *)
-
 type result = {
   result : Plan.result;
       (** the Phase-2 solve over the Fourier-learnt variances — same
           record as {!Lia.infer} *)
-  unresolved : int;  (** nodes that fell back to the parent segment *)
+  unresolved : int;
+      (** tree nodes whose segment variance could not be estimated
+          (fewer than 2 usable samples, or a degenerate empirical
+          characteristic function) and fell back to the parent's *)
 }
 
 val infer :
-  ?t_scale:float ->
-  ?grid:int ->
   routing:Topology.Routing.reduced ->
   y_learn:Linalg.Matrix.t ->
   y_now:Linalg.Vector.t ->
-  unit ->
   result
 (** End-to-end: derive the virtual-link tree ([Invalid_argument] when
     the routing is not a single-beacon tree — same contract as
     {!Netsim.Multicast.tree_of_routing}), estimate variances in the
-    Fourier domain, and solve Phase 2 through {!Plan}. Non-finite
+    Fourier domain, and solve Phase 2 through {!Plan}. The
+    characteristic functions are evaluated at 4 points [t_j] with
+    [t_j · sd] spanning up to 1, [sd] the pooled sample spread of the
+    two representative paths; link variances are clamped at 0. Raises
+    [Invalid_argument] when [y_learn] has fewer than 2 rows.
+    Deterministic: a pure function of the inputs. Non-finite
     entries of [y_now] are excluded and the solve restricted to the
     valid paths (the quarantine-aware convention of
     {!Lia.infer_checked}); raises [Invalid_argument] when none

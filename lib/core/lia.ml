@@ -44,7 +44,11 @@ let default_cgls =
       precond = Variance_estimator.Pc_jacobi;
     }
 
-let learn ?jobs ?(min_pair_samples = 2) ~solver ~r ~y () =
+(* the effective-sample-size guard: a path pair needs this many
+   overlapping snapshots to enter Phase 1 *)
+let min_pair_samples = 2
+
+let learn ?jobs ~solver ~r ~y () =
   match solver with
   | Dense ->
       Variance_estimator.estimate_streaming_ess ?jobs ~min_pair_samples ~r ~y ()
@@ -128,9 +132,14 @@ let health_summary = function
         d.ess.Variance_estimator.samples_min d.target_missing d.target_corrupt
   | Refused reason -> Printf.sprintf "refused (%s)" reason
 
-let infer_checked ?(solver = Dense) ?jobs ?(min_pair_samples = 2)
-    ?(max_missing_fraction = 0.5) ?(max_skipped_pair_fraction = 0.5) ~r
-    ~y_learn ~y_now () =
+(* the refusal thresholds of [infer_checked]: the fraction of a learning
+   row's cells that may be missing, and of the linked path pairs that
+   may be skipped *)
+let max_missing_fraction = 0.5
+
+let max_skipped_pair_fraction = 0.5
+
+let infer_checked ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
   if Matrix.cols y_learn <> Sparse.rows r then
     invalid_arg "Lia.infer_checked: learning matrix width mismatch";
   if Array.length y_now <> Sparse.rows r then
@@ -173,7 +182,7 @@ let infer_checked ?(solver = Dense) ?jobs ?(min_pair_samples = 2)
     if Array.length tq.Quarantine.valid = 0 then
       refuse "target snapshot has no usable measurements"
     else begin
-      match learn ?jobs ~min_pair_samples ~solver ~r ~y:scrubbed () with
+      match learn ?jobs ~solver ~r ~y:scrubbed () with
       | exception Failure msg -> refuse "variance estimation failed: %s" msg
       | variances, ess ->
           let open Variance_estimator in

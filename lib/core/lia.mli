@@ -64,7 +64,6 @@ val default_cgls : solver
 
 val learn :
   ?jobs:int ->
-  ?min_pair_samples:int ->
   solver:solver ->
   r:Linalg.Sparse.t ->
   y:Linalg.Matrix.t ->
@@ -75,8 +74,8 @@ val learn :
     [Dense] runs {!Variance_estimator.estimate_streaming_ess}; [Cgls]
     runs {!Variance_estimator.estimate_matfree_ess} with the solver's
     tolerance, cap, sketch and preconditioner. Both drop negative
-    covariances and clamp at 0; [min_pair_samples] (default 2) is
-    their effective-sample-size guard. *)
+    covariances and clamp at 0, and skip the path pairs with fewer than
+    2 overlapping snapshots (their effective-sample-size guard). *)
 
 val plan_backend : solver -> Plan.backend
 (** The Phase-2 {!Plan} backend for [solver]: [Dense] is
@@ -150,9 +149,6 @@ type checked = { health : health; result : result option }
 val infer_checked :
   ?solver:solver ->
   ?jobs:int ->
-  ?min_pair_samples:int ->
-  ?max_missing_fraction:float ->
-  ?max_skipped_pair_fraction:float ->
   r:Linalg.Sparse.t ->
   y_learn:Linalg.Matrix.t ->
   y_now:Linalg.Vector.t ->
@@ -161,12 +157,11 @@ val infer_checked :
 (** [infer_checked ~r ~y_learn ~y_now ()] is the fault-tolerant [infer]:
 
     - [y_learn] is scrubbed ({!Quarantine.scrub}, tolerating up to
-      [max_missing_fraction] (default 0.5) missing cells per row);
-      refused when fewer than 2 rows survive;
-    - variances are learnt pairwise-complete with at least
-      [min_pair_samples] (default 2) overlapping snapshots per pair;
-      refused when more than [max_skipped_pair_fraction] (default 0.5)
-      of the linked path pairs had to be skipped;
+      half of a row's cells missing); refused when fewer than 2 rows
+      survive;
+    - variances are learnt pairwise-complete with at least 2
+      overlapping snapshots per pair ({!learn}); refused when more than
+      half of the linked path pairs had to be skipped;
     - invalid entries of [y_now] are excluded and Phase 2 solves over
       the valid paths only; refused when none remain;
     - any solver failure or non-finite output becomes [Refused], never

@@ -23,14 +23,6 @@ let make ?routing ?variances ?(probes = 1000) ~r ~y_learn ~y_now () =
   if probes <= 0 then invalid_arg "Measurement.make: probes <= 0";
   { r; routing; y_learn; y_now; probes; variances }
 
-let of_matrix ?routing ?probes ~r y =
-  let rows = Matrix.rows y in
-  if rows < 3 then
-    invalid_arg "Measurement.of_matrix: need at least 3 snapshots (m >= 2 + 1)";
-  let y_learn = Matrix.init (rows - 1) (Matrix.cols y) (fun l i -> Matrix.get y l i) in
-  let y_now = Matrix.row y (rows - 1) in
-  make ?routing ?probes ~r ~y_learn ~y_now ()
-
 let delivered t =
   let s = float_of_int t.probes in
   Array.map

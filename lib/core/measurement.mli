@@ -41,17 +41,6 @@ val make :
     entry per column; [probes] positive, default 1000) and packs the
     record. Raises [Invalid_argument] otherwise. *)
 
-val of_matrix :
-  ?routing:Topology.Routing.reduced ->
-  ?probes:int ->
-  r:Linalg.Sparse.t ->
-  Linalg.Matrix.t ->
-  t
-(** Splits a whole campaign matrix the way the CLI does: the last row
-    becomes the target snapshot, the rows before it the learning set.
-    Raises [Invalid_argument] with fewer than 3 rows (m >= 2 learning +
-    1 target). *)
-
 val delivered : t -> int array
 (** Per-path delivery counts reconstructed from the target snapshot:
     [round (probes · exp y_now)], clamped to [[0, probes]]; non-finite

@@ -23,15 +23,17 @@ let location ~actual ~inferred =
   in
   { dr; fpr }
 
-let error_factor ?(delta = 1e-3) q q_star =
-  if delta <= 0. then invalid_arg "Metrics.error_factor: delta <= 0";
+(* the floor δ of Bu et al.'s error factor f_δ *)
+let delta = 1e-3
+
+let error_factor q q_star =
   let qd = Float.max delta q and qsd = Float.max delta q_star in
   Float.max (qd /. qsd) (qsd /. qd)
 
-let error_factors ?delta ~actual ~inferred () =
+let error_factors ~actual ~inferred =
   if Array.length actual <> Array.length inferred then
     invalid_arg "Metrics.error_factors: length mismatch";
-  Array.map2 (fun q qs -> error_factor ?delta q qs) actual inferred
+  Array.map2 error_factor actual inferred
 
 let absolute_errors ~actual ~inferred =
   if Array.length actual <> Array.length inferred then

@@ -12,12 +12,11 @@ val location : actual:bool array -> inferred:bool array -> location
     for FPR (nothing flagged). Raises [Invalid_argument] on a length
     mismatch. *)
 
-val error_factor : ?delta:float -> float -> float -> float
-(** [error_factor q q*] with both arguments floored at [delta]
-    (default 1e-3); always [>= 1]. *)
+val error_factor : float -> float -> float
+(** [error_factor q q*] with both arguments floored at [δ = 1e-3];
+    always [>= 1]. *)
 
-val error_factors :
-  ?delta:float -> actual:float array -> inferred:float array -> unit -> float array
+val error_factors : actual:float array -> inferred:float array -> float array
 
 val absolute_errors : actual:float array -> inferred:float array -> float array
 

@@ -30,8 +30,8 @@ val identifiable : t -> int array -> bool
 
 val decompose_path : t -> int array -> int array list
 (** [decompose_path t cols] partitions a path's column sequence (in
-    traversal order, e.g. from {!Topology.Routing.path_vlinks} composed
-    with the path's edge order) into its minimal identifiable segments,
+    traversal order, e.g. a row of the reduced routing matrix put in
+    the path's edge order) into its minimal identifiable segments,
     greedily from the front: each returned segment is the shortest
     identifiable extension. A non-identifiable tail is merged into the
     last segment; the whole path is always identifiable because rows of

@@ -77,7 +77,10 @@ let observation_to_string = function
   | Rejected reason ->
       Printf.sprintf "rejected (%s)" (Quarantine.reason_to_string reason)
 
-let observe_checked ?(max_missing_fraction = 0.5) t y =
+(* a snapshot with more than this fraction of invalid cells is rejected *)
+let max_missing_fraction = 0.5
+
+let observe_checked t y =
   if Array.length y <> Sparse.rows t.r then
     invalid_arg "Monitor.observe_checked: measurement length mismatch";
   let scrubbed, rep = Quarantine.scrub_vector y in
@@ -130,8 +133,7 @@ let variances t =
 
 let infer t ~y_now = Lia.infer_with_variances ~r:t.r ~variances:(variances t) ~y_now
 
-let infer_checked ?min_pair_samples ?max_missing_fraction
-    ?max_skipped_pair_fraction t ~y_now =
+let infer_checked t ~y_now =
   if size t < 2 then
     {
       Lia.health =
@@ -141,7 +143,6 @@ let infer_checked ?min_pair_samples ?max_missing_fraction
       result = None;
     }
   else
-    Lia.infer_checked ?min_pair_samples ?max_missing_fraction
-      ?max_skipped_pair_fraction ~r:t.r ~y_learn:(window_matrix t) ~y_now ()
+    Lia.infer_checked ~r:t.r ~y_learn:(window_matrix t) ~y_now ()
 
 let anomaly_model t = Anomaly.learn (window_matrix t)

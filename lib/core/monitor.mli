@@ -26,16 +26,15 @@ type observation =
 
 val observation_to_string : observation -> string
 
-val observe_checked :
-  ?max_missing_fraction:float -> t -> Linalg.Vector.t -> observation
+val observe_checked : t -> Linalg.Vector.t -> observation
 (** Validating ingest: NaN cells are treated as missing, non-finite or
     positive log rates as corrupt (neutralized to missing after being
-    counted). A snapshot whose invalid fraction exceeds
-    [max_missing_fraction] (default 0.5) — or that is entirely invalid —
-    is rejected and never enters the window, so a faulty collector
-    cannot push the monitor's variance estimates off a cliff. Accepted
-    snapshots invalidate the variance cache exactly like {!observe}.
-    Raises [Invalid_argument] on a length mismatch only. *)
+    counted). A snapshot with more than half of its cells invalid — or
+    that is entirely invalid — is rejected and never enters the window,
+    so a faulty collector cannot push the monitor's variance estimates
+    off a cliff. Accepted snapshots invalidate the variance cache
+    exactly like {!observe}. Raises [Invalid_argument] on a length
+    mismatch only. *)
 
 val size : t -> int
 (** Snapshots currently held. *)
@@ -53,13 +52,7 @@ val variances : t -> Linalg.Vector.t
 val infer : t -> y_now:Linalg.Vector.t -> Lia.result
 (** Phase 2 on [y_now] with the cached variances. *)
 
-val infer_checked :
-  ?min_pair_samples:int ->
-  ?max_missing_fraction:float ->
-  ?max_skipped_pair_fraction:float ->
-  t ->
-  y_now:Linalg.Vector.t ->
-  Lia.checked
+val infer_checked : t -> y_now:Linalg.Vector.t -> Lia.checked
 (** {!Lia.infer_checked} over the current window: never raises on data
     faults, returning a typed verdict instead; an under-filled window
     (fewer than 2 snapshots) is a [Refused] verdict, not an error. *)

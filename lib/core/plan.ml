@@ -143,10 +143,6 @@ let make ?jobs ?(backend = Dense_qr) ~r ~variances () =
   Obs.Metrics.set g_deleted (float_of_int (Array.length removed));
   { np; nc; variances = Array.copy variances; kept; removed; backend; fact }
 
-let paths p = p.np
-
-let links p = p.nc
-
 let rank p = Array.length p.kept
 
 let kept p = Array.copy p.kept
@@ -176,7 +172,7 @@ let result_of_x p x_star =
 let least_squares_x p y_now =
   match p.fact with
   | Direct { r_star; factor } ->
-      Cholesky.solve_ordered_vec factor (Sparse.normal_rhs r_star y_now)
+      Cholesky.solve_ordered_vec factor (Sparse.tmul_vec r_star y_now)
   | Iterative { op; tol; max_iter; precond; context } ->
       fst (Linalg.Lsqr.cgls ~tol ?max_iter ?precond ~context op y_now)
 

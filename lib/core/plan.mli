@@ -113,12 +113,6 @@ val solve_batch : ?jobs:int -> t -> Linalg.Matrix.t -> result array
     [y] through the plan, the rows spread over the domain pool; element
     [l] of the result is bit-for-bit [solve p (Matrix.row y l)]. *)
 
-val paths : t -> int
-(** Rows of the plan's routing matrix ([n_p]). *)
-
-val links : t -> int
-(** Columns of the plan's routing matrix ([n_c]). *)
-
 val rank : t -> int
 (** Columns of [R*] — the size of the solved system. *)
 

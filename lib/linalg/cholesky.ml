@@ -191,8 +191,6 @@ let solve_vec f b =
   done;
   y
 
-let solve m b = solve_vec (factorize (of_matrix m)) b
-
 type ordered = { perm : int array; factor : t }
 
 (* Ascending degree, ties by the lower index (a stable sort of 0..n-1):
@@ -259,10 +257,3 @@ let solve_ordered ?ridge s b =
   if Array.length b <> Array.length s.diag then
     invalid_arg "Cholesky.solve_ordered: dimension mismatch";
   solve_ordered_vec (factorize_ordered (factorize_regularized ?ridge) s) b
-
-let log_det f =
-  let acc = ref 0. in
-  for i = 0 to f.n - 1 do
-    acc := !acc +. log f.value.(f.colptr.(i))
-  done;
-  2. *. !acc

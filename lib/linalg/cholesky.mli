@@ -25,7 +25,7 @@
     [Not_positive_definite] outcome are bit for bit those of the dense
     algorithm. A [−0.0] entry can flip the sign of an exact zero in the
     result. Gram counts and the right-hand sides of Phase 1 and of
-    {!Sparse.normal_rhs} never contain [−0.0]. *)
+    {!Sparse.tmul_vec} never contain [−0.0]. *)
 
 exception Not_positive_definite
 
@@ -72,9 +72,6 @@ val lower : t -> Matrix.t
 val solve_vec : t -> Vector.t -> Vector.t
 (** [solve_vec f b] solves [L Lᵀ x = b]. *)
 
-val solve : Matrix.t -> Vector.t -> Vector.t
-(** One-shot [factorize (of_matrix m)] + {!solve_vec}. *)
-
 type ordered
 (** A factorization of [P g Pᵀ] for the fill-reducing symmetric
     permutation [P] of {!factorize_ordered}, kept with [P]. *)
@@ -106,6 +103,3 @@ val solve_ordered : ?ridge:float -> sym -> Vector.t -> Vector.t
     the one-shot regularized solve of Phase 1's normal equations. Raises
     [Not_positive_definite] as {!factorize_regularized} does, and
     [Invalid_argument] on a malformed [g] or a [b] of the wrong length. *)
-
-val log_det : t -> float
-(** Log-determinant of the factored matrix. *)

@@ -12,7 +12,7 @@ let of_sparse m =
     rows = Sparse.rows m;
     cols = Sparse.cols m;
     apply = (fun x -> Sparse.mul_vec m x);
-    apply_t = (fun y -> Sparse.mul_transpose_vec m y);
+    apply_t = (fun y -> Sparse.tmul_vec m y);
   }
 
 let of_dense m =

@@ -27,7 +27,7 @@ type operator = {
 
 val of_sparse : Sparse.t -> operator
 (** The operator of an explicit sparse 0/1 matrix ({!Sparse.mul_vec} /
-    {!Sparse.mul_transpose_vec}): the live augmented rows of the
+    {!Sparse.tmul_vec}): the live augmented rows of the
     Phase-1 solve, and the Phase-2 backend that solves [Y = R* X*]
     without densifying [R*]. Neither product allocates beyond its
     result. *)

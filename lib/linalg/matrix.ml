@@ -40,8 +40,6 @@ let set m i j x =
     invalid_arg "Matrix.set: index out of bounds";
   m.data.((i * m.cols) + j) <- x
 
-let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
 let copy m = { m with data = Array.copy m.data }
 
 let row m i =
@@ -66,10 +64,6 @@ let check_same name a b =
 let add a b =
   check_same "Matrix.add" a b;
   { a with data = Array.mapi (fun k x -> x +. b.data.(k)) a.data }
-
-let sub a b =
-  check_same "Matrix.sub" a b;
-  { a with data = Array.mapi (fun k x -> x -. b.data.(k)) a.data }
 
 let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
 
@@ -167,14 +161,11 @@ let vstack a b =
   init (a.rows + b.rows) a.cols (fun i j ->
       if i < a.rows then get a i j else get b (i - a.rows) j)
 
-let map f m = { m with data = Array.map f m.data }
-
-let frobenius m = Vector.norm2 m.data
-
 let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols && Vector.approx_equal ~tol a.data b.data
 
-let is_symmetric ?(tol = 1e-9) m =
+let is_symmetric m =
+  let tol = 1e-9 in
   m.rows = m.cols
   && begin
        let ok = ref true in

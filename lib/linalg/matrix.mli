@@ -13,9 +13,6 @@
 
 type t
 
-val create : int -> int -> float -> t
-(** [create rows cols x] is a [rows × cols] matrix filled with [x]. *)
-
 val zeros : int -> int -> t
 
 val identity : int -> t
@@ -26,8 +23,6 @@ val init : int -> int -> (int -> int -> float) -> t
 val of_arrays : float array array -> t
 (** Builds from an array of rows; all rows must have the same length.
     An empty outer array yields the [0 × 0] matrix. *)
-
-val to_arrays : t -> float array array
 
 val rows : t -> int
 
@@ -50,8 +45,6 @@ val set_row : t -> int -> Vector.t -> unit
 val transpose : t -> t
 
 val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val scale : float -> t -> t
 
@@ -85,13 +78,9 @@ val hstack : t -> t -> t
 val vstack : t -> t -> t
 (** Vertical concatenation (same number of columns). *)
 
-val map : (float -> float) -> t -> t
-
-val frobenius : t -> float
-(** Frobenius norm. *)
-
 val approx_equal : ?tol:float -> t -> t -> bool
 
-val is_symmetric : ?tol:float -> t -> bool
+val is_symmetric : t -> bool
+(** Entry-wise symmetry up to an absolute [1e-9]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -4,23 +4,12 @@
 type block = { idx : int array; lower : float array }
 
 type kind =
-  | Identity
   | Diag of Vector.t (* reciprocal scales: C⁻¹ = diag(w) *)
   | Blocks of { jobs : int option; blocks : block array }
 
 type t = { n : int; kind : kind }
 
 let cols p = p.n
-
-let block_count p =
-  match p.kind with
-  | Identity -> 0
-  | Diag _ -> 1
-  | Blocks { blocks; _ } -> Array.length blocks
-
-let identity n =
-  if n < 0 then invalid_arg "Precond.identity: negative dimension";
-  { n; kind = Identity }
 
 let jacobi d =
   Array.iter
@@ -113,13 +102,11 @@ let check p v name =
 let solve p v =
   check p v "solve";
   match p.kind with
-  | Identity -> v
   | Diag w -> Vector.hadamard w v
   | Blocks { jobs; blocks } -> on_blocks ~jobs ~blocks block_solve v
 
 let solve_t p v =
   check p v "solve_t";
   match p.kind with
-  | Identity -> v
   | Diag w -> Vector.hadamard w v
   | Blocks { jobs; blocks } -> on_blocks ~jobs ~blocks block_solve_t v

@@ -34,14 +34,6 @@ type t
 val cols : t -> int
 (** Dimension [n] of the (square) preconditioner. *)
 
-val block_count : t -> int
-(** Diagonal blocks: 0 for {!identity}, 1 for {!jacobi}, the group count
-    for {!block_jacobi}. *)
-
-val identity : int -> t
-(** [C = I]: {!solve} and {!solve_t} return their argument unchanged
-    (same array, not a copy). *)
-
 val jacobi : Vector.t -> t
 (** [jacobi d] is [C = diag(max 1 dₑ)^{1/2}] for [d = diag(AᵀA)] (for a
     0/1 matrix, its {!Sparse.column_counts}). Entries below 1 — columns

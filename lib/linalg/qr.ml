@@ -140,7 +140,8 @@ let max_abs_diag f =
 
 let negligible ~rtol ~dmax d = d = 0. || Float.abs d <= rtol *. dmax
 
-let rank ?(rtol = 1e-10) f =
+let rank f =
+  let rtol = 1e-10 in
   let k = min f.m f.n in
   let dmax = max_abs_diag f in
   if dmax = 0. then 0
@@ -201,6 +202,6 @@ let least_squares ?rtol f b =
   done;
   out
 
-let matrix_rank ?rtol mat = rank ?rtol (factorize_pivoted mat)
+let matrix_rank mat = rank (factorize_pivoted mat)
 
 let solve ?rtol mat b = least_squares ?rtol (factorize mat) b

@@ -35,28 +35,18 @@ val r : t -> Matrix.t
 (** The upper-triangular factor (size [min m n × n], in the pivoted column
     order if pivoting was used). *)
 
-val rank : ?rtol:float -> t -> int
-(** Numerical rank: the number of diagonal entries of [R] larger than
-    [rtol * max_diag] (default [rtol = 1e-10]). Only meaningful on a pivoted
-    factorization; on an unpivoted one it is a lower bound. *)
-
-val apply_qt : t -> Vector.t -> Vector.t
-(** [apply_qt f b] is [Qᵀ b] (length [m]). *)
-
 val solve_r : ?rtol:float -> t -> Vector.t -> Vector.t
 (** Back-substitution on the leading [n × n] block of [R]. Raises [Failure]
     if some diagonal entry of [R] is at most [rtol * max_diag] in magnitude
-    (default [rtol = 1e-13] — singular to working precision), sharing the
-    relative-tolerance rule of {!rank}. *)
+    (default [rtol = 1e-13] — singular to working precision);
+    {!matrix_rank} applies the same relative rule at [1e-10]. *)
 
-val least_squares : ?rtol:float -> t -> Vector.t -> Vector.t
-(** [least_squares f b] minimizes [‖A x - b‖₂]; requires full column rank
-    (raises [Failure] otherwise, under the [rtol] rule of {!solve_r}).
-    Pivoting is undone, so the solution is in the original column order. *)
-
-val matrix_rank : ?rtol:float -> Matrix.t -> int
-(** Convenience: rank via pivoted QR. *)
+val matrix_rank : Matrix.t -> int
+(** Numerical rank via pivoted QR: the number of diagonal entries of
+    [R] larger than [1e-10 * max_diag]. *)
 
 val solve : ?rtol:float -> Matrix.t -> Vector.t -> Vector.t
-(** Convenience: factorize then [least_squares]. For square systems this is
-    a linear solve; for tall systems the least-squares solution. *)
+(** Minimizes [‖A x - b‖₂] through an unpivoted factorization: a linear
+    solve for square systems, the least-squares solution for tall ones.
+    Requires full column rank (raises [Failure] otherwise, under the
+    [rtol] rule of {!solve_r}). *)

@@ -91,8 +91,6 @@ let tmul_vec m x =
   done;
   y
 
-let mul_transpose_vec = tmul_vec
-
 let column_counts m =
   let c = Array.make m.ncols 0 in
   Array.iter (fun r -> Array.iter (fun j -> c.(j) <- c.(j) + 1) r) m.data;
@@ -256,25 +254,9 @@ let gram_lower ?jobs m =
     vals;
   }
 
-let normal_rhs = tmul_vec
-
 let least_squares ?ridge ?jobs m b =
-  Cholesky.solve_ordered ?ridge (gram_lower ?jobs m) (normal_rhs m b)
+  Cholesky.solve_ordered ?ridge (gram_lower ?jobs m) (tmul_vec m b)
 
 let equal m1 m2 =
   m1.nrows = m2.nrows && m1.ncols = m2.ncols
   && Array.for_all2 (fun r1 r2 -> r1 = r2) m1.data m2.data
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>sparse %dx%d:" m.nrows m.ncols;
-  Array.iteri
-    (fun i r ->
-      Format.fprintf ppf "@,%3d: {" i;
-      Array.iteri
-        (fun k j ->
-          if k > 0 then Format.fprintf ppf ", ";
-          Format.fprintf ppf "%d" j)
-        r;
-      Format.fprintf ppf "}")
-    m.data;
-  Format.fprintf ppf "@]"

@@ -43,11 +43,6 @@ val tmul_vec : t -> Vector.t -> Vector.t
 (** [tmul_vec m x] is [mᵀ x]: rows scatter [x.(i)] in increasing row
     order, skipping zero weights. Allocates only the result. *)
 
-val mul_transpose_vec : t -> Vector.t -> Vector.t
-(** [mul_transpose_vec m x] is [mᵀ x] — the operator-facing name of
-    {!tmul_vec}, paired with {!mul_vec} when a sparse matrix is handed to
-    an iterative least-squares solver ({!Lsqr.of_sparse}). *)
-
 val column_counts : t -> int array
 (** For each column, how many rows contain it. *)
 
@@ -102,16 +97,11 @@ val gram_lower : ?jobs:int -> t -> Cholesky.sym
     (default [Parallel.Pool.default_jobs ()]); every entry is an exact
     integer count, so the result is the same for every [jobs]. *)
 
-val normal_rhs : t -> Vector.t -> Vector.t
-(** [normal_rhs a b] is [aᵀ b]. *)
-
 val least_squares : ?ridge:float -> ?jobs:int -> t -> Vector.t -> Vector.t
 (** Minimizes [‖a x − b‖₂] by solving the normal equations {!gram_lower}
-    and {!normal_rhs} with {!Cholesky.solve_ordered}. When [a] lacks full
+    and {!tmul_vec} with {!Cholesky.solve_ordered}. When [a] lacks full
     column rank (a row filter such as Phase 1's drop-negative rule can
     cost it), the Gram matrix is singular and the values along its null
     space are whatever rounding and the ridge make of them. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -6,19 +6,9 @@ let create n x =
 
 let zeros n = create n 0.
 
-let init = Array.init
-
-let dim = Array.length
-
 let copy = Array.copy
 
 let of_list = Array.of_list
-
-let to_list = Array.to_list
-
-let get = Array.get
-
-let set = Array.set
 
 let check_same_dim name x y =
   if Array.length x <> Array.length y then
@@ -82,14 +72,6 @@ let sum x = Array.fold_left ( +. ) 0. x
 let mean x =
   if Array.length x = 0 then invalid_arg "Vector.mean: empty vector";
   sum x /. float_of_int (Array.length x)
-
-let map = Array.map
-
-let mapi = Array.mapi
-
-let iteri = Array.iteri
-
-let fold = Array.fold_left
 
 let extreme_index name better x =
   if Array.length x = 0 then invalid_arg name;

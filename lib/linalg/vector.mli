@@ -7,29 +7,13 @@
 
 type t = float array
 
-val create : int -> float -> t
-(** [create n x] is a vector of [n] copies of [x]. Raises
-    [Invalid_argument] if [n < 0]. *)
-
 val zeros : int -> t
 (** [zeros n] is the all-zero vector of dimension [n]. *)
-
-val init : int -> (int -> float) -> t
-(** [init n f] is [| f 0; ...; f (n-1) |]. *)
-
-val dim : t -> int
-(** Dimension of the vector. *)
 
 val copy : t -> t
 (** Fresh copy. *)
 
 val of_list : float list -> t
-
-val to_list : t -> float list
-
-val get : t -> int -> float
-
-val set : t -> int -> float -> unit
 
 val add : t -> t -> t
 (** Element-wise sum. *)
@@ -62,14 +46,6 @@ val sum : t -> float
 
 val mean : t -> float
 (** Arithmetic mean. Raises [Invalid_argument] on the empty vector. *)
-
-val map : (float -> float) -> t -> t
-
-val mapi : (int -> float -> float) -> t -> t
-
-val iteri : (int -> float -> unit) -> t -> unit
-
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 val max_index : t -> int
 (** Index of a maximal entry. Raises [Invalid_argument] on empty input. *)

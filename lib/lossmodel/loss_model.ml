@@ -35,6 +35,14 @@ let internet =
   custom ~name:"internet" ~good:(0., 0.0005) ~congested:(0.01, 0.3)
     ~threshold:0.002
 
+let builtins =
+  [
+    ("llrd1", llrd1);
+    ("llrd1-calibrated", llrd1_calibrated);
+    ("llrd2", llrd2);
+    ("internet", internet);
+  ]
+
 let draw_good rng m =
   if m.good_lo = m.good_hi then m.good_lo else Rng.uniform rng m.good_lo m.good_hi
 

@@ -38,6 +38,11 @@ val internet : t
     essentially lossless over a 10-second snapshot (good range
     [0, 0.0005]) while congested links span [0.01, 0.3]; [tl] = 0.002. *)
 
+val builtins : (string * t) list
+(** The four models above under the names the command line and the
+    cross-validation grid accept, in help order: [llrd1],
+    [llrd1-calibrated], [llrd2], [internet]. *)
+
 val custom :
   name:string ->
   good:float * float ->

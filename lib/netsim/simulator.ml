@@ -65,8 +65,6 @@ let run ?(dynamics = Static) rng config r ~count =
   let y = Matrix.init count np (fun l i -> snapshots.(l).Snapshot.y.(i)) in
   { snapshots; y }
 
-let measurements run = Matrix.copy run.y
-
 let split_learning run ~learning =
   let count = Array.length run.snapshots in
   if learning <= 0 || learning >= count then

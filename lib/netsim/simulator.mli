@@ -31,11 +31,6 @@ type run = {
   y : Linalg.Matrix.t;  (** row [l] = the [y] vector of snapshot [l] *)
 }
 
-val evolve_statuses :
-  Nstats.Rng.t -> Snapshot.config -> status_dynamics -> bool array -> bool array
-(** One dynamics step from the given status vector (identity for
-    [Static]). *)
-
 val run :
   ?dynamics:status_dynamics ->
   Nstats.Rng.t ->
@@ -46,9 +41,6 @@ val run :
 (** [run rng config r ~count] generates [count] snapshots (default
     dynamics [Static]). Raises [Invalid_argument] when [count <= 0] or the
     [Markov] persistence is outside [0, 1). *)
-
-val measurements : run -> Linalg.Matrix.t
-(** The [count × n_p] matrix of log path transmission rates. *)
 
 val split_learning : run -> learning:int -> Linalg.Matrix.t * Snapshot.t
 (** [(y_first, target)] where [y_first] holds the first [learning] rows

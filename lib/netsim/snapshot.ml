@@ -111,10 +111,3 @@ let generate rng config ~congested r =
     | Packet_per_path | Flow_level -> Array.copy loss_rates
   in
   { loss_rates; realized; congested; received; y }
-
-let path_transmission t i = exp t.y.(i)
-
-let true_path_transmission r t i =
-  Array.fold_left
-    (fun acc j -> acc *. (1. -. t.loss_rates.(j)))
-    1. (Sparse.row r i)

@@ -65,10 +65,3 @@ val generate :
     [y] stays finite. Raises [Invalid_argument] on a config with
     [probes <= 0], [congestion_prob] outside [0, 1], or a status vector
     whose length is not the column count of [r]. *)
-
-val path_transmission : t -> int -> float
-(** Measured transmission rate [φ̂] of path [i]. *)
-
-val true_path_transmission : Linalg.Sparse.t -> t -> int -> float
-(** Product of the true link transmission rates along path [i] — the
-    transmission rate a noiseless measurement would see. *)

@@ -22,5 +22,3 @@ let now_ns () = monotonize (raw_ns ())
 let now_us () = Int64.div (now_ns ()) 1_000L
 
 let seconds_since t0_ns = Int64.to_float (Int64.sub (now_ns ()) t0_ns) *. 1e-9
-
-let wall_s = Unix.gettimeofday

@@ -14,7 +14,3 @@ val now_us : unit -> int64
 val seconds_since : int64 -> float
 (** [seconds_since t0] is the elapsed time in seconds between a previous
     {!now_ns} reading [t0] and now. *)
-
-val wall_s : unit -> float
-(** Raw wall-clock seconds since the Unix epoch (for log timestamps;
-    not monotonized). *)

@@ -219,5 +219,3 @@ let to_float_opt = function
 let to_int_opt = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
-
-let to_bool_opt = function Bool b -> Some b | _ -> None

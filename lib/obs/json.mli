@@ -34,5 +34,3 @@ val to_float_opt : t -> float option
 
 val to_int_opt : t -> int option
 (** [Some] only for numbers with integral values. *)
-
-val to_bool_opt : t -> bool option

@@ -17,25 +17,18 @@ let level_of_string s =
   | "error" -> Ok (Some Error)
   | _ -> Error (Printf.sprintf "unknown log level %S (off|debug|info|warn|error)" s)
 
-type format = Pretty | Json
-
 type t = {
   mutable level : level option; (* None = disabled *)
-  mutable sink : Sink.t option; (* None = pretty stderr, opened lazily *)
-  mutable format : format;
+  mutable sink : Sink.t option; (* None = stderr, opened lazily *)
 }
 
-let create () = { level = None; sink = None; format = Pretty }
-
-let default = create ()
+let default = { level = None; sink = None }
 
 let set_level t level = t.level <- level
 
 let level t = t.level
 
-let set_sink t ?(format = Json) sink =
-  t.sink <- sink;
-  t.format <- (match sink with None -> Pretty | Some _ -> format)
+let set_sink t sink = t.sink <- sink
 
 let enabled_at t lvl =
   match t.level with
@@ -45,40 +38,22 @@ let enabled_at t lvl =
 (* the fallback stderr sink is shared so concurrent lines don't shear *)
 let stderr_sink = lazy (Sink.stderr_lines ())
 
-let render t lvl fields msg =
-  match t.format with
-  | Json ->
-      let base =
-        [
-          ("ts", Field.Float (Clock.wall_s ()));
-          ("level", Field.Str (level_name lvl));
-          ("msg", Field.Str msg);
-        ]
-      in
-      Field.assoc_json (base @ fields)
-  | Pretty ->
-      (* timestamp-free so cram tests and log-diffing stay deterministic;
-         the JSON format carries the wall clock *)
-      let b = Buffer.create 96 in
-      Printf.bprintf b "[%-5s] %s" (level_name lvl) msg;
-      List.iter
-        (fun (k, v) -> Printf.bprintf b " %s=%s" k (Field.to_text v))
-        fields;
-      Buffer.contents b
+(* timestamp-free so cram tests and log-diffing stay deterministic *)
+let render lvl fields msg =
+  let b = Buffer.create 96 in
+  Printf.bprintf b "[%-5s] %s" (level_name lvl) msg;
+  List.iter (fun (k, v) -> Printf.bprintf b " %s=%s" k (Field.to_text v)) fields;
+  Buffer.contents b
 
 let log ?(fields = []) t lvl msg =
   if enabled_at t lvl then begin
     let sink =
       match t.sink with Some s -> s | None -> Lazy.force stderr_sink
     in
-    Sink.write sink (render t lvl fields msg);
+    Sink.write sink (render lvl fields msg);
     Sink.flush sink
   end
-
-let debug ?fields t msg = log ?fields t Debug msg
 
 let info ?fields t msg = log ?fields t Info msg
 
 let warn ?fields t msg = log ?fields t Warn msg
-
-let error ?fields t msg = log ?fields t Error msg

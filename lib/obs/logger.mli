@@ -1,11 +1,10 @@
 (** Leveled structured logger.
 
-    A record is a level, a message, and optional {!Field.t} fields. With
-    no sink installed, records go to a shared stderr sink in the pretty
-    format; a JSONL file sink gets one JSON object per line carrying a
-    wall-clock [ts]. A logger whose level is [None] is disabled: {!log}
-    is one branch. The pretty format is deliberately timestamp-free so
-    cram tests and diff-based triage stay deterministic. *)
+    A record is a level, a message, and optional {!Field.t} fields,
+    rendered as one timestamp-free line ([[info ] msg k=v ...]) so cram
+    tests and diff-based triage stay deterministic. With no sink
+    installed, lines go to a shared stderr sink. A logger whose level is
+    [None] is disabled: a record costs one branch. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -15,27 +14,20 @@ val level_of_string : string -> (level option, string) result
 (** Accepts [off|none|debug|info|warn|warning|error] (case-insensitive);
     [Ok None] means disabled. *)
 
-type format = Pretty | Json
-
 type t
 
 val default : t
 (** The process-wide logger. Starts disabled (level [None]). *)
 
-val create : unit -> t
-
 val set_level : t -> level option -> unit
 
 val level : t -> level option
 
-val set_sink : t -> ?format:format -> Sink.t option -> unit
-(** Install an output sink ([format] defaults to [Json]); [None] reverts
-    to pretty stderr. *)
+val set_sink : t -> Sink.t option -> unit
+(** Install an output sink; [None] reverts to stderr. *)
 
-val log : ?fields:(string * Field.t) list -> t -> level -> string -> unit
-(** Emit if the record's level is at or above the logger's level. *)
-
-val debug : ?fields:(string * Field.t) list -> t -> string -> unit
 val info : ?fields:(string * Field.t) list -> t -> string -> unit
+(** Emit if [Info] is at or above the logger's level. *)
+
 val warn : ?fields:(string * Field.t) list -> t -> string -> unit
-val error : ?fields:(string * Field.t) list -> t -> string -> unit
+(** Emit if [Warn] is at or above the logger's level. *)

@@ -166,8 +166,6 @@ let counter_value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 
 
 let gauge_value g = Atomic.get g.value
 
-let histogram_buckets h = Array.copy h.edges
-
 let histogram_counts h =
   let out = Array.make (Array.length h.edges + 1) 0 in
   Array.iter

@@ -52,8 +52,6 @@ val histogram : t -> ?help:string -> ?buckets:float array -> string -> histogram
     [+Inf] overflow bucket is always appended). Default: powers of ten
     from [1e-6] to [10] — latency seconds. *)
 
-val default_buckets : float array
-
 (** {1 Probes} *)
 
 val incr : counter -> unit
@@ -75,10 +73,6 @@ val time : histogram -> (unit -> 'a) -> 'a
 (** {1 Reads} *)
 
 val counter_value : counter -> int
-
-val gauge_value : gauge -> float
-
-val histogram_buckets : histogram -> float array
 
 val histogram_counts : histogram -> int array
 (** Per-bucket (non-cumulative) counts, the overflow bucket last. *)

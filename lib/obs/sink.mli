@@ -13,13 +13,10 @@ val close : t -> unit
 (** Flush and release the underlying resource. Closing a memory or
     stderr sink is a flush-only no-op. *)
 
-val of_channel : ?close_channel:bool -> out_channel -> t
-(** Wrap an existing channel ([close_channel] defaults to [true]). *)
-
 val file : string -> t
 (** Truncate-and-write sink on a fresh file (JSONL conventions are the
-    caller's: the trace output writes Chrome trace events, the logger
-    JSON records). *)
+    caller's: the trace output writes Chrome trace events, the flight
+    recorder and the convergence log JSON records). *)
 
 val stderr_lines : unit -> t
 (** Line sink on stderr; {!close} leaves the channel open. *)

@@ -21,8 +21,6 @@ let set_sink t sink =
   t.sink <- sink;
   match sink with Some s -> Sink.write s "[" | None -> ()
 
-let flush t = match t.sink with Some s -> Sink.flush s | None -> ()
-
 let render (e : Recorder.event) =
   let dur =
     match List.assoc_opt "dur_us" e.fields with

@@ -27,8 +27,6 @@ val set_sink : t -> Sink.t option -> unit
     is closed, and a fresh sink immediately receives the opening ["["]
     line. *)
 
-val flush : t -> unit
-
 val write : t -> Recorder.event -> unit
 (** Render a [span_end] (as ["X"]) or any other event (as an ["i"]
     instant) onto the sink. No-op without a sink. *)

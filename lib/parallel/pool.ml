@@ -33,15 +33,6 @@ let m_idle_ns =
   Obs.Metrics.counter Obs.Metrics.default
     ~help:"Nanoseconds pool workers spent waiting for work" "pool_worker_idle_ns_total"
 
-type stats = {
-  tasks_run : int;
-  blocks_scheduled : int;
-  sequential_fallbacks : int;
-  queue_wait_p50 : float;
-  queue_wait_p95 : float;
-  queue_wait_p99 : float;
-}
-
 type t = {
   jobs : int;
   mutex : Mutex.t;
@@ -49,23 +40,7 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable workers : unit Domain.t list;
   mutable stopping : bool;
-  tasks_run : int Atomic.t;
-  blocks_scheduled : int Atomic.t;
-  seq_fallbacks : int Atomic.t;
 }
-
-let stats pool =
-  {
-    tasks_run = Atomic.get pool.tasks_run;
-    blocks_scheduled = Atomic.get pool.blocks_scheduled;
-    sequential_fallbacks = Atomic.get pool.seq_fallbacks;
-    (* read back from the process-wide queue-wait histogram: per-pool
-       attribution is not tracked, and the estimate is nan until the
-       metrics registry has observed at least one enqueue *)
-    queue_wait_p50 = Obs.Metrics.histogram_quantile m_queue_wait 0.50;
-    queue_wait_p95 = Obs.Metrics.histogram_quantile m_queue_wait 0.95;
-    queue_wait_p99 = Obs.Metrics.histogram_quantile m_queue_wait 0.99;
-  }
 
 (* set while a pool task runs, so nested parallel sections degrade to
    sequential execution instead of deadlocking the pool *)
@@ -114,9 +89,6 @@ let create ~jobs =
       queue = Queue.create ();
       workers = [];
       stopping = false;
-      tasks_run = Atomic.make 0;
-      blocks_scheduled = Atomic.make 0;
-      seq_fallbacks = Atomic.make 0;
     }
   in
   pool.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
@@ -158,7 +130,6 @@ let run_blocks pool n f =
   let fin_mutex = Mutex.create () in
   let fin_cond = Condition.create () in
   let exns = Array.make n None in
-  Atomic.fetch_and_add pool.blocks_scheduled n |> ignore;
   Obs.Metrics.add m_blocks n;
   (* one reading at submission serves every block's queue-wait probe *)
   let t_enqueue =
@@ -167,7 +138,6 @@ let run_blocks pool n f =
   let tracing = Obs.Trace.enabled Obs.Trace.default in
   let task b () =
     Domain.DLS.set in_task_key true;
-    Atomic.incr pool.tasks_run;
     Obs.Metrics.incr m_tasks;
     if Obs.Metrics.enabled Obs.Metrics.default && Int64.compare t_enqueue 0L > 0
     then Obs.Metrics.observe m_queue_wait (Obs.Clock.seconds_since t_enqueue);
@@ -229,9 +199,6 @@ let for_blocks ?jobs ?pool n f =
     if jobs = 1 || n = 1 || in_task () then begin
       Obs.Metrics.incr m_seq_fallbacks;
       if in_task () then Obs.Metrics.incr m_nested_fallbacks;
-      (match pool with
-      | Some p -> Atomic.incr p.seq_fallbacks
-      | None -> ());
       for b = 0 to n - 1 do
         f b
       done
@@ -248,15 +215,6 @@ let parallel_for ?jobs ?min_block ~n f =
       for i = lo to hi - 1 do
         f i
       done)
-
-let map_reduce ?jobs ~blocks ~map ~reduce ~init =
-  if blocks < 0 then invalid_arg "Parallel.Pool.map_reduce: negative block count";
-  let results = Array.make blocks None in
-  for_blocks ?jobs blocks (fun b -> results.(b) <- Some (map b));
-  Array.fold_left
-    (fun acc r ->
-      match r with Some x -> reduce acc x | None -> assert false)
-    init results
 
 module Buffers = struct
   type 'a t = {

@@ -13,44 +13,20 @@
     blocks computed by {!Chunk.block_count} from the problem size alone.
     A kernel that (a) writes each output slot from exactly one block, or
     (b) merges per-block partials in block index order, produces
-    bit-for-bit identical results for every [jobs] value. *)
+    bit-for-bit identical results for every [jobs] value.
+
+    Telemetry: the pool feeds the process-wide {!Obs.Metrics.default}
+    registry ([pool_tasks_total], [pool_blocks_scheduled_total],
+    [pool_queue_wait_seconds], [pool_worker_busy_ns_total],
+    [pool_worker_idle_ns_total], [pool_sequential_fallbacks_total],
+    [pool_nested_fallbacks_total]) and, when {!Obs.Trace.default} has a
+    sink, emits one [pool.task] span per executed block through
+    {!Obs.Event.span}; that span goes to the trace only (on the running
+    domain's row), never to the flight recorder, whose event multiset
+    must not depend on [jobs]. All probes are single-branch no-ops while
+    the registry is disabled. *)
 
 type t
-
-type stats = {
-  tasks_run : int;  (** blocks actually executed through this pool *)
-  blocks_scheduled : int;  (** blocks pushed onto this pool's queue *)
-  sequential_fallbacks : int;
-      (** sections handed to this pool that ran inline instead (single
-          block, or issued from inside a pool task) *)
-  queue_wait_p50 : float;
-      (** median seconds between block enqueue and execution start, read
-          back from the process-wide [pool_queue_wait_seconds] histogram
-          (bucket-interpolated, see {!Obs.Metrics.histogram_quantile});
-          [nan] until the metrics registry has recorded an enqueue *)
-  queue_wait_p95 : float;
-  queue_wait_p99 : float;
-}
-
-val stats : t -> stats
-(** A consistent-enough snapshot of this pool's lifetime counters (each
-    field is an atomic read; no lock is taken). Sections that fall back
-    to sequential before a pool is resolved — [?jobs] calls with
-    [jobs = 1] — are counted only by the process-wide
-    [pool_sequential_fallbacks_total] metric, not here. The queue-wait
-    quantiles come from the process-wide histogram (all pools combined)
-    and need {!Obs.Metrics.default} enabled while the blocks ran.
-
-    Telemetry note: the pool also feeds the process-wide
-    {!Obs.Metrics.default} registry ([pool_tasks_total],
-    [pool_blocks_scheduled_total], [pool_queue_wait_seconds],
-    [pool_worker_busy_ns_total], [pool_worker_idle_ns_total],
-    [pool_sequential_fallbacks_total], [pool_nested_fallbacks_total])
-    and, when {!Obs.Trace.default} has a sink, emits one [pool.task]
-    span per executed block through {!Obs.Event.span}; that span goes to
-    the trace only (on the running domain's row), never to the flight
-    recorder, whose event multiset must not depend on [jobs]. All probes are
-    single-branch no-ops while the registry is disabled. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] capped at 8 — the default for
@@ -89,14 +65,6 @@ val parallel_for : ?jobs:int -> ?min_block:int -> n:int -> (int -> unit) -> unit
     {!Chunk.block_count}[ ~min_block n] blocks of consecutive indices.
     Within a block, indices run in increasing order. Safe whenever
     distinct [i] touch distinct state. *)
-
-val map_reduce :
-  ?jobs:int -> blocks:int -> map:(int -> 'a) -> reduce:('a -> 'a -> 'a) ->
-  init:'a -> 'a
-(** [map_reduce ~blocks ~map ~reduce ~init] computes
-    [reduce (... (reduce (reduce init (map 0)) (map 1)) ...) (map (blocks-1))]:
-    the maps run in parallel, the fold is performed by the caller in
-    block index order, so the result is identical for every [jobs]. *)
 
 (** Reusable accumulation buffers for parallel reductions whose merge is
     order-insensitive (e.g. exact integer counts held in floats). A task

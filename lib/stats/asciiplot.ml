@@ -10,8 +10,8 @@ let create ?(width = 64) ?(height = 20) () =
   if width < 8 || height < 4 then invalid_arg "Asciiplot.create: canvas too small";
   { width; height; layers = [] }
 
-let scatter ?(mark = '*') canvas points =
-  canvas.layers <- { mark; points; is_line = false } :: canvas.layers
+let scatter canvas points =
+  canvas.layers <- { mark = '*'; points; is_line = false } :: canvas.layers
 
 let line ?(mark = '+') canvas points =
   canvas.layers <- { mark; points; is_line = true } :: canvas.layers
@@ -95,12 +95,12 @@ let render ?(x_label = "") ?(y_label = "") canvas =
        xmax x_label);
   Buffer.contents b
 
-let plot_cdf ?width ?height ecdf =
-  let canvas = create ?width ?height () in
+let plot_cdf ?height ecdf =
+  let canvas = create ?height () in
   line canvas (Ecdf.curve ~points:60 ecdf);
   render ~y_label:"F(x)" canvas
 
-let plot_series ?width ?height series =
-  let canvas = create ?width ?height () in
+let plot_series ?height series =
+  let canvas = create ?height () in
   List.iter (fun (mark, points) -> line ~mark canvas points) series;
   render canvas

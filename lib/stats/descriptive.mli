@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance; 0 for fewer than two observations. *)
 
-val std : float array -> float
-
 val covariance : float array -> float array -> float
 (** Unbiased sample covariance of two equal-length samples; 0 for fewer
     than two observations; raises [Invalid_argument] on length mismatch. *)

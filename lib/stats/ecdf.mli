@@ -15,11 +15,6 @@ val inverse : t -> float -> float
 (** [inverse t q] for [q] in (0, 1]: the [q]-th empirical quantile
     (smallest sample value [x] with [eval t x >= q]). *)
 
-val size : t -> int
-
-val support : t -> float * float
-(** Minimum and maximum of the sample. *)
-
 val curve : ?points:int -> t -> (float * float) list
 (** [(x, F(x))] pairs at [points] (default 20) evenly spaced abscissae
     spanning the support, suitable for printing a figure as a table. *)

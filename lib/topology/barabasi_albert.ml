@@ -31,10 +31,10 @@ let links rng ~nodes ~m =
   done;
   Genutil.dedup_links !acc
 
-let generate rng ~nodes ~hosts ?(m = 2) () =
+let generate rng ~nodes ~hosts =
   if hosts < 2 || hosts > nodes then
     invalid_arg "Barabasi_albert.generate: bad host count";
-  let lks = links rng ~nodes ~m in
+  let lks = links rng ~nodes ~m:2 in
   let host_ids = Genutil.least_degree_nodes nodes lks hosts in
   let node_array = Genutil.make_nodes ~host_ids ~as_of:(fun _ -> 0) nodes in
   let graph = Graph.of_undirected ~nodes:node_array ~links:(Array.of_list lks) in

@@ -7,7 +7,6 @@
 val links : Nstats.Rng.t -> nodes:int -> m:int -> (int * int) list
 (** Undirected link list. Requires [nodes > m >= 1]. *)
 
-val generate :
-  Nstats.Rng.t -> nodes:int -> hosts:int -> ?m:int -> unit -> Testbed.t
-(** Connected BA graph whose [hosts] least-connected nodes are both
-    beacons and destinations. Default [m = 2]. *)
+val generate : Nstats.Rng.t -> nodes:int -> hosts:int -> Testbed.t
+(** Connected BA graph ([m = 2] links per new node) whose [hosts]
+    least-connected nodes are both beacons and destinations. *)

@@ -6,9 +6,6 @@ val connect_components : Nstats.Rng.t -> int -> (int * int) list -> (int * int) 
     stranded component and a random node of the main component. Returns
     the augmented link list. *)
 
-val degrees : int -> (int * int) list -> int array
-(** Undirected degree of each of [n] nodes. *)
-
 val least_degree_nodes : int -> (int * int) list -> int -> int array
 (** [least_degree_nodes n links k] is [k] node indices of minimal degree
     (ties broken by id). *)

@@ -89,10 +89,6 @@ let is_inter_as g eid =
   let e = edge g eid in
   (node g e.src).as_id <> (node g e.dst).as_id
 
-let reverse_edge g eid =
-  let e = edge g eid in
-  Option.map (fun e' -> e'.id) (find_edge g ~src:e.dst ~dst:e.src)
-
 let undirected_components g =
   let nv = node_count g in
   let seen = Array.make nv false in

@@ -51,9 +51,6 @@ val hosts : t -> node array
 val is_inter_as : t -> int -> bool
 (** Whether the edge's endpoints belong to different ASes. *)
 
-val reverse_edge : t -> int -> int option
-(** Id of the opposite-direction edge if present. *)
-
 val undirected_components : t -> int
 (** Number of weakly connected components. *)
 

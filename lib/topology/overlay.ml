@@ -45,10 +45,9 @@ let planetlab_like rng ~hosts ?ases ?(routers_per_as = 15) () =
   let core_links, as_of = clustered_core rng ~ases ~routers in
   attach_hosts rng ~core:routers ~hosts ~core_links ~as_of
 
-let dimes_like rng ~hosts ?core_nodes () =
+let dimes_like rng ~hosts =
   if hosts < 2 then invalid_arg "Overlay.dimes_like: need at least 2 hosts";
-  let core = Option.value core_nodes ~default:(20 * hosts) in
-  let core = max core (hosts + 4) in
+  let core = 20 * hosts in
   let lks = Barabasi_albert.links rng ~nodes:core ~m:2 in
   (* many small ASes: partition the core by id blocks of ~5 routers, which
      tracks attachment order and hence loosely the degree hierarchy *)

@@ -21,7 +21,6 @@ val planetlab_like :
   Nstats.Rng.t -> hosts:int -> ?ases:int -> ?routers_per_as:int -> unit -> Testbed.t
 (** Defaults: [ases = 2 * hosts], [routers_per_as = 15]. *)
 
-val dimes_like :
-  Nstats.Rng.t -> hosts:int -> ?core_nodes:int -> unit -> Testbed.t
-(** Default [core_nodes = 20 * hosts]. The BA core is partitioned into many
-    small ASes; each host attaches to a low-degree core node. *)
+val dimes_like : Nstats.Rng.t -> hosts:int -> Testbed.t
+(** A BA core of [20 * hosts] nodes, partitioned into many small ASes;
+    each host attaches to a low-degree core node. *)

@@ -54,8 +54,6 @@ let by_as graph (red : Routing.reduced) =
   in
   { groups; ncols }
 
-let groups p = p.groups
-
 let group_cols p = Array.map (fun g -> g.cols) p.groups
 
 let order p =
@@ -70,15 +68,3 @@ let order p =
         g.cols)
     p.groups;
   out
-
-let cols p = p.ncols
-
-let pp ppf p =
-  Format.fprintf ppf "@[<v>partition of %d columns:" p.ncols;
-  Array.iter
-    (fun g ->
-      (match g.label with
-      | As a -> Format.fprintf ppf "@,AS %d: %d cols" a (Array.length g.cols)
-      | Border -> Format.fprintf ppf "@,border: %d cols" (Array.length g.cols)))
-    p.groups;
-  Format.fprintf ppf "@]"

@@ -17,13 +17,6 @@
     columns ascending within each group — so every consumer (solver,
     bench, tests) sees the same blocks in the same order. *)
 
-type label =
-  | As of int  (** all member edges inside this AS *)
-  | Border  (** touches an AS boundary *)
-
-type group = { label : label; cols : int array }
-(** [cols] strictly increasing column indices of the reduced matrix. *)
-
 type t
 
 val by_as : Graph.t -> Routing.reduced -> t
@@ -31,19 +24,12 @@ val by_as : Graph.t -> Routing.reduced -> t
     membership of its physical edges. Only non-empty groups appear; a
     single-AS topology yields one group and no border. *)
 
-val groups : t -> group array
-(** Ascending AS id, border last. Do not mutate. *)
-
 val group_cols : t -> int array array
-(** Just the column index sets of {!groups}, in the same order (fresh
-    outer array, shared inner arrays). *)
+(** The column index sets of the groups, ascending AS id with the
+    border last, each strictly increasing (fresh outer array, shared
+    inner arrays: do not mutate). *)
 
 val order : t -> int array
 (** The concatenation of all groups' columns — a permutation of
     [0 .. cols-1] suitable for {!Linalg.Sparse.permute_cols}. Fresh
     array. *)
-
-val cols : t -> int
-(** Total number of columns partitioned. *)
-
-val pp : Format.formatter -> t -> unit

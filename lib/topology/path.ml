@@ -15,18 +15,4 @@ let length p = Array.length p.edges
 
 let mem_edge p eid = Array.exists (fun e -> e = eid) p.edges
 
-let edge_position p eid =
-  let pos = ref None in
-  Array.iteri (fun i e -> if e = eid && !pos = None then pos := Some i) p.edges;
-  !pos
-
-let shared_edges p q =
-  let in_q = Hashtbl.create (Array.length q.edges) in
-  Array.iter (fun e -> Hashtbl.replace in_q e ()) q.edges;
-  Array.to_list p.edges |> List.filter (Hashtbl.mem in_q)
-
 let equal p q = p.src = q.src && p.dst = q.dst && p.edges = q.edges
-
-let pp ppf p =
-  Format.fprintf ppf "%d" p.nodes.(0);
-  Array.iteri (fun i n -> if i > 0 then Format.fprintf ppf "->%d" n) p.nodes

@@ -15,12 +15,4 @@ val length : t -> int
 
 val mem_edge : t -> int -> bool
 
-val edge_position : t -> int -> int option
-(** Index of an edge along the path, if present. *)
-
-val shared_edges : t -> t -> int list
-(** Edge ids traversed by both paths, in the order of the first path. *)
-
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -30,8 +30,6 @@ let bfs graph src =
   done;
   pred
 
-let routing_tree graph ~src = bfs graph src
-
 let path_of_pred graph pred ~src ~dst =
   if src = dst then None
   else begin
@@ -182,8 +180,6 @@ let reduce graph paths =
 
 let build graph ~beacons ~destinations =
   reduce graph (paths_between graph ~beacons ~destinations)
-
-let path_vlinks r i = Array.copy (Sparse.row r.matrix i)
 
 let vlink_loss_rate r ~link_loss j =
   if j < 0 || j >= Array.length r.vlinks then

@@ -34,11 +34,6 @@ val paths_between_weighted :
   Path.t array
 (** Weighted counterpart of {!paths_between}. *)
 
-val routing_tree : Graph.t -> src:int -> int option array
-(** Predecessor edge id per node of the BFS tree rooted at [src] ([None]
-    for the root and unreachable nodes). All [shortest_path] results from
-    [src] are branches of this tree. *)
-
 val paths_between :
   Graph.t -> beacons:int array -> destinations:int array -> Path.t array
 (** All shortest paths from each beacon to each destination (skipping the
@@ -52,10 +47,6 @@ val reduce : Graph.t -> Path.t array -> reduced
 val build :
   Graph.t -> beacons:int array -> destinations:int array -> reduced
 (** [paths_between] followed by {!reduce}. *)
-
-val path_vlinks : reduced -> int -> int array
-(** Columns (virtual links) traversed by path (row) [i] — the support of
-    row [i] of the matrix. *)
 
 val vlink_loss_rate : reduced -> link_loss:(int -> float) -> int -> float
 (** Loss rate of virtual link [j] given per-physical-edge loss rates:

@@ -20,9 +20,12 @@ let to_string (t : Testbed.t) =
     t.Testbed.destinations;
   Buffer.contents b
 
-let fail_line lineno msg = failwith (Printf.sprintf "line %d: %s" lineno msg)
-
-let of_string s =
+(* [where lineno] locates a malformed line: ["FILE:LINE"] when loading a
+   file (the form [Trace_io] uses), ["line LINE"] for a bare string *)
+let parse ~where s =
+  let fail_line lineno msg =
+    failwith (Printf.sprintf "%s: %s" (where lineno) msg)
+  in
   let lines = String.split_on_char '\n' s in
   let nodes = ref [] and edges = ref [] in
   let beacons = ref [] and dests = ref [] in
@@ -79,6 +82,8 @@ let of_string s =
   Testbed.validate t;
   t
 
+let of_string s = parse ~where:(Printf.sprintf "line %d") s
+
 let save path t =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir "testbed" ".tmp" in
@@ -95,4 +100,4 @@ let load path =
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
-  of_string s
+  parse ~where:(Printf.sprintf "%s:%d" path) s

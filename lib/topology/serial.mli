@@ -24,4 +24,5 @@ val save : string -> Testbed.t -> unit
     same directory). *)
 
 val load : string -> Testbed.t
-(** Raises [Sys_error] if unreadable, [Failure] if malformed. *)
+(** Raises [Sys_error] if unreadable, [Failure] if malformed; a malformed
+    line is reported as [FILE:LINE: message]. *)

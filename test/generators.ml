@@ -73,7 +73,7 @@ let random_testbed seed =
       Topology.Tree_gen.generate rng ~nodes:(30 + (seed mod 60))
         ~max_branching:5 ()
   | 1 -> Topology.Waxman.generate rng ~nodes:40 ~hosts ()
-  | 2 -> Topology.Barabasi_albert.generate rng ~nodes:40 ~hosts ()
+  | 2 -> Topology.Barabasi_albert.generate rng ~nodes:40 ~hosts
   | 3 ->
       Topology.Hierarchical.generate rng
         ~flavour:Topology.Hierarchical.Top_down ~ases:3 ~routers_per_as:6 ~hosts
@@ -82,7 +82,7 @@ let random_testbed seed =
         ~flavour:Topology.Hierarchical.Bottom_up ~ases:3 ~routers_per_as:6 ~hosts
   | 5 -> Topology.Overlay.planetlab_like rng ~hosts ()
   | 6 -> Topology.Transit_stub.generate rng ~hosts ()
-  | _ -> Topology.Overlay.dimes_like rng ~hosts ()
+  | _ -> Topology.Overlay.dimes_like rng ~hosts
 
 (* The routing matrix of [random_testbed seed]. *)
 let random_routing seed =

@@ -196,6 +196,65 @@ let test_degraded_target_solves_valid_rows () =
   | { Lia.health = h; _ } ->
       Alcotest.failf "expected Degraded, got %s" (Lia.health_label h)
 
+(* --- the skipped-pair rule ---------------------------------------------------- *)
+
+(* Six paths in two groups of three. Each path has a private link, and the
+   first [k] cross-group pairs (0,3), (0,4), ... share a link of their
+   own, so the linked pairs are the 6 diagonal pairs plus those [k]. The
+   learning rows see one group each (half of every row missing, which
+   the quarantine still accepts): every cross-group pair has no
+   overlapping snapshot and is skipped, every diagonal pair has 2. *)
+let split_campaign k =
+  let cross =
+    List.concat_map (fun i -> List.map (fun j -> (i, j)) [ 3; 4; 5 ]) [ 0; 1; 2 ]
+  in
+  let links i =
+    i
+    :: List.concat
+         (List.mapi
+            (fun t (a, b) -> if t < k && (a = i || b = i) then [ 6 + t ] else [])
+            cross)
+  in
+  let r =
+    Sparse.create ~cols:(6 + k) (Array.init 6 (fun i -> Array.of_list (links i)))
+  in
+  let y_learn =
+    Matrix.init 4 6 (fun l i ->
+        if (l < 2) = (i < 3) then
+          -0.01 *. float_of_int (1 + (((3 * i) + (5 * l)) mod 7))
+        else Float.nan)
+  in
+  (r, y_learn, Array.init 6 (fun i -> -0.02 *. float_of_int (i + 1)))
+
+let test_skipped_pair_rule () =
+  let checked k =
+    let r, y_learn, y_now = split_campaign k in
+    Lia.infer_checked ~r ~y_learn ~y_now ()
+  in
+  (match checked 7 with
+  | { Lia.health = Lia.Refused reason; result = None } ->
+      Alcotest.(check string) "7 of 13 skipped"
+        "only 6/13 path pairs have 2 overlapping snapshots (allowed skip \
+         fraction 0.5)"
+        reason
+  | { Lia.health = h; _ } ->
+      Alcotest.failf "7 of 13 skipped: expected Refused, got %s"
+        (Lia.health_label h));
+  List.iter
+    (fun k ->
+      match checked k with
+      | { Lia.health = Lia.Degraded d; result = Some _ } ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%d of %d skipped: pairs used/total" k (6 + k))
+            (6, 6 + k)
+            (d.Lia.ess.Core.Variance_estimator.pairs_used,
+             d.Lia.ess.Core.Variance_estimator.pairs_total)
+      | { Lia.health = h; _ } ->
+          Alcotest.failf "%d of %d skipped: expected Degraded, got %s" k (6 + k)
+            (Lia.health_label h))
+    (* just under half, and exactly half: the rule refuses only above it *)
+    [ 5; 6 ]
+
 (* --- monitor: churn-safe caching and validating ingest --------------------- *)
 
 let test_monitor_churn_never_serves_stale_variances () =
@@ -301,6 +360,8 @@ let units =
   [
     Alcotest.test_case "degraded target solves valid rows" `Quick
       test_degraded_target_solves_valid_rows;
+    Alcotest.test_case "skipped pairs: refused only above half" `Quick
+      test_skipped_pair_rule;
     Alcotest.test_case "monitor: churn never serves stale variances" `Quick
       test_monitor_churn_never_serves_stale_variances;
     Alcotest.test_case "monitor: unusable snapshots rejected" `Quick

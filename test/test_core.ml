@@ -68,21 +68,6 @@ let test_full_column_rank_fig1 () =
   Alcotest.(check int) "A full column rank" 5
     (Qr.matrix_rank (Sparse.to_dense (Augmented.build r_fig1)))
 
-let test_update_rows_equals_rebuild () =
-  let rng = Rng.create 5 in
-  let tb = Topology.Tree_gen.generate rng ~nodes:40 ~max_branching:4 () in
-  let red = Topology.Testbed.routing tb in
-  let r = red.Topology.Routing.matrix in
-  let a = Augmented.build r in
-  (* change rows 0 and 2 to fresh contents (simulating a route change) *)
-  let rows = Array.init (Sparse.rows r) (fun i -> Sparse.row r i) in
-  rows.(0) <- [| 0 |];
-  rows.(2) <- [| 1; 2 |];
-  let r' = Sparse.create ~cols:(Sparse.cols r) rows in
-  let incremental = Augmented.update_rows r' ~rows:[ 0; 2 ] a in
-  Alcotest.(check bool) "incremental = full rebuild" true
-    (Sparse.equal incremental (Augmented.build r'))
-
 (* --- Covariance (eq. 7) -------------------------------------------------- *)
 
 let test_sigma_star_alignment () =
@@ -599,7 +584,6 @@ let () =
           Alcotest.test_case "diagonal rows" `Quick test_build_diagonal_rows_are_r;
           Alcotest.test_case "full column rank (fig 1)" `Quick
             test_full_column_rank_fig1;
-          Alcotest.test_case "incremental update" `Quick test_update_rows_equals_rebuild;
         ] );
       ( "covariance",
         [

@@ -248,6 +248,31 @@ let test_registry_names () =
   Alcotest.(check bool) "find hit" true (Estimator.find "lia-dense" <> None);
   Alcotest.(check bool) "find miss" true (Estimator.find "bogus" = None)
 
+(* A target with no finite measurement: every adapter that restricts to
+   the finitely measured paths refuses it with the same note, [mils]
+   included, instead of letting a module's exception name itself. *)
+let test_all_nan_target_refused () =
+  let input, _ = golden_campaign () in
+  let input =
+    Measurement.make ~routing:(Option.get input.Measurement.routing)
+      ?variances:input.Measurement.variances ~r:input.Measurement.r
+      ~y_learn:input.Measurement.y_learn
+      ~y_now:(Array.map (fun _ -> Float.nan) input.Measurement.y_now)
+      ()
+  in
+  List.iter
+    (fun name ->
+      let e = Option.get (Estimator.find name) in
+      match e.Estimator.estimate ~threshold:0.01 input with
+      | Error reason -> Alcotest.failf "%s skipped: %s" name reason
+      | Ok out ->
+          Alcotest.(check string) (name ^ " health") "refused" out.Estimator.health;
+          Alcotest.(check string)
+            (name ^ " note") "no finite target measurements" out.Estimator.note;
+          Alcotest.(check bool) (name ^ " no verdicts") true
+            (out.Estimator.verdicts = None))
+    [ "em"; "mils"; "scfs"; "clink"; "plan" ]
+
 (* --- adapter bit-identity (qcheck) -------------------------------------- *)
 
 let adapter name =
@@ -356,6 +381,8 @@ let () =
           Alcotest.test_case "every backend within its bound" `Slow
             test_golden_registry;
           Alcotest.test_case "registry names" `Quick test_registry_names;
+          Alcotest.test_case "all-NaN target refused" `Quick
+            test_all_nan_target_refused;
         ] );
       ( "adapter-identity",
         List.map QCheck_alcotest.to_alcotest

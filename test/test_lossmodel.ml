@@ -89,24 +89,25 @@ let test_gilbert_intervals_valid () =
 let test_gilbert_loss_count_mean () =
   let rng = Rng.create 13 in
   let g = Gilbert.make ~loss_rate:0.1 () in
-  let acc = Nstats.Online.create () in
-  for _ = 1 to 3000 do
-    Nstats.Online.add acc (float_of_int (Gilbert.losses rng g ~steps:1000))
-  done;
-  close ~tol:3. "mean losses ~ rate * steps" 100. (Nstats.Online.mean acc)
+  let xs =
+    Array.init 3000 (fun _ -> float_of_int (Gilbert.losses rng g ~steps:1000))
+  in
+  close ~tol:3. "mean losses ~ rate * steps" 100. (Nstats.Descriptive.mean xs)
 
 let test_gilbert_burstiness () =
   (* Gilbert losses must be over-dispersed relative to Bernoulli: this is
      the property that gives congested links their high variance. *)
   let rng = Rng.create 17 in
   let g = Gilbert.make ~loss_rate:0.1 () in
-  let gil = Nstats.Online.create () and ber = Nstats.Online.create () in
-  for _ = 1 to 3000 do
-    Nstats.Online.add gil (float_of_int (Gilbert.losses rng g ~steps:1000));
-    Nstats.Online.add ber (float_of_int (Bernoulli.losses rng ~rate:0.1 ~steps:1000))
-  done;
+  let draws =
+    Array.init 3000 (fun _ ->
+        let gil = float_of_int (Gilbert.losses rng g ~steps:1000) in
+        let ber = float_of_int (Bernoulli.losses rng ~rate:0.1 ~steps:1000) in
+        (gil, ber))
+  in
+  let variance f = Nstats.Descriptive.variance (Array.map f draws) in
   Alcotest.(check bool) "gilbert over-dispersed" true
-    (Nstats.Online.variance gil > 1.3 *. Nstats.Online.variance ber)
+    (variance fst > 1.3 *. variance snd)
 
 let test_gilbert_zero_and_full () =
   let rng = Rng.create 19 in
@@ -119,24 +120,23 @@ let test_gilbert_zero_and_full () =
 
 let test_bernoulli_mean () =
   let rng = Rng.create 23 in
-  let acc = Nstats.Online.create () in
-  for _ = 1 to 3000 do
-    Nstats.Online.add acc (float_of_int (Bernoulli.losses rng ~rate:0.05 ~steps:1000))
-  done;
-  close ~tol:1.5 "mean" 50. (Nstats.Online.mean acc)
+  let xs =
+    Array.init 3000 (fun _ ->
+        float_of_int (Bernoulli.losses rng ~rate:0.05 ~steps:1000))
+  in
+  close ~tol:1.5 "mean" 50. (Nstats.Descriptive.mean xs)
 
 let test_bernoulli_intervals_match_rate () =
   let rng = Rng.create 29 in
-  let acc = Nstats.Online.create () in
-  for _ = 1 to 2000 do
-    let ivs = Bernoulli.bad_intervals rng ~rate:0.05 ~steps:1000 in
-    let losses = List.fold_left (fun a (x, y) -> a + y - x) 0 ivs in
-    Nstats.Online.add acc (float_of_int losses)
-  done;
-  close ~tol:1.5 "interval mass matches rate" 50. (Nstats.Online.mean acc);
+  let xs =
+    Array.init 2000 (fun _ ->
+        let ivs = Bernoulli.bad_intervals rng ~rate:0.05 ~steps:1000 in
+        float_of_int (List.fold_left (fun a (x, y) -> a + y - x) 0 ivs))
+  in
+  close ~tol:1.5 "interval mass matches rate" 50. (Nstats.Descriptive.mean xs);
   (* Bernoulli interval counts must match binomial variance (independence) *)
   close ~tol:8. "binomial variance" (1000. *. 0.05 *. 0.95)
-    (Nstats.Online.variance acc)
+    (Nstats.Descriptive.variance xs)
 
 let test_bernoulli_edges () =
   let rng = Rng.create 31 in

@@ -87,22 +87,6 @@ let test_parallel_for_squares () =
   Alcotest.(check bool) "all squares" true
     (Array.for_all (fun b -> b) (Array.mapi (fun i x -> x = i * i) out))
 
-let test_map_reduce_deterministic () =
-  (* the reduction is deliberately non-associative so any deviation from
-     block-index order would change the bits *)
-  let map b = 1. /. float_of_int (b + 1) in
-  let reduce acc x = (acc *. 0.75) +. x in
-  let run jobs = Pool.map_reduce ~jobs ~blocks:37 ~map ~reduce ~init:0. in
-  let seq = run 1 in
-  Alcotest.(check bool) "jobs=2 same bits" true (bits_equal seq (run 2));
-  Alcotest.(check bool) "jobs=4 same bits" true (bits_equal seq (run 4));
-  (* and the sequential run is the plain left fold *)
-  let expected = ref 0. in
-  for b = 0 to 36 do
-    expected := reduce !expected (map b)
-  done;
-  Alcotest.(check bool) "matches left fold" true (bits_equal !expected seq)
-
 let test_exception_propagates () =
   Alcotest.check_raises "worker exception reaches caller" (Failure "boom")
     (fun () ->
@@ -120,14 +104,16 @@ let test_first_exception_wins () =
 
 let test_pool_reuse_across_calls () =
   let sum n jobs =
-    Pool.map_reduce ~jobs ~blocks:n
-      ~map:(fun b -> b)
-      ~reduce:( + ) ~init:0
+    let out = Array.make n 0 in
+    Pool.for_blocks ~jobs n (fun b -> out.(b) <- b);
+    Array.fold_left ( + ) 0 out
   in
   (* same shared pool serves repeated and differently-shaped calls *)
   Alcotest.(check int) "first use" 190 (sum 20 3);
   Alcotest.(check int) "second use" 190 (sum 20 3);
-  Alcotest.(check int) "third use, other shape" 4950 (sum 100 3)
+  Alcotest.(check int) "third use, other shape" 4950 (sum 100 3);
+  Alcotest.(check bool) "one pool per jobs value" true
+    (Pool.get ~jobs:3 == Pool.get ~jobs:3)
 
 let test_explicit_pool_shutdown () =
   let pool = Pool.create ~jobs:3 in
@@ -142,24 +128,35 @@ let test_explicit_pool_shutdown () =
     (Invalid_argument "Parallel.Pool: pool has been shut down") (fun () ->
       Pool.for_blocks ~pool 32 (fun _ -> ()))
 
+(* the process-wide pool_* counters of a reset, enabled registry *)
 let test_pool_stats () =
+  let reg = Obs.Metrics.default in
+  let count name = Obs.Metrics.counter_value (Obs.Metrics.counter reg name) in
+  Obs.Metrics.reset reg;
+  Obs.Metrics.enable reg;
   let pool = Pool.create ~jobs:2 in
-  let s0 = Pool.stats pool in
-  Alcotest.(check int) "fresh tasks" 0 s0.Pool.tasks_run;
-  Alcotest.(check int) "fresh blocks" 0 s0.Pool.blocks_scheduled;
-  Alcotest.(check int) "fresh fallbacks" 0 s0.Pool.sequential_fallbacks;
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown pool;
+      Obs.Metrics.disable reg;
+      Obs.Metrics.reset reg)
+  @@ fun () ->
+  Alcotest.(check int) "fresh tasks" 0 (count "pool_tasks_total");
+  Alcotest.(check int) "fresh blocks" 0 (count "pool_blocks_scheduled_total");
+  Alcotest.(check int) "fresh fallbacks" 0
+    (count "pool_sequential_fallbacks_total");
   Pool.for_blocks ~pool 8 (fun _ -> ());
   Pool.for_blocks ~pool 5 (fun _ -> ());
-  let s = Pool.stats pool in
-  Alcotest.(check int) "every block became a task" 13 s.Pool.tasks_run;
-  Alcotest.(check int) "blocks scheduled" 13 s.Pool.blocks_scheduled;
-  Alcotest.(check int) "no fallbacks yet" 0 s.Pool.sequential_fallbacks;
+  Alcotest.(check int) "every block became a task" 13 (count "pool_tasks_total");
+  Alcotest.(check int) "blocks scheduled" 13
+    (count "pool_blocks_scheduled_total");
+  Alcotest.(check int) "no fallbacks yet" 0
+    (count "pool_sequential_fallbacks_total");
   (* a single block degrades to an inline run and is counted as such *)
   Pool.for_blocks ~pool 1 (fun _ -> ());
-  let s = Pool.stats pool in
-  Alcotest.(check int) "fallback counted" 1 s.Pool.sequential_fallbacks;
-  Alcotest.(check int) "no task for the inline run" 13 s.Pool.tasks_run;
-  Pool.shutdown pool
+  Alcotest.(check int) "fallback counted" 1
+    (count "pool_sequential_fallbacks_total");
+  Alcotest.(check int) "no task for the inline run" 13 (count "pool_tasks_total")
 
 let test_nested_calls_safe () =
   let n = 8 in
@@ -268,8 +265,6 @@ let pool_tests =
     Alcotest.test_case "chunk: iter_pairs = Augmented.row_index" `Quick
       test_iter_pairs_matches_row_index;
     Alcotest.test_case "pool: parallel_for" `Quick test_parallel_for_squares;
-    Alcotest.test_case "pool: map_reduce deterministic order" `Quick
-      test_map_reduce_deterministic;
     Alcotest.test_case "pool: exception propagates" `Quick
       test_exception_propagates;
     Alcotest.test_case "pool: lowest block exception wins" `Quick

@@ -1,11 +1,9 @@
 (* Tests for the statistics substrate: RNG determinism and distribution
-   sanity, online accumulators, descriptive statistics, ECDF, histogram. *)
+   sanity, descriptive statistics, ECDF. *)
 
 module Rng = Nstats.Rng
-module Online = Nstats.Online
 module D = Nstats.Descriptive
 module Ecdf = Nstats.Ecdf
-module Histogram = Nstats.Histogram
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -51,12 +49,9 @@ let test_rng_float_range () =
 
 let test_rng_float_mean () =
   let rng = Rng.create 13 in
-  let acc = Online.create () in
-  for _ = 1 to 100_000 do
-    Online.add acc (Rng.float rng)
-  done;
-  close ~tol:0.01 "uniform mean" 0.5 (Online.mean acc);
-  close ~tol:0.01 "uniform variance" (1. /. 12.) (Online.variance acc)
+  let xs = Array.init 100_000 (fun _ -> Rng.float rng) in
+  close ~tol:0.01 "uniform mean" 0.5 (D.mean xs);
+  close ~tol:0.01 "uniform variance" (1. /. 12.) (D.variance xs)
 
 let test_rng_int_uniform () =
   let rng = Rng.create 17 in
@@ -87,13 +82,10 @@ let test_rng_bool_bias () =
 
 let test_rng_geometric_mean () =
   let rng = Rng.create 23 in
-  let acc = Online.create () in
   let p = 0.25 in
-  for _ = 1 to 50_000 do
-    Online.add acc (float_of_int (Rng.geometric rng p))
-  done;
+  let xs = Array.init 50_000 (fun _ -> float_of_int (Rng.geometric rng p)) in
   (* failures before success: mean (1-p)/p = 3 *)
-  close ~tol:0.1 "geometric mean" 3. (Online.mean acc)
+  close ~tol:0.1 "geometric mean" 3. (D.mean xs)
 
 let test_rng_geometric_certain () =
   let rng = Rng.create 1 in
@@ -102,17 +94,14 @@ let test_rng_geometric_certain () =
 let test_rng_binomial_moments () =
   let rng = Rng.create 29 in
   let check n p =
-    let acc = Online.create () in
-    for _ = 1 to 20_000 do
-      Online.add acc (float_of_int (Rng.binomial rng n p))
-    done;
+    let xs = Array.init 20_000 (fun _ -> float_of_int (Rng.binomial rng n p)) in
     let nf = float_of_int n in
-    close ~tol:(0.05 *. nf *. p) "binomial mean" (nf *. p) (Online.mean acc);
+    close ~tol:(0.05 *. nf *. p) "binomial mean" (nf *. p) (D.mean xs);
     close
       ~tol:(0.15 *. nf *. p *. (1. -. p))
       "binomial variance"
       (nf *. p *. (1. -. p))
-      (Online.variance acc)
+      (D.variance xs)
   in
   check 10 0.3;
   (* large-n regime exercises the normal approximation *)
@@ -130,20 +119,14 @@ let test_rng_binomial_edges () =
 
 let test_rng_exponential () =
   let rng = Rng.create 37 in
-  let acc = Online.create () in
-  for _ = 1 to 50_000 do
-    Online.add acc (Rng.exponential rng 2.)
-  done;
-  close ~tol:0.02 "exponential mean 1/rate" 0.5 (Online.mean acc)
+  let xs = Array.init 50_000 (fun _ -> Rng.exponential rng 2.) in
+  close ~tol:0.02 "exponential mean 1/rate" 0.5 (D.mean xs)
 
 let test_rng_gaussian () =
   let rng = Rng.create 41 in
-  let acc = Online.create () in
-  for _ = 1 to 100_000 do
-    Online.add acc (Rng.gaussian rng)
-  done;
-  close ~tol:0.02 "gaussian mean" 0. (Online.mean acc);
-  close ~tol:0.03 "gaussian variance" 1. (Online.variance acc)
+  let xs = Array.init 100_000 (fun _ -> Rng.gaussian rng) in
+  close ~tol:0.02 "gaussian mean" 0. (D.mean xs);
+  close ~tol:0.03 "gaussian variance" 1. (D.variance xs)
 
 let test_rng_pareto_support () =
   let rng = Rng.create 43 in
@@ -169,54 +152,6 @@ let test_rng_sample_without_replacement () =
     Array.for_all (fun x -> x >= 0 && x < 20) sorted in
   let rec no_dup i = i >= 9 || (sorted.(i) <> sorted.(i + 1) && no_dup (i + 1)) in
   Alcotest.(check bool) "distinct and in range" true (distinct && no_dup 0)
-
-(* --- Online ------------------------------------------------------------- *)
-
-let test_online_matches_batch () =
-  let xs = [| 3.1; -2.; 0.5; 8.; 8.; -1.25 |] in
-  let acc = Online.create () in
-  Array.iter (Online.add acc) xs;
-  check_float "mean" (D.mean xs) (Online.mean acc);
-  close ~tol:1e-9 "variance" (D.variance xs) (Online.variance acc)
-
-let test_online_empty () =
-  let acc = Online.create () in
-  check_float "mean empty" 0. (Online.mean acc);
-  check_float "variance empty" 0. (Online.variance acc);
-  Alcotest.(check int) "count" 0 (Online.count acc)
-
-let test_online_single () =
-  let acc = Online.create () in
-  Online.add acc 5.;
-  check_float "variance of one" 0. (Online.variance acc);
-  check_float "population variance of one" 0. (Online.variance_population acc)
-
-let test_online_merge () =
-  let xs = Array.init 100 (fun i -> sin (float_of_int i)) in
-  let a = Online.create () and b = Online.create () and whole = Online.create () in
-  Array.iteri (fun i x ->
-      Online.add whole x;
-      Online.add (if i < 30 then a else b) x)
-    xs;
-  let merged = Online.merge a b in
-  close ~tol:1e-9 "merged mean" (Online.mean whole) (Online.mean merged);
-  close ~tol:1e-9 "merged variance" (Online.variance whole) (Online.variance merged)
-
-let test_online_cov_matches_batch () =
-  let xs = [| 1.; 2.; 3.; 4.; 5. |] and ys = [| 2.; 1.; 4.; 3.; 6. |] in
-  let acc = Online.Cov.create () in
-  Array.iteri (fun i x -> Online.Cov.add acc x ys.(i)) xs;
-  close ~tol:1e-9 "covariance" (D.covariance xs ys) (Online.Cov.covariance acc);
-  close ~tol:1e-9 "correlation" (D.correlation xs ys) (Online.Cov.correlation acc)
-
-let test_online_cov_degenerate () =
-  let acc = Online.Cov.create () in
-  Online.Cov.add acc 1. 1.;
-  check_float "cov of one pair" 0. (Online.Cov.covariance acc);
-  let const = Online.Cov.create () in
-  Online.Cov.add const 1. 5.;
-  Online.Cov.add const 1. 7.;
-  check_float "correlation with constant margin" 0. (Online.Cov.correlation const)
 
 (* --- Descriptive -------------------------------------------------------- *)
 
@@ -310,40 +245,6 @@ let test_ecdf_monotone () =
       prev := f)
     (Ecdf.curve ~points:30 e)
 
-(* --- Histogram ----------------------------------------------------------- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  Histogram.add h 0.5;
-  Histogram.add h 9.99;
-  Histogram.add h 5.;
-  Alcotest.(check int) "bin 0" 1 (Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 9" 1 (Histogram.bin_count h 9);
-  Alcotest.(check int) "bin 5" 1 (Histogram.bin_count h 5);
-  Alcotest.(check int) "total" 3 (Histogram.count h)
-
-let test_histogram_saturation () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  Histogram.add h (-5.);
-  Histogram.add h 42.;
-  Alcotest.(check int) "low edge" 1 (Histogram.bin_count h 0);
-  Alcotest.(check int) "high edge" 1 (Histogram.bin_count h 3)
-
-let test_histogram_normalized () =
-  let h = Histogram.create ~lo:0. ~hi:2. ~bins:2 in
-  Histogram.add h 0.5;
-  Histogram.add h 0.7;
-  Histogram.add h 1.5;
-  let n = Histogram.normalized h in
-  close ~tol:1e-9 "bin 0 freq" (2. /. 3.) n.(0);
-  close ~tol:1e-9 "bin 1 freq" (1. /. 3.) n.(1)
-
-let test_histogram_bounds () =
-  let h = Histogram.create ~lo:1. ~hi:3. ~bins:2 in
-  let lo, hi = Histogram.bin_bounds h 1 in
-  check_float "bin 1 lo" 2. lo;
-  check_float "bin 1 hi" 3. hi
-
 (* --- Asciiplot ------------------------------------------------------------ *)
 
 let test_plot_renders_points () =
@@ -387,14 +288,6 @@ let prop_quantile_within_range =
       let v = D.quantile xs q in
       v >= D.minimum xs && v <= D.maximum xs)
 
-let prop_online_equals_batch =
-  QCheck.Test.make ~count:200 ~name:"online variance equals batch variance"
-    QCheck.(array_of_size (QCheck.Gen.int_range 2 50) (float_range (-100.) 100.))
-    (fun xs ->
-      let acc = Online.create () in
-      Array.iter (Online.add acc) xs;
-      Float.abs (Online.variance acc -. D.variance xs) < 1e-6)
-
 let prop_ecdf_bounds =
   QCheck.Test.make ~count:200 ~name:"ecdf eval in [0,1]"
     QCheck.(pair (array_of_size (QCheck.Gen.int_range 1 30) (float_range (-10.) 10.))
@@ -413,8 +306,7 @@ let prop_binomial_range =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_quantile_within_range; prop_online_equals_batch; prop_ecdf_bounds;
-      prop_binomial_range ]
+    [ prop_quantile_within_range; prop_ecdf_bounds; prop_binomial_range ]
 
 let () =
   Alcotest.run "stats"
@@ -441,15 +333,6 @@ let () =
           Alcotest.test_case "sample without replacement" `Quick
             test_rng_sample_without_replacement;
         ] );
-      ( "online",
-        [
-          Alcotest.test_case "matches batch" `Quick test_online_matches_batch;
-          Alcotest.test_case "empty" `Quick test_online_empty;
-          Alcotest.test_case "single" `Quick test_online_single;
-          Alcotest.test_case "merge" `Quick test_online_merge;
-          Alcotest.test_case "cov matches batch" `Quick test_online_cov_matches_batch;
-          Alcotest.test_case "cov degenerate" `Quick test_online_cov_degenerate;
-        ] );
       ( "descriptive",
         [
           Alcotest.test_case "basic" `Quick test_descriptive_basic;
@@ -466,13 +349,6 @@ let () =
           Alcotest.test_case "inverse" `Quick test_ecdf_inverse;
           Alcotest.test_case "curve" `Quick test_ecdf_curve;
           Alcotest.test_case "monotone" `Quick test_ecdf_monotone;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "saturation" `Quick test_histogram_saturation;
-          Alcotest.test_case "normalized" `Quick test_histogram_normalized;
-          Alcotest.test_case "bounds" `Quick test_histogram_bounds;
         ] );
       ( "asciiplot",
         [
