@@ -610,17 +610,20 @@ let validate_cmd =
 let check_cmd =
   let run testbed =
     let tb = Topology.Serial.load testbed in
+    let graph = tb.Topology.Testbed.graph in
+    (* route once: the report reads the raw paths, the matrix is
+       [Testbed.routing]'s, from the same paths *)
     let paths =
-      Topology.Routing.paths_between tb.Topology.Testbed.graph
-        ~beacons:tb.Topology.Testbed.beacons
+      Topology.Routing.paths_between graph ~beacons:tb.Topology.Testbed.beacons
         ~destinations:tb.Topology.Testbed.destinations
     in
     Printf.printf "assumptions on %d measured paths:\n" (Array.length paths);
     List.iter
       (fun (label, ok) ->
         Printf.printf "  %-45s %s\n" label (if ok then "ok" else "VIOLATED"))
-      (Core.Identifiability.assumptions_report tb.Topology.Testbed.graph paths);
-    let red = routing_of_testbed tb in
+      (Core.Identifiability.assumptions_report graph paths);
+    let kept, _removed = Topology.Flutter.remove_fluttering paths in
+    let red = Topology.Routing.reduce graph kept in
     let r = red.Topology.Routing.matrix in
     Printf.printf "reduced routing matrix: %d paths x %d virtual links\n"
       (Sparse.rows r) (Sparse.cols r);

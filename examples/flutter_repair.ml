@@ -39,23 +39,28 @@ let () =
     else begin
       let i = 1 + Nstats.Rng.int rng (n - 3) in
       let u = p.Path.nodes.(i) and w = p.Path.nodes.(i + 1) in
-      let detour =
-        List.find_opt
-          (fun (e : Topology.Graph.edge) ->
-            e.Topology.Graph.dst <> w
-            && Topology.Graph.find_edge g ~src:e.Topology.Graph.dst ~dst:w <> None
-            && not (Array.exists (fun x -> x = e.Topology.Graph.dst) p.Path.nodes))
-          (Topology.Graph.out_edges g u)
+      let out = Topology.Graph.out_edges g in
+      let rec detour k =
+        if k = out.start.(u + 1) then None
+        else begin
+          let v = out.dst.(k) in
+          if
+            v <> w
+            && Topology.Graph.find_edge g ~src:v ~dst:w <> None
+            && not (Array.exists (fun x -> x = v) p.Path.nodes)
+          then Some v
+          else detour (k + 1)
+        end
       in
       Option.map
-        (fun (e : Topology.Graph.edge) ->
+        (fun v ->
           let nodes =
             Array.concat
-              [ Array.sub p.Path.nodes 0 (i + 1); [| e.Topology.Graph.dst |];
+              [ Array.sub p.Path.nodes 0 (i + 1); [| v |];
                 Array.sub p.Path.nodes (i + 1) (n - i - 1) ]
           in
           Path.make ~graph:g ~nodes)
-        detour
+        (detour out.start.(u))
     end
   in
   let flutters =

@@ -13,68 +13,74 @@ let to_string y =
   done;
   Buffer.contents b
 
-(* Parse failures carry the source name and 1-based line number so the
-   CLI can turn a ragged file into a one-line diagnostic instead of a
-   backtrace. Blank and [#]-comment lines are skipped but still counted. *)
+module Scan = Topology.Scan
+
+(* Strict loading takes a measurement as a log success rate: finite and
+   <= 0 (success rate in (0, 1]). Anything else is corrupt unless the
+   caller opted into permissive loading for quarantine-aware ingest. *)
+let strict_error x w =
+  if Float.is_nan x then Printf.sprintf "missing measurement (NaN) %S" w
+  else if not (Float.is_finite x) then Printf.sprintf "non-finite measurement %S" w
+  else Printf.sprintf "measurement %S is a positive log success rate (success rate > 1)" w
+
+(* One pass: rows go straight into the matrix while the lines are
+   counted. A row's first diagnostic (its width, then its first bad
+   cell) is held until the row count has been checked, since a wrong
+   count is reported first; later rows are then only counted. *)
 let of_string ?(path = "<string>") ?(strict = true) s =
-  let fail_line n fmt =
-    Printf.ksprintf (fun msg -> failwith (Printf.sprintf "%s:%d: %s" path n msg)) fmt
+  let c = Scan.create ~path s in
+  if not (Scan.next_line c) then
+    failwith (Printf.sprintf "%s: empty measurement file" path);
+  let hline = Scan.line c in
+  if
+    not
+      (Scan.fields c = 4
+      && Scan.field_is c 0 "netloss-measurements"
+      && Scan.field_is c 1 "1")
+  then
+    raise
+      (Scan.error c
+         "missing \"netloss-measurements 1 <snapshots> <paths>\" header");
+  let count i what =
+    let w = Scan.field c i in
+    match int_of_string_opt w with
+    | Some v when v >= 0 -> v
+    | _ -> raise (Scan.error c (Printf.sprintf "bad %s %S in header" what w))
   in
-  let lines =
-    String.split_on_char '\n' s
-    |> List.mapi (fun i l -> (i + 1, String.trim l))
-    |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
+  let m = count 2 "snapshot count" in
+  let np = count 3 "path count" in
+  (* every valid file has at least m * np bytes: a shorter one fails
+     below, and gets no matrix of the size its header claims *)
+  let fits = np = 0 || m <= String.length s / np in
+  let y = Matrix.zeros (if fits then m else 0) np in
+  let parse_row l =
+    let got = ref 0 and bad = ref None in
+    while Scan.next_token c do
+      if !got < np && Option.is_none !bad then begin
+        match Scan.float_token c with
+        | x when strict && not (Float.is_finite x && x <= 0.) ->
+            bad := Some (strict_error x (Scan.token c))
+        | x -> if fits then Matrix.set y l !got x
+        | exception Failure _ ->
+            bad := Some (Printf.sprintf "bad measurement %S" (Scan.token c))
+      end;
+      incr got
+    done;
+    if !got <> np then
+      Some (Scan.error c (Printf.sprintf "expected %d columns, got %d" np !got))
+    else Option.map (Scan.error c) !bad
   in
-  match lines with
-  | [] -> failwith (Printf.sprintf "%s: empty measurement file" path)
-  | (hline, header) :: rows -> (
-      match String.split_on_char ' ' header |> List.filter (fun w -> w <> "") with
-      | [ "netloss-measurements"; "1"; m; np ] ->
-          let parse_int what s =
-            match int_of_string_opt s with
-            | Some v when v >= 0 -> v
-            | _ -> fail_line hline "bad %s %S in header" what s
-          in
-          let m = parse_int "snapshot count" m
-          and np = parse_int "path count" np in
-          if List.length rows <> m then
-            fail_line hline "header promises %d snapshot rows, file has %d" m
-              (List.length rows);
-          let parse_row (n, line) =
-            let cells =
-              String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
-            in
-            let got = List.length cells in
-            if got <> np then fail_line n "expected %d columns, got %d" np got;
-            Array.of_list
-              (List.map
-                 (fun w ->
-                   match float_of_string_opt w with
-                   | Some x ->
-                       (* a measurement is a log success rate: finite and
-                          <= 0 (success rate in (0, 1]); anything else is
-                          corrupt unless the caller opted into permissive
-                          loading for quarantine-aware ingest *)
-                       if strict then begin
-                         if Float.is_nan x then
-                           fail_line n "missing measurement (NaN) %S" w
-                         else if not (Float.is_finite x) then
-                           fail_line n "non-finite measurement %S" w
-                         else if x > 0. then
-                           fail_line n
-                             "measurement %S is a positive log success rate \
-                              (success rate > 1)"
-                             w
-                       end;
-                       x
-                   | None -> fail_line n "bad measurement %S" w)
-                 cells)
-          in
-          let data = Array.of_list (List.map parse_row rows) in
-          Matrix.init m np (fun l i -> data.(l).(i))
-      | _ ->
-          fail_line hline
-            "missing \"netloss-measurements 1 <snapshots> <paths>\" header")
+  let rows = ref 0 and first_error = ref None in
+  while Scan.next_line c do
+    if Option.is_none !first_error && !rows < m then first_error := parse_row !rows;
+    incr rows
+  done;
+  if !rows <> m then
+    raise
+      (Scan.error ~line:hline c
+         (Printf.sprintf "header promises %d snapshot rows, file has %d" m !rows));
+  Option.iter raise !first_error;
+  y
 
 let save path y =
   let dir = Filename.dirname path in

@@ -7,17 +7,31 @@
     ...
     v}
     One row per snapshot of log path transmission rates (or delays, for
-    the delay extension — the format is unit-agnostic). Blank lines and
-    [#] comments are ignored. *)
+    the delay extension — the format is unit-agnostic).
+
+    The exact grammar ([Topology.Scan] reads it, in one pass):
+    - a line ends at ['\n']; it is trimmed of [' '], ['\t'], ['\r'] and
+      ['\012'] (so CRLF line ends are accepted);
+    - a trimmed line that is empty or starts with ['#'] is skipped, but
+      still counts in line numbers;
+    - inside a line, runs of [' '] separate tokens; a tab inside a line
+      belongs to a token;
+    - the first remaining line is the header, exactly four tokens; the
+      two counts are read by [int_of_string] and must be [>= 0];
+    - every later line is one row of exactly [<paths>] tokens, each read
+      by [float_of_string] ([nan], [inf], [0x1p-3] and [1_000] are
+      numbers); there must be exactly [<snapshots>] rows. *)
 
 val to_string : Linalg.Matrix.t -> string
 
 val of_string : ?path:string -> ?strict:bool -> string -> Linalg.Matrix.t
 (** Raises [Failure] on malformed input with a one-line
-    ["<path>:<line>: ..."] diagnostic (bad header, ragged row with the
-    expected width, unparsable number, row-count mismatch). [path] names
-    the source in the message; default ["<string>"]. Line numbers refer
-    to the original text, counting skipped blank/comment lines.
+    ["<path>:<line>: ..."] diagnostic (bad header, row-count mismatch,
+    ragged row with the expected width, unparsable number; an empty file
+    is ["<path>: empty measurement file"]). [path] names the source in
+    the message; default ["<string>"]. Line numbers refer to the original
+    text, counting skipped blank/comment lines. A wrong row count is
+    reported before any row's error, and a row's width before its cells.
 
     With [strict] (the default) each value must also be a valid log
     success rate — finite and [<= 0] — so NaN, [inf], and positive

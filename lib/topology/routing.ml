@@ -7,61 +7,66 @@ type reduced = {
   edge_vlink : int array;
 }
 
-(* BFS from [src]; out_edges are sorted by destination id, so the
-   predecessor assignment (first discovery wins) is deterministic. *)
-let bfs graph src =
-  let nv = Graph.node_count graph in
-  if src < 0 || src >= nv then invalid_arg "Routing.bfs: bad source";
-  let pred = Array.make nv None in
-  let seen = Array.make nv false in
-  seen.(src) <- true;
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun (e : Graph.edge) ->
-        if not seen.(e.dst) then begin
-          seen.(e.dst) <- true;
-          pred.(e.dst) <- Some e.id;
-          Queue.add e.dst q
-        end)
-      (Graph.out_edges graph u)
-  done;
-  pred
+(* BFS from [src] into [pred], each node's predecessor edge on its route
+   (-1 for none), with [queue] as room; both are reused across sources.
+   Out-edges come in increasing destination, so the predecessor
+   assignment (first discovery wins) is deterministic. *)
+let bfs graph ~queue pred src =
+  if src < 0 || src >= Graph.node_count graph then
+    invalid_arg "Routing.bfs: bad source";
+  let out = Graph.out_edges graph in
+  Array.fill pred 0 (Array.length pred) (-1);
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for k = out.start.(u) to out.start.(u + 1) - 1 do
+      let v = out.dst.(k) in
+      if v <> src && pred.(v) < 0 then begin
+        pred.(v) <- out.id.(k);
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done
 
-let path_of_pred graph pred ~src ~dst =
-  if src = dst then None
+(* The route to [dst]: its edges read off the predecessor chain, back to
+   front, and its nodes from the edges' sources. *)
+let route graph pred ~src ~dst =
+  if src = dst || pred.(dst) < 0 then None
   else begin
-    match pred.(dst) with
-    | None -> None
-    | Some _ ->
-        let rec collect node acc =
-          if node = src then node :: acc
-          else begin
-            match pred.(node) with
-            | None -> assert false
-            | Some eid ->
-                let e = Graph.edge graph eid in
-                collect e.src (node :: acc)
-          end
-        in
-        let nodes = Array.of_list (collect dst []) in
-        Some (Path.make ~graph ~nodes)
+    let src_of v = (Graph.edge graph pred.(v)).Graph.src in
+    let hops = ref 0 and v = ref dst in
+    while !v <> src do
+      incr hops;
+      v := src_of !v
+    done;
+    let edges = Array.make !hops 0 and nodes = Array.make (!hops + 1) dst in
+    let v = ref dst in
+    for i = !hops - 1 downto 0 do
+      edges.(i) <- pred.(!v);
+      v := src_of !v;
+      nodes.(i) <- !v
+    done;
+    Some { Path.src; dst; nodes; edges }
   end
 
 let shortest_path graph ~src ~dst =
-  let pred = bfs graph src in
-  path_of_pred graph pred ~src ~dst
+  let nv = Graph.node_count graph in
+  let pred = Array.make nv (-1) in
+  bfs graph ~queue:(Array.make nv 0) pred src;
+  route graph pred ~src ~dst
 
 (* Dijkstra with deterministic tie-breaks: on equal distance, prefer the
    smaller predecessor node id (and the out-edge order is already sorted
    by destination). *)
-let dijkstra graph ~weight src =
+let dijkstra graph ~weight pred src =
   let nv = Graph.node_count graph in
   if src < 0 || src >= nv then invalid_arg "Routing.dijkstra: bad source";
+  let out = Graph.out_edges graph in
   let dist = Array.make nv infinity in
-  let pred = Array.make nv None in
+  Array.fill pred 0 nv (-1);
   let final = Array.make nv false in
   let heap = Heap.create () in
   dist.(src) <- 0.;
@@ -70,68 +75,56 @@ let dijkstra graph ~weight src =
     match Heap.pop heap with
     | None -> ()
     | Some (d, u) ->
-        if not final.(u) then begin
-          if d <= dist.(u) then begin
-            final.(u) <- true;
-            List.iter
-              (fun (e : Graph.edge) ->
-                let w = weight e.id in
-                if w < 0. then invalid_arg "Routing.dijkstra: negative weight";
-                let nd = d +. w in
-                let better =
-                  nd < dist.(e.dst)
-                  || nd = dist.(e.dst)
-                     && (match pred.(e.dst) with
-                        | None -> true
-                        | Some prev ->
-                            let pe = Graph.edge graph prev in
-                            u < pe.Graph.src)
-                in
-                if (not final.(e.dst)) && better then begin
-                  dist.(e.dst) <- nd;
-                  pred.(e.dst) <- Some e.id;
-                  Heap.push heap nd e.dst
-                end)
-              (Graph.out_edges graph u)
-          end;
-          drain ()
-        end
-        else drain ()
+        if (not final.(u)) && d <= dist.(u) then begin
+          final.(u) <- true;
+          for k = out.start.(u) to out.start.(u + 1) - 1 do
+            let w = weight out.id.(k) in
+            if w < 0. then invalid_arg "Routing.dijkstra: negative weight";
+            let nd = d +. w and v = out.dst.(k) in
+            let better =
+              nd < dist.(v)
+              || nd = dist.(v)
+                 && (pred.(v) < 0 || u < (Graph.edge graph pred.(v)).Graph.src)
+            in
+            if (not final.(v)) && better then begin
+              dist.(v) <- nd;
+              pred.(v) <- out.id.(k);
+              Heap.push heap nd v
+            end
+          done
+        end;
+        drain ()
   in
-  drain ();
-  pred
+  drain ()
 
 let shortest_path_weighted graph ~weight ~src ~dst =
-  let pred = dijkstra graph ~weight src in
-  path_of_pred graph pred ~src ~dst
+  let pred = Array.make (Graph.node_count graph) (-1) in
+  dijkstra graph ~weight pred src;
+  route graph pred ~src ~dst
+
+(* every route from each beacon, beacon-major, after [from pred b] has
+   filled [pred] *)
+let routes graph ~from ~beacons ~destinations =
+  let pred = Array.make (Graph.node_count graph) (-1) in
+  let acc = ref [] in
+  Array.iter
+    (fun b ->
+      from pred b;
+      Array.iter
+        (fun d ->
+          match route graph pred ~src:b ~dst:d with
+          | Some p -> acc := p :: !acc
+          | None -> ())
+        destinations)
+    beacons;
+  Array.of_list (List.rev !acc)
 
 let paths_between_weighted graph ~weight ~beacons ~destinations =
-  let acc = ref [] in
-  Array.iter
-    (fun b ->
-      let pred = dijkstra graph ~weight b in
-      Array.iter
-        (fun d ->
-          match path_of_pred graph pred ~src:b ~dst:d with
-          | Some p -> acc := p :: !acc
-          | None -> ())
-        destinations)
-    beacons;
-  Array.of_list (List.rev !acc)
+  routes graph ~from:(dijkstra graph ~weight) ~beacons ~destinations
 
 let paths_between graph ~beacons ~destinations =
-  let acc = ref [] in
-  Array.iter
-    (fun b ->
-      let pred = bfs graph b in
-      Array.iter
-        (fun d ->
-          match path_of_pred graph pred ~src:b ~dst:d with
-          | Some p -> acc := p :: !acc
-          | None -> ())
-        destinations)
-    beacons;
-  Array.of_list (List.rev !acc)
+  let queue = Array.make (Graph.node_count graph) 0 in
+  routes graph ~from:(bfs graph ~queue) ~beacons ~destinations
 
 let reduce graph paths =
   let np = Array.length paths in

@@ -225,3 +225,367 @@ module Flutter = struct
     done;
     (Array.of_list !kept, Array.of_list !removed)
 end
+
+(* The testbed and measurement parsers as they were before the byte
+   scanner: each line split into a list of tokens. Kept as the oracle of
+   [Topology.Serial] and [Netsim.Trace_io]: on any input both must
+   return the same value or raise the same exception with the same
+   message. [Serial.parse ~where] takes the line locator the library's
+   [load] and [of_string] now share ([Printf.sprintf "%s:%d" path]). *)
+module Serial = struct
+  module Graph = Topology.Graph
+  module Testbed = Topology.Testbed
+
+  let parse ~where s =
+    let fail_line lineno msg =
+      failwith (Printf.sprintf "%s: %s" (where lineno) msg)
+    in
+    let lines = String.split_on_char '\n' s in
+    let nodes = ref [] and edges = ref [] in
+    let beacons = ref [] and dests = ref [] in
+    let header_seen = ref false in
+    List.iteri
+      (fun idx raw ->
+        let lineno = idx + 1 in
+        let line = String.trim raw in
+        if line = "" || line.[0] = '#' then ()
+        else begin
+          match String.split_on_char ' ' line |> List.filter (fun w -> w <> "") with
+          | [ "netloss-testbed"; "1" ] -> header_seen := true
+          | [ "node"; id; kind; as_id ] ->
+              let kind =
+                match kind with
+                | "host" -> Graph.Host
+                | "router" -> Graph.Router
+                | _ -> fail_line lineno "unknown node kind"
+              in
+              (try
+                 nodes :=
+                   { Graph.id = int_of_string id; kind; as_id = int_of_string as_id }
+                   :: !nodes
+               with Failure _ -> fail_line lineno "bad node numbers")
+          | [ "edge"; src; dst ] -> (
+              try edges := (int_of_string src, int_of_string dst) :: !edges
+              with Failure _ -> fail_line lineno "bad edge numbers")
+          | [ "beacon"; id ] -> (
+              try beacons := int_of_string id :: !beacons
+              with Failure _ -> fail_line lineno "bad beacon id")
+          | [ "dest"; id ] -> (
+              try dests := int_of_string id :: !dests
+              with Failure _ -> fail_line lineno "bad destination id")
+          | _ -> fail_line lineno ("unrecognized line: " ^ line)
+        end)
+      lines;
+    if not !header_seen then failwith "missing netloss-testbed header";
+    let node_list =
+      List.sort (fun (a : Graph.node) b -> Int.compare a.Graph.id b.Graph.id) !nodes
+    in
+    let node_array = Array.of_list node_list in
+    Array.iteri
+      (fun i (n : Graph.node) ->
+        if n.Graph.id <> i then failwith "node ids are not dense from 0")
+      node_array;
+    let graph =
+      Graph.create ~nodes:node_array ~edges:(Array.of_list (List.rev !edges))
+    in
+    let t =
+      { Testbed.graph;
+        beacons = Array.of_list (List.rev !beacons);
+        destinations = Array.of_list (List.rev !dests) }
+    in
+    Testbed.validate t;
+    t
+end
+
+module Trace_io = struct
+  module Matrix = Linalg.Matrix
+
+  let of_string ?(path = "<string>") ?(strict = true) s =
+    let fail_line n fmt =
+      Printf.ksprintf (fun msg -> failwith (Printf.sprintf "%s:%d: %s" path n msg)) fmt
+    in
+    let lines =
+      String.split_on_char '\n' s
+      |> List.mapi (fun i l -> (i + 1, String.trim l))
+      |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
+    in
+    match lines with
+    | [] -> failwith (Printf.sprintf "%s: empty measurement file" path)
+    | (hline, header) :: rows -> (
+        match String.split_on_char ' ' header |> List.filter (fun w -> w <> "") with
+        | [ "netloss-measurements"; "1"; m; np ] ->
+            let parse_int what s =
+              match int_of_string_opt s with
+              | Some v when v >= 0 -> v
+              | _ -> fail_line hline "bad %s %S in header" what s
+            in
+            let m = parse_int "snapshot count" m
+            and np = parse_int "path count" np in
+            if List.length rows <> m then
+              fail_line hline "header promises %d snapshot rows, file has %d" m
+                (List.length rows);
+            let parse_row (n, line) =
+              let cells =
+                String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
+              in
+              let got = List.length cells in
+              if got <> np then fail_line n "expected %d columns, got %d" np got;
+              Array.of_list
+                (List.map
+                   (fun w ->
+                     match float_of_string_opt w with
+                     | Some x ->
+                         if strict then begin
+                           if Float.is_nan x then
+                             fail_line n "missing measurement (NaN) %S" w
+                           else if not (Float.is_finite x) then
+                             fail_line n "non-finite measurement %S" w
+                           else if x > 0. then
+                             fail_line n
+                               "measurement %S is a positive log success rate \
+                                (success rate > 1)"
+                               w
+                         end;
+                         x
+                     | None -> fail_line n "bad measurement %S" w)
+                   cells)
+            in
+            let data = Array.of_list (List.map parse_row rows) in
+            Matrix.init m np (fun l i -> data.(l).(i))
+        | _ ->
+            fail_line hline
+              "missing \"netloss-measurements 1 <snapshots> <paths>\" header")
+end
+
+(* The graph as it was before its CSR adjacency: out-edge lists sorted
+   per node and a hash table keyed on (src, dst). Kept as the oracle of
+   [Topology.Graph]'s construction (the same verdict on malformed edge
+   lists), its edge lookup and its components. [of_graph] rebuilds a
+   library graph this way. *)
+module Graph = struct
+  module G = Topology.Graph
+
+  type t = {
+    g_nodes : G.node array;
+    g_edges : G.edge array;
+    out_adj : G.edge list array; (* sorted by destination id *)
+    in_deg : int array;
+    edge_index : (int * int, int) Hashtbl.t; (* (src, dst) -> edge id *)
+  }
+
+  let create ~nodes ~edges =
+    let nv = Array.length nodes in
+    Array.iteri
+      (fun i (n : G.node) ->
+        if n.id <> i then invalid_arg "Graph.create: node id mismatch")
+      nodes;
+    let edge_index = Hashtbl.create (Array.length edges * 2) in
+    let g_edges =
+      Array.mapi
+        (fun id (src, dst) ->
+          if src < 0 || src >= nv || dst < 0 || dst >= nv then
+            invalid_arg "Graph.create: edge endpoint out of range";
+          if src = dst then invalid_arg "Graph.create: self-loop";
+          if Hashtbl.mem edge_index (src, dst) then
+            invalid_arg "Graph.create: duplicate edge";
+          Hashtbl.add edge_index (src, dst) id;
+          { G.id; src; dst })
+        edges
+    in
+    let out_lists = Array.make nv [] in
+    let in_deg = Array.make nv 0 in
+    Array.iter
+      (fun (e : G.edge) ->
+        out_lists.(e.src) <- e :: out_lists.(e.src);
+        in_deg.(e.dst) <- in_deg.(e.dst) + 1)
+      g_edges;
+    let out_adj =
+      Array.map
+        (fun l -> List.sort (fun (a : G.edge) b -> Int.compare a.dst b.dst) l)
+        out_lists
+    in
+    { g_nodes = nodes; g_edges; out_adj; in_deg; edge_index }
+
+  let of_graph g =
+    create ~nodes:(G.nodes g)
+      ~edges:(Array.map (fun (e : G.edge) -> (e.src, e.dst)) (G.edges g))
+
+  let node_count g = Array.length g.g_nodes
+
+  let edge g i = g.g_edges.(i)
+
+  let out_edges g i = g.out_adj.(i)
+
+  let in_degree g i = g.in_deg.(i)
+
+  let out_degree g i = List.length (out_edges g i)
+
+  let find_edge g ~src ~dst =
+    match Hashtbl.find_opt g.edge_index (src, dst) with
+    | Some id -> Some g.g_edges.(id)
+    | None -> None
+
+  let undirected_components g =
+    let nv = node_count g in
+    let seen = Array.make nv false in
+    let rev_adj = Array.make nv [] in
+    Array.iter
+      (fun (e : G.edge) -> rev_adj.(e.dst) <- e.src :: rev_adj.(e.dst))
+      g.g_edges;
+    let comps = ref 0 in
+    for start = 0 to nv - 1 do
+      if not seen.(start) then begin
+        incr comps;
+        let stack = ref [ start ] in
+        seen.(start) <- true;
+        while !stack <> [] do
+          match !stack with
+          | [] -> ()
+          | u :: rest ->
+              stack := rest;
+              List.iter
+                (fun (e : G.edge) ->
+                  if not seen.(e.dst) then begin
+                    seen.(e.dst) <- true;
+                    stack := e.dst :: !stack
+                  end)
+                g.out_adj.(u);
+              List.iter
+                (fun v ->
+                  if not seen.(v) then begin
+                    seen.(v) <- true;
+                    stack := v :: !stack
+                  end)
+                rev_adj.(u)
+        done
+      end
+    done;
+    !comps
+end
+
+(* Routing as it was before the BFS emitted edge ids: BFS and Dijkstra
+   over [Graph]'s lists with [int option] predecessors, and each route
+   built from its node sequence by looking every hop up in the hash
+   table (the old [Path.make]). Kept as the oracle of
+   [Topology.Routing]: the same routes, nodes and edges. *)
+module Routing = struct
+  module Path = Topology.Path
+
+  let make_path ~graph ~nodes =
+    let n = Array.length nodes in
+    if n < 2 then invalid_arg "Path.make: need at least two nodes";
+    let edges =
+      Array.init (n - 1) (fun i ->
+          match Graph.find_edge graph ~src:nodes.(i) ~dst:nodes.(i + 1) with
+          | Some e -> e.Topology.Graph.id
+          | None -> invalid_arg "Path.make: hop is not an edge")
+    in
+    { Path.src = nodes.(0); dst = nodes.(n - 1); nodes; edges }
+
+  let bfs graph src =
+    let nv = Graph.node_count graph in
+    if src < 0 || src >= nv then invalid_arg "Routing.bfs: bad source";
+    let pred = Array.make nv None in
+    let seen = Array.make nv false in
+    seen.(src) <- true;
+    let q = Queue.create () in
+    Queue.add src q;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      List.iter
+        (fun (e : Topology.Graph.edge) ->
+          if not seen.(e.dst) then begin
+            seen.(e.dst) <- true;
+            pred.(e.dst) <- Some e.id;
+            Queue.add e.dst q
+          end)
+        (Graph.out_edges graph u)
+    done;
+    pred
+
+  let path_of_pred graph pred ~src ~dst =
+    if src = dst then None
+    else begin
+      match pred.(dst) with
+      | None -> None
+      | Some _ ->
+          let rec collect node acc =
+            if node = src then node :: acc
+            else begin
+              match pred.(node) with
+              | None -> assert false
+              | Some eid ->
+                  let e = Graph.edge graph eid in
+                  collect e.Topology.Graph.src (node :: acc)
+            end
+          in
+          let nodes = Array.of_list (collect dst []) in
+          Some (make_path ~graph ~nodes)
+    end
+
+  let dijkstra graph ~weight src =
+    let nv = Graph.node_count graph in
+    if src < 0 || src >= nv then invalid_arg "Routing.dijkstra: bad source";
+    let dist = Array.make nv infinity in
+    let pred = Array.make nv None in
+    let final = Array.make nv false in
+    let heap = Topology.Heap.create () in
+    dist.(src) <- 0.;
+    Topology.Heap.push heap 0. src;
+    let rec drain () =
+      match Topology.Heap.pop heap with
+      | None -> ()
+      | Some (d, u) ->
+          if not final.(u) then begin
+            if d <= dist.(u) then begin
+              final.(u) <- true;
+              List.iter
+                (fun (e : Topology.Graph.edge) ->
+                  let w = weight e.id in
+                  if w < 0. then invalid_arg "Routing.dijkstra: negative weight";
+                  let nd = d +. w in
+                  let better =
+                    nd < dist.(e.dst)
+                    || nd = dist.(e.dst)
+                       && (match pred.(e.dst) with
+                          | None -> true
+                          | Some prev ->
+                              let pe = Graph.edge graph prev in
+                              u < pe.Topology.Graph.src)
+                  in
+                  if (not final.(e.dst)) && better then begin
+                    dist.(e.dst) <- nd;
+                    pred.(e.dst) <- Some e.id;
+                    Topology.Heap.push heap nd e.dst
+                  end)
+                (Graph.out_edges graph u)
+            end;
+            drain ()
+          end
+          else drain ()
+    in
+    drain ();
+    pred
+
+  let paths_from graph ~pred_of ~beacons ~destinations =
+    let acc = ref [] in
+    Array.iter
+      (fun b ->
+        let pred = pred_of b in
+        Array.iter
+          (fun d ->
+            match path_of_pred graph pred ~src:b ~dst:d with
+            | Some p -> acc := p :: !acc
+            | None -> ())
+          destinations)
+      beacons;
+    Array.of_list (List.rev !acc)
+
+  let paths_between g ~beacons ~destinations =
+    let graph = Graph.of_graph g in
+    paths_from graph ~pred_of:(bfs graph) ~beacons ~destinations
+
+  let paths_between_weighted g ~weight ~beacons ~destinations =
+    let graph = Graph.of_graph g in
+    paths_from graph ~pred_of:(dijkstra graph ~weight) ~beacons ~destinations
+end

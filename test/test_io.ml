@@ -127,15 +127,182 @@ let test_measurements_preserve_negatives_and_zero () =
   let y' = Trace_io.of_string (Trace_io.to_string y) in
   Alcotest.(check bool) "signs preserved" true (Matrix.approx_equal ~tol:0. y y')
 
+(* --- round trips, bit for bit ---------------------------------------------- *)
+
+module Rng = Nstats.Rng
+
+(* A random double with its sign bit set: every finite non-positive
+   value, subnormals and -0. included, is reachable. *)
+let rec nonpositive rng =
+  let x = Int64.float_of_bits (Int64.logor (Rng.uint64 rng) Int64.min_int) in
+  if Float.is_finite x then x else nonpositive rng
+
+let nonpositive_specials =
+  [| -0.; 0.; -5e-324; -2.2250738585072014e-308; -1e-300; -1e300; -.Float.max_float |]
+
+(* the format keeps one NaN: the one [float_of_string "nan"] reads *)
+let permissive_specials =
+  [| float_of_string "nan"; Float.infinity; Float.neg_infinity; 5e-324; 0.5;
+     1e300; Float.max_float |]
+
+let random_measurements ~strict seed =
+  let rng = Rng.create seed in
+  let cell () =
+    match Rng.int rng 4 with
+    | 0 -> Rng.choose rng nonpositive_specials
+    | 1 when not strict -> Rng.choose rng permissive_specials
+    | 2 when not strict -> Float.abs (nonpositive rng)
+    | _ -> nonpositive rng
+  in
+  Matrix.init (Rng.int rng 7) (1 + Rng.int rng 9) (fun _ _ -> cell ())
+
+let roundtrip_measurements ~strict seed =
+  let y = random_measurements ~strict seed in
+  Generators.matrix_bits_equal y
+    (Trace_io.of_string ~strict (Trace_io.to_string y))
+
 let prop_measurement_roundtrip =
-  QCheck.Test.make ~count:50 ~name:"measurement roundtrip is exact"
-    QCheck.(
-      pair (int_range 1 6)
-        (pair (int_range 1 6) (list_of_size (QCheck.Gen.return 36) (float_range (-10.) 0.))))
-    (fun (m, (np, cells)) ->
-      let cells = Array.of_list cells in
-      let y = Matrix.init m np (fun l i -> cells.(((l * np) + i) mod 36)) in
-      Matrix.approx_equal ~tol:0. y (Trace_io.of_string (Trace_io.to_string y)))
+  QCheck.Test.make ~count:200 ~name:"measurement roundtrip is exact"
+    Generators.seed_arb (roundtrip_measurements ~strict:true)
+
+let prop_measurement_roundtrip_permissive =
+  QCheck.Test.make ~count:200
+    ~name:"measurement roundtrip is exact with nan, inf and positive cells"
+    Generators.seed_arb (roundtrip_measurements ~strict:false)
+
+let prop_testbed_roundtrip =
+  QCheck.Test.make ~count:20 ~name:"testbed roundtrip on every generator family"
+    QCheck.(int_range 0 600)
+    (fun seed ->
+      List.for_all
+        (fun family ->
+          let tb = Generators.random_testbed ((8 * seed) + family) in
+          testbed_equal tb (Serial.of_string (Serial.to_string tb)))
+        (List.init 8 Fun.id))
+
+(* --- the byte scanner against the line-and-token-list parsers ------------- *)
+
+(* One or two of these edits of a valid document: truncation, a byte
+   flipped to a separator, comment or digit-like byte, CRLF line ends, a
+   duplicated line, an inserted blank or comment line, a token replaced
+   by a 20-digit integer or by a token the integer and float readers
+   treat specially. *)
+let mutate rng doc =
+  let lines = Array.of_list (String.split_on_char '\n' doc) in
+  let nl = Array.length lines in
+  let with_line i l =
+    String.concat "\n"
+      (Array.to_list
+         (Array.concat [ Array.sub lines 0 i; l; Array.sub lines i (nl - i) ]))
+  in
+  let replace_token w =
+    let i = Rng.int rng nl in
+    let toks = Array.of_list (String.split_on_char ' ' lines.(i)) in
+    toks.(Rng.int rng (Array.length toks)) <- w;
+    lines.(i) <- String.concat " " (Array.to_list toks);
+    String.concat "\n" (Array.to_list lines)
+  in
+  match Rng.int rng 7 with
+  | 0 -> String.sub doc 0 (Rng.int rng (String.length doc + 1))
+  | 1 when doc <> "" ->
+      let b = Bytes.of_string doc in
+      Bytes.set b (Rng.int rng (Bytes.length b))
+        (Rng.choose rng [| ' '; '\t'; '\r'; '\n'; '#'; '-'; '_'; 'x'; '0' |]);
+      Bytes.to_string b
+  | 2 -> String.concat "\r\n" (Array.to_list lines)
+  | 3 ->
+      let i = Rng.int rng nl in
+      with_line i [| lines.(i) |]
+  | 4 ->
+      with_line (Rng.int rng (nl + 1))
+        [| Rng.choose rng [| ""; "   "; "\t"; "\r"; "# comment"; "  # 1 2" |] |]
+  | 5 ->
+      (* 20 digits overflow a 63-bit int *)
+      replace_token
+        (String.init 20 (fun k -> if k = 0 then '1' else Char.chr (48 + Rng.int rng 10)))
+  | _ -> replace_token (Rng.choose rng [| "nan"; "inf"; "-0"; "1_000"; "0x10" |])
+
+let mutated rng doc =
+  let doc = mutate rng doc in
+  if Rng.bool rng 0.3 then mutate rng doc else doc
+
+(* same value (floats bit for bit), or the same exception and message *)
+let same_outcome equal f g =
+  match (f (), g ()) with
+  | Ok a, Ok b -> equal a b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let outcome f () = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* the oracle locates lines as [Serial.of_string] now does *)
+let oracle_serial = Oracle.Serial.parse ~where:(Printf.sprintf "<string>:%d")
+
+let prop_trace_io_differential =
+  QCheck.Test.make ~count:400
+    ~name:"Trace_io.of_string = line-list oracle on mutated files"
+    Generators.seed_arb
+    (fun seed ->
+      let rng = Rng.create (seed + 17) in
+      let y = random_measurements ~strict:(Rng.bool rng 0.5) seed in
+      let doc = mutated rng (Trace_io.to_string y) in
+      List.for_all
+        (fun strict ->
+          same_outcome Generators.matrix_bits_equal
+            (outcome (fun () -> Trace_io.of_string ~path:"f.meas" ~strict doc))
+            (outcome (fun () -> Oracle.Trace_io.of_string ~path:"f.meas" ~strict doc)))
+        [ true; false ])
+
+let prop_serial_differential =
+  QCheck.Test.make ~count:300
+    ~name:"Serial.of_string = line-list oracle on mutated files"
+    Generators.seed_arb
+    (fun seed ->
+      let rng = Rng.create (seed + 29) in
+      let doc = mutated rng (Serial.to_string (Generators.random_testbed seed)) in
+      same_outcome testbed_equal
+        (outcome (fun () -> Serial.of_string doc))
+        (outcome (fun () -> oracle_serial doc)))
+
+let test_scanner_edge_cases () =
+  (* inputs the mutations reach only by chance *)
+  let meas =
+    [ ""; "\n\n"; "netloss-measurements 1 0 0"; "netloss-measurements 1 0 0\n-1";
+      "netloss-measurements 1 x -1\n"; "netloss-measurements 1 1 0\n-0.1\n";
+      "netloss-measurements 1 99999999999 99999999999\n-0.1\n";
+      "netloss-measurements 1 2 99999999999\n-0.1\n-0.2\n";
+      "netloss-measurements 1 1 2\n-0.1\t-0.2\n";
+      "netloss-measurements  1 1 1 \r\n -1e-400 \r\n";
+      "netloss-measurements 1 1 1\n0x1p-3\n"; "netloss-measurements 1 1 2 # c\n-1 -2\n" ]
+  in
+  List.iter
+    (fun doc ->
+      List.iter
+        (fun strict ->
+          Alcotest.(check bool)
+            (Printf.sprintf "measurements %S" doc)
+            true
+            (same_outcome Generators.matrix_bits_equal
+               (outcome (fun () -> Trace_io.of_string ~strict doc))
+               (outcome (fun () -> Oracle.Trace_io.of_string ~strict doc))))
+        [ true; false ])
+    meas;
+  let tb =
+    "netloss-testbed 1\nnode 0 host 0\nnode 1 host 0\nedge 0 1\nedge 1 0\nbeacon 0\ndest 1\n"
+  in
+  List.iter
+    (fun doc ->
+      Alcotest.(check bool)
+        (Printf.sprintf "testbed %S" doc)
+        true
+        (same_outcome testbed_equal
+           (outcome (fun () -> Serial.of_string doc))
+           (outcome (fun () -> oracle_serial doc))))
+    [ tb; "netloss-testbed 1"; "netloss-testbed  1 \nnode 0\thost 0\n";
+      tb ^ "node 0 host 00\n";
+      tb ^ "edge 0 +1\n"; tb ^ "edge 0 4611686018427387904\n"; tb ^ "edge 0 0x1\n";
+      tb ^ "beacon 000000000000000000001\n"; tb ^ "node 2 router -0\nedge 2 0\n";
+      tb ^ "netloss-testbed 2\n"; tb ^ "edge 0 1 \r"; "# x\r\n" ^ tb ]
 
 let () =
   Alcotest.run "io"
@@ -162,5 +329,15 @@ let () =
           Alcotest.test_case "negatives and zero" `Quick
             test_measurements_preserve_negatives_and_zero;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_measurement_roundtrip ]);
+      ( "scanner",
+        [ Alcotest.test_case "edge cases = oracle" `Quick test_scanner_edge_cases ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_measurement_roundtrip;
+            prop_measurement_roundtrip_permissive;
+            prop_testbed_roundtrip;
+            prop_trace_io_differential;
+            prop_serial_differential;
+          ] );
     ]

@@ -613,6 +613,123 @@ let prop_pair_flutters_oracle =
             paths)
         paths)
 
+(* --- the CSR graph and the edge-id BFS against the list-and-hash-table
+   oracle --- *)
+
+(* the eight generator families, then the complete digraph on 3-9 nodes
+   with every node a beacon and a destination *)
+let oracle_cases seed =
+  let k = 3 + (seed mod 7) in
+  List.init 8 (fun family ->
+      let tb = Generators.random_testbed ((8 * seed) + family) in
+      (tb.Testbed.graph, tb.Testbed.beacons, tb.Testbed.destinations))
+  @ [ (Generators.complete_digraph k, Array.init k Fun.id, Array.init k Fun.id) ]
+
+let on_oracle_cases ~name ~count check =
+  QCheck.Test.make ~count ~name QCheck.(int_range 0 600) (fun seed ->
+      List.for_all check (oracle_cases seed))
+
+let tie_weight e = 1. +. float_of_int (e mod 7)
+
+let prop_routes_oracle =
+  on_oracle_cases ~count:10 ~name:"paths_between = oracle routes, nodes and edges"
+    (fun (g, beacons, destinations) ->
+      Routing.paths_between g ~beacons ~destinations
+      = Oracle.Routing.paths_between g ~beacons ~destinations)
+
+let prop_weighted_routes_oracle =
+  on_oracle_cases ~count:10 ~name:"paths_between_weighted = oracle routes with ties"
+    (fun (g, beacons, destinations) ->
+      Routing.paths_between_weighted g ~weight:tie_weight ~beacons ~destinations
+      = Oracle.Routing.paths_between_weighted g ~weight:tie_weight ~beacons
+          ~destinations)
+
+let prop_adjacency_scan =
+  on_oracle_cases ~count:5
+    ~name:"find_edge = linear scan; out-edges in increasing destination"
+    (fun (g, _, _) ->
+      let nv = Graph.node_count g and edges = Graph.edges g in
+      let csr = Graph.out_edges g in
+      let ok = ref true in
+      for src = 0 to nv - 1 do
+        let slots = List.init (Graph.out_degree g src) (fun k -> csr.start.(src) + k) in
+        let out = List.map (fun k -> Graph.edge g csr.id.(k)) slots in
+        let scanned =
+          List.filter (fun (e : Graph.edge) -> e.src = src) (Array.to_list edges)
+        in
+        if
+          List.map (fun k -> csr.dst.(k)) slots
+          <> List.map (fun (e : Graph.edge) -> e.dst) out
+          || out <> List.sort (fun (a : Graph.edge) b -> Int.compare a.dst b.dst) scanned
+          || Graph.in_degree g src
+             <> Array.fold_left
+                  (fun n (e : Graph.edge) -> if e.dst = src then n + 1 else n)
+                  0 edges
+        then ok := false;
+        for dst = 0 to nv - 1 do
+          let scan =
+            Array.find_opt (fun (e : Graph.edge) -> e.src = src && e.dst = dst) edges
+          in
+          if Graph.find_edge g ~src ~dst <> scan then ok := false
+        done
+      done;
+      !ok && Graph.undirected_components g
+             = Oracle.Graph.undirected_components (Oracle.Graph.of_graph g))
+
+let prop_testbed_routing_oracle =
+  QCheck.Test.make ~count:10 ~name:"Testbed.routing = oracle routes, T.2 check, reduce"
+    QCheck.(int_range 0 600)
+    (fun seed ->
+      List.for_all
+        (fun family ->
+          let tb = Generators.random_testbed ((8 * seed) + family) in
+          let g = tb.Testbed.graph in
+          let red = Testbed.routing tb in
+          let paths =
+            Oracle.Routing.paths_between g ~beacons:tb.Testbed.beacons
+              ~destinations:tb.Testbed.destinations
+          in
+          let want = Routing.reduce g (fst (Oracle.Flutter.remove_fluttering paths)) in
+          Sparse.equal red.Routing.matrix want.Routing.matrix
+          && red.Routing.paths = want.Routing.paths
+          && red.Routing.vlinks = want.Routing.vlinks
+          && red.Routing.edge_vlink = want.Routing.edge_vlink)
+        (List.init 8 Fun.id))
+
+(* Small edge lists, often out of range, looping or repeated, over nodes
+   whose ids are sometimes out of place: the first offending edge names
+   the error, as in the oracle. *)
+let prop_graph_create_oracle =
+  QCheck.Test.make ~count:500 ~name:"Graph.create = oracle on malformed edge lists"
+    Generators.seed_arb
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nv = 1 + Rng.int rng 6 in
+      let nodes = mk_nodes nv in
+      if Rng.bool rng 0.05 then nodes.(Rng.int rng nv) <- { (nodes.(0)) with id = nv };
+      let endpoint () =
+        if Rng.bool rng 0.1 then Rng.int rng (nv + 2) - 1 else Rng.int rng nv
+      in
+      let edges = Array.init (Rng.int rng 14) (fun _ -> (endpoint (), endpoint ())) in
+      let outcome create summary =
+        match create () with
+        | g -> Ok (summary g)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      outcome
+        (fun () -> Graph.create ~nodes ~edges)
+        (fun g ->
+          ( Graph.edges g,
+            List.init nv (fun v -> (Graph.in_degree g v, Graph.out_degree g v)),
+            Graph.undirected_components g ))
+      = outcome
+          (fun () -> Oracle.Graph.create ~nodes ~edges)
+          (fun g ->
+            ( g.Oracle.Graph.g_edges,
+              List.init nv (fun v ->
+                  (Oracle.Graph.in_degree g v, Oracle.Graph.out_degree g v)),
+              Oracle.Graph.undirected_components g )))
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -621,6 +738,11 @@ let properties =
       prop_flutter_walk_on_path_sets;
       prop_flutter_walk_on_routes;
       prop_pair_flutters_oracle;
+      prop_routes_oracle;
+      prop_weighted_routes_oracle;
+      prop_adjacency_scan;
+      prop_testbed_routing_oracle;
+      prop_graph_create_oracle;
     ]
 
 let () =
