@@ -611,18 +611,19 @@ let check_cmd =
   let run testbed =
     let tb = Topology.Serial.load testbed in
     let graph = tb.Topology.Testbed.graph in
-    (* route once: the report reads the raw paths, the matrix is
-       [Testbed.routing]'s, from the same paths *)
+    (* route once and walk T.2 once: the report reads the raw paths and
+       what the T.2 repair removes, the matrix is [Testbed.routing]'s,
+       from the same kept paths *)
     let paths =
       Topology.Routing.paths_between graph ~beacons:tb.Topology.Testbed.beacons
         ~destinations:tb.Topology.Testbed.destinations
     in
+    let kept, removed = Topology.Flutter.remove_fluttering paths in
     Printf.printf "assumptions on %d measured paths:\n" (Array.length paths);
     List.iter
       (fun (label, ok) ->
         Printf.printf "  %-45s %s\n" label (if ok then "ok" else "VIOLATED"))
-      (Core.Identifiability.assumptions_report graph paths);
-    let kept, _removed = Topology.Flutter.remove_fluttering paths in
+      (Core.Identifiability.assumptions_report graph paths ~removed);
     let red = Topology.Routing.reduce graph kept in
     let r = red.Topology.Routing.matrix in
     Printf.printf "reduced routing matrix: %d paths x %d virtual links\n"

@@ -19,14 +19,14 @@ let check r =
 
 let is_identifiable r = check r = Identifiable
 
-let assumptions_report graph paths =
+let assumptions_report graph paths ~removed =
   let covered = Array.make (Topology.Graph.edge_count graph) false in
   Array.iter
     (fun (p : Topology.Path.t) ->
       Array.iter (fun e -> covered.(e) <- true) p.Topology.Path.edges)
     paths;
   let all_covered = Array.for_all (fun c -> c) covered in
-  let no_flutter = Topology.Flutter.check paths = [] in
+  let no_flutter = Array.length removed = 0 in
   let pairs = Hashtbl.create (Array.length paths) in
   let unique = ref true in
   Array.iter

@@ -25,8 +25,16 @@ val check : Linalg.Sparse.t -> verdict
 val is_identifiable : Linalg.Sparse.t -> bool
 
 val assumptions_report :
-  Topology.Graph.t -> Topology.Path.t array -> (string * bool) list
+  Topology.Graph.t ->
+  Topology.Path.t array ->
+  removed:Topology.Path.t array ->
+  (string * bool) list
 (** Checks the paper's assumptions on a concrete measured path set:
     ["columns nonzero"] (every link covered), ["no fluttering"] (T.2),
     ["single path per pair"] (no duplicate beacon/destination pairs).
-    Each entry pairs a label with whether it holds. *)
+    Each entry pairs a label with whether it holds.
+
+    [removed] is what {!Topology.Flutter.remove_fluttering} removes from
+    the paths. T.2 holds exactly when it removes nothing (the first
+    offending pair's later path always goes), so one T.2 walk serves
+    both this report and a routing matrix built from the kept paths. *)

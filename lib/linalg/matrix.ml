@@ -26,6 +26,11 @@ let of_arrays a =
     a;
   init rows cols (fun i j -> a.(i).(j))
 
+let of_row_major rows cols data =
+  if rows < 0 || cols < 0 || Array.length data <> rows * cols then
+    invalid_arg "Matrix.of_row_major: dimension mismatch";
+  { rows; cols; data }
+
 let rows m = m.rows
 
 let cols m = m.cols

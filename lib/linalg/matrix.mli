@@ -24,6 +24,12 @@ val of_arrays : float array array -> t
 (** Builds from an array of rows; all rows must have the same length.
     An empty outer array yields the [0 × 0] matrix. *)
 
+val of_row_major : int -> int -> float array -> t
+(** [of_row_major rows cols a] has entry [a.((i * cols) + j)] at row [i],
+    column [j]. It keeps [a] as its storage, without a copy, so the
+    caller must not write to [a] afterwards. Raises [Invalid_argument]
+    unless [Array.length a = rows * cols]. *)
+
 val rows : t -> int
 
 val cols : t -> int

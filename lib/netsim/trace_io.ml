@@ -2,12 +2,11 @@ module Matrix = Linalg.Matrix
 
 let to_string y =
   let b = Buffer.create 65536 in
-  Buffer.add_string b
-    (Printf.sprintf "netloss-measurements 1 %d %d\n" (Matrix.rows y) (Matrix.cols y));
+  Printf.bprintf b "netloss-measurements 1 %d %d\n" (Matrix.rows y) (Matrix.cols y);
   for l = 0 to Matrix.rows y - 1 do
     for i = 0 to Matrix.cols y - 1 do
       if i > 0 then Buffer.add_char b ' ';
-      Buffer.add_string b (Printf.sprintf "%.17g" (Matrix.get y l i))
+      Printf.bprintf b "%.17g" (Matrix.get y l i)
     done;
     Buffer.add_char b '\n'
   done;
@@ -23,10 +22,11 @@ let strict_error x w =
   else if not (Float.is_finite x) then Printf.sprintf "non-finite measurement %S" w
   else Printf.sprintf "measurement %S is a positive log success rate (success rate > 1)" w
 
-(* One pass: rows go straight into the matrix while the lines are
-   counted. A row's first diagnostic (its width, then its first bad
-   cell) is held until the row count has been checked, since a wrong
-   count is reported first; later rows are then only counted. *)
+(* One pass: each cell is read straight into the matrix's row-major
+   storage while the lines are counted. A row's first diagnostic (its
+   width, then its first bad cell) is held until the row count has been
+   checked, since a wrong count is reported first; later rows are then
+   only counted. *)
 let of_string ?(path = "<string>") ?(strict = true) s =
   let c = Scan.create ~path s in
   if not (Scan.next_line c) then
@@ -50,25 +50,32 @@ let of_string ?(path = "<string>") ?(strict = true) s =
   let m = count 2 "snapshot count" in
   let np = count 3 "path count" in
   (* every valid file has at least m * np bytes: a shorter one fails
-     below, and gets no matrix of the size its header claims *)
+     below, and gets no array of the size its header claims; its cells
+     are read into one spare slot *)
   let fits = np = 0 || m <= String.length s / np in
-  let y = Matrix.zeros (if fits then m else 0) np in
+  let data = Array.make (if fits then m * np else 1) 0. in
   let parse_row l =
-    let got = ref 0 and bad = ref None in
-    while Scan.next_token c do
+    let got = ref 0 and bad = ref None and more = ref true in
+    while !more do
       if !got < np && Option.is_none !bad then begin
-        match Scan.float_token c with
-        | x when strict && not (Float.is_finite x && x <= 0.) ->
-            bad := Some (strict_error x (Scan.token c))
-        | x -> if fits then Matrix.set y l !got x
+        let k = if fits then (l * np) + !got else 0 in
+        match Scan.next_float c data k with
+        | false -> more := false
+        | true ->
+            let x = data.(k) in
+            if strict && not (Float.is_finite x && x <= 0.) then
+              bad := Some (strict_error x (Scan.token c));
+            incr got
         | exception Failure _ ->
-            bad := Some (Printf.sprintf "bad measurement %S" (Scan.token c))
-      end;
-      incr got
+            bad := Some (Printf.sprintf "bad measurement %S" (Scan.token c));
+            incr got
+      end
+      else if Scan.next_token c then incr got
+      else more := false
     done;
     if !got <> np then
       Some (Scan.error c (Printf.sprintf "expected %d columns, got %d" np !got))
-    else Option.map (Scan.error c) !bad
+    else match !bad with None -> None | Some msg -> Some (Scan.error c msg)
   in
   let rows = ref 0 and first_error = ref None in
   while Scan.next_line c do
@@ -80,7 +87,7 @@ let of_string ?(path = "<string>") ?(strict = true) s =
       (Scan.error ~line:hline c
          (Printf.sprintf "header promises %d snapshot rows, file has %d" m !rows));
   Option.iter raise !first_error;
-  y
+  Matrix.of_row_major m np data
 
 let save path y =
   let dir = Filename.dirname path in

@@ -19,8 +19,15 @@
     - the first remaining line is the header, exactly four tokens; the
       two counts are read by [int_of_string] and must be [>= 0];
     - every later line is one row of exactly [<paths>] tokens, each read
-      by [float_of_string] ([nan], [inf], [0x1p-3] and [1_000] are
-      numbers); there must be exactly [<snapshots>] rows. *)
+      to the double [float_of_string] gives ([nan], [inf], [0x1p-3] and
+      [1_000] are numbers); there must be exactly [<snapshots>] rows.
+
+    Each cell is read in place into the matrix's storage
+    ([Topology.Scan.next_float]): a plain decimal of at most 18
+    significant digits whose value is neither subnormal nor infinite,
+    such as every finite, normal [%.17g] cell {!to_string} writes, is
+    converted exactly with no allocation; any other token goes through
+    [float_of_string] itself. *)
 
 val to_string : Linalg.Matrix.t -> string
 

@@ -126,47 +126,137 @@ let paths_between graph ~beacons ~destinations =
   let queue = Array.make (Graph.node_count graph) 0 in
   routes graph ~from:(bfs graph ~queue) ~beacons ~destinations
 
+(* An odd multiplier for the cover-set hash, near 2^61 / golden ratio
+   (Fibonacci hashing). *)
+let golden = 0x13C6EF372FE94F7B
+
 let reduce graph paths =
   let np = Array.length paths in
   if np = 0 then invalid_arg "Routing.reduce: no paths";
   let ne = Graph.edge_count graph in
-  (* rows covering each edge, in increasing row order *)
-  let cover = Array.make ne [] in
-  Array.iteri
-    (fun i p -> Array.iter (fun eid -> cover.(eid) <- i :: cover.(eid)) p.Path.edges)
-    paths;
-  (* group covered edges by identical cover set (the alias reduction) *)
-  let groups : (int list, int list) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  for eid = ne - 1 downto 0 do
-    match cover.(eid) with
-    | [] -> ()
-    | key ->
-        (match Hashtbl.find_opt groups key with
-        | Some members -> Hashtbl.replace groups key (eid :: members)
-        | None ->
-            Hashtbl.add groups key [ eid ];
-            order := key :: !order)
-  done;
-  (* [order] was built scanning eids downward, so after the final reversal
-     implicit in the construction, groups are ordered by smallest member. *)
-  let keys = Array.of_list !order in
-  let vlinks =
-    Array.map (fun key -> Array.of_list (Hashtbl.find groups key)) keys
-  in
-  Array.sort
-    (fun a b -> Int.compare a.(0) b.(0))
-    vlinks;
-  let nc = Array.length vlinks in
+  (* Routes cross a small share of a testbed's edges, so everything but
+     [edge_vlink] is sized by the covered edges. [edge_vlink] first marks
+     them (-2), then numbers them in increasing edge id: [covered.(k)]
+     is the k-th. *)
   let edge_vlink = Array.make ne (-1) in
-  Array.iteri (fun j members -> Array.iter (fun eid -> edge_vlink.(eid) <- j) members)
-    vlinks;
+  let ncov = ref 0 and crossings = ref 0 in
+  Array.iter
+    (fun (p : Path.t) ->
+      Array.iter
+        (fun e ->
+          if edge_vlink.(e) = -1 then begin
+            edge_vlink.(e) <- -2;
+            incr ncov
+          end)
+        p.Path.edges;
+      crossings := !crossings + Array.length p.Path.edges)
+    paths;
+  let ncov = !ncov in
+  let covered = Array.make ncov 0 in
+  let k = ref 0 in
+  for e = 0 to ne - 1 do
+    if edge_vlink.(e) = -2 then begin
+      edge_vlink.(e) <- !k;
+      covered.(!k) <- e;
+      incr k
+    end
+  done;
+  (* The rows crossing each covered edge, once per crossing and in
+     increasing row order: edge [covered.(k)]'s cover set is
+     [cover.(start.(k))] up to [cover.(start.(k + 1) - 1)]. Its hash is
+     taken as the rows are added. *)
+  let start = Array.make (ncov + 1) 0 in
+  Array.iter
+    (fun (p : Path.t) ->
+      Array.iter
+        (fun e ->
+          let k = edge_vlink.(e) + 1 in
+          start.(k) <- start.(k) + 1)
+        p.Path.edges)
+    paths;
+  for k = 0 to ncov - 1 do
+    start.(k + 1) <- start.(k + 1) + start.(k)
+  done;
+  let next = Array.sub start 0 ncov in
+  let cover = Array.make !crossings 0 and hash = Array.make ncov 0 in
+  Array.iteri
+    (fun i (p : Path.t) ->
+      Array.iter
+        (fun e ->
+          let k = edge_vlink.(e) in
+          cover.(next.(k)) <- i;
+          next.(k) <- next.(k) + 1;
+          hash.(k) <- ((hash.(k) + i + 1) * golden) lxor (hash.(k) lsr 29))
+        p.Path.edges)
+    paths;
+  let same_cover k l =
+    let n = start.(k + 1) - start.(k) in
+    n = start.(l + 1) - start.(l)
+    &&
+    let c = ref 0 in
+    while !c < n && cover.(start.(k) + !c) = cover.(start.(l) + !c) do incr c done;
+    !c = n
+  in
+  (* Group the covered edges by cover set (the alias reduction) in an
+     open-addressing table of group ids. Edges are taken in increasing
+     id, so groups are numbered by smallest member. *)
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * ncov do incr bits done;
+  let mask = (1 lsl !bits) - 1 in
+  let table = Array.make (mask + 1) (-1) in
+  let first = Array.make ncov 0 and size = Array.make ncov 0 in
+  let group = Array.make ncov 0 in
+  let nc = ref 0 in
+  for k = 0 to ncov - 1 do
+    let slot = ref ((hash.(k) * golden) lsr (62 - !bits) land mask) in
+    while
+      table.(!slot) >= 0
+      &&
+      let f = first.(table.(!slot)) in
+      not (hash.(f) = hash.(k) && same_cover f k)
+    do
+      slot := (!slot + 1) land mask
+    done;
+    if table.(!slot) < 0 then begin
+      table.(!slot) <- !nc;
+      first.(!nc) <- k;
+      incr nc
+    end;
+    let j = table.(!slot) in
+    group.(k) <- j;
+    size.(j) <- size.(j) + 1
+  done;
+  let nc = !nc in
+  let vlinks = Array.init nc (fun j -> Array.make size.(j) 0) in
+  Array.fill size 0 nc 0;
+  for k = 0 to ncov - 1 do
+    let j = group.(k) in
+    vlinks.(j).(size.(j)) <- covered.(k);
+    size.(j) <- size.(j) + 1;
+    edge_vlink.(covered.(k)) <- j
+  done;
+  (* each row: its edges' columns, sorted and deduplicated in place
+     (insertion sort: routes are a few hops long) *)
   let rows =
     Array.map
       (fun (p : Path.t) ->
-        let cols = Array.map (fun eid -> edge_vlink.(eid)) p.Path.edges in
-        let uniq = List.sort_uniq Int.compare (Array.to_list cols) in
-        Array.of_list uniq)
+        let r = Array.map (fun e -> edge_vlink.(e)) p.Path.edges in
+        for k = 1 to Array.length r - 1 do
+          let x = r.(k) and i = ref (k - 1) in
+          while !i >= 0 && r.(!i) > x do
+            r.(!i + 1) <- r.(!i);
+            decr i
+          done;
+          r.(!i + 1) <- x
+        done;
+        let n = ref 0 in
+        for k = 0 to Array.length r - 1 do
+          if !n = 0 || r.(!n - 1) <> r.(k) then begin
+            r.(!n) <- r.(k);
+            incr n
+          end
+        done;
+        if !n = Array.length r then r else Array.sub r 0 !n)
       paths
   in
   { matrix = Sparse.create ~cols:nc rows; paths; vlinks; edge_vlink }

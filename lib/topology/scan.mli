@@ -12,7 +12,9 @@
       separate tokens, and any other byte (a tab included) belongs to a
       token.
 
-    Diagnostics take the form [PATH:LINE: message]. *)
+    Integers are read as [int_of_string] reads them, and floats to the
+    double [float_of_string] gives ({!next_float}). Diagnostics take the
+    form [PATH:LINE: message]. *)
 
 type t
 
@@ -52,9 +54,32 @@ val next_token : t -> bool
 val token : t -> string
 (** The token under the cursor. *)
 
-val float_token : t -> float
-(** [float_of_string] on the token under the cursor (kept for exact
-    [%.17g] round trips). Raises [Failure] where it does. *)
+val next_float : t -> float array -> int -> bool
+(** [next_float c a k] moves the token cursor to the next token as
+    {!next_token} does and writes it into [a.(k)], read to the double
+    [float_of_string] gives; [false] (and [a] untouched) at the line's
+    end. Raises [Failure] on the tokens [float_of_string] rejects, with
+    the cursor on the token.
+
+    The token is read in the same pass that finds its end, and a
+    decimal [-]D+[.D+][(e|E)[+|-]D{1,5}] of at most 18 significant
+    digits (every cell [%.17g] writes is one) is converted exactly in
+    place, with no allocation: by one multiplication or division by an
+    exact power of ten when the digits are below 2{^53} and the power of
+    ten is at most 22 away from 0 (Clinger), otherwise by one
+    64 x 128-bit product with the truncated mantissa of a power of ten
+    in [\[10{^-348}, 10{^347}\]] (Eisel-Lemire, as Go's [strconv]). Any
+    other token ([nan], [inf], hexadecimal, [_], a leading [+], [.5],
+    [5.], a tab), more digits, a subnormal or infinite result, and the
+    ties and wide-error cases that one product leaves open go to
+    [float_of_string] on the token. *)
+
+val pow10 : int -> int64 * int64
+(** [pow10 e] is the reader's table entry for 10{^e}, for [e] in
+    [\[-348, 347\]]: the high and low words of the first 128 bits of its
+    binary mantissa, truncated, with the high word's top bit set. The
+    entries are computed once per process from exact integer arithmetic;
+    this accessor lets them be checked. *)
 
 val error : ?line:int -> t -> string -> exn
 (** [Failure "PATH:LINE: msg"], at the current line unless [line] is

@@ -101,10 +101,11 @@ let complete_digraph n =
            let u = k / (n - 1) and v = k mod (n - 1) in
            (u, if v < u then v else v + 1)))
 
-(* A path set for the T.2 walk: 2-41 routes on a complete digraph of 4-9
-   nodes. About half the sets hold simple routes; the others hold walks
-   of up to 8 hops, which often cross an edge more than once. *)
-let random_path_set seed =
+(* A path set for the T.2 walk, and the graph it runs on: 2-41 routes on
+   a complete digraph of 4-9 nodes. About half the sets hold simple
+   routes; the others hold walks of up to 8 hops, which often cross an
+   edge more than once. *)
+let random_path_set_on_graph seed =
   let rng = Rng.create seed in
   let n = 4 + Rng.int rng 6 in
   let graph = complete_digraph n in
@@ -120,8 +121,11 @@ let random_path_set seed =
     end
     else Rng.sample_without_replacement rng (2 + Rng.int rng (n - 1)) n
   in
-  Array.init (2 + Rng.int rng 40) (fun _ ->
-      Topology.Path.make ~graph ~nodes:(route ()))
+  ( graph,
+    Array.init (2 + Rng.int rng 40) (fun _ ->
+        Topology.Path.make ~graph ~nodes:(route ())) )
+
+let random_path_set seed = snd (random_path_set_on_graph seed)
 
 (* [r] with a seeded ~fifth of its rows emptied (a path whose links all
    left the system), for kernels that must skip empty rows. *)

@@ -467,7 +467,8 @@ end
    over [Graph]'s lists with [int option] predecessors, and each route
    built from its node sequence by looking every hop up in the hash
    table (the old [Path.make]). Kept as the oracle of
-   [Topology.Routing]: the same routes, nodes and edges. *)
+   [Topology.Routing]: the same routes, nodes and edges, and the same
+   reduced system. *)
 module Routing = struct
   module Path = Topology.Path
 
@@ -588,4 +589,52 @@ module Routing = struct
   let paths_between_weighted g ~weight ~beacons ~destinations =
     let graph = Graph.of_graph g in
     paths_from graph ~pred_of:(dijkstra graph ~weight) ~beacons ~destinations
+
+  (* The alias reduction as it was before its flat arrays: aliased edges
+     grouped in a [Hashtbl] keyed on their [int list] cover sets, each row
+     deduplicated through [List.sort_uniq]. *)
+  let reduce graph paths =
+    let np = Array.length paths in
+    if np = 0 then invalid_arg "Routing.reduce: no paths";
+    let ne = Topology.Graph.edge_count graph in
+    (* rows covering each edge, in increasing row order *)
+    let cover = Array.make ne [] in
+    Array.iteri
+      (fun i p -> Array.iter (fun eid -> cover.(eid) <- i :: cover.(eid)) p.Path.edges)
+      paths;
+    (* group covered edges by identical cover set (the alias reduction) *)
+    let groups : (int list, int list) Hashtbl.t = Hashtbl.create 64 in
+    let order = ref [] in
+    for eid = ne - 1 downto 0 do
+      match cover.(eid) with
+      | [] -> ()
+      | key ->
+          (match Hashtbl.find_opt groups key with
+          | Some members -> Hashtbl.replace groups key (eid :: members)
+          | None ->
+              Hashtbl.add groups key [ eid ];
+              order := key :: !order)
+    done;
+    (* [order] was built scanning eids downward, so after the final reversal
+       implicit in the construction, groups are ordered by smallest member. *)
+    let keys = Array.of_list !order in
+    let vlinks =
+      Array.map (fun key -> Array.of_list (Hashtbl.find groups key)) keys
+    in
+    Array.sort
+      (fun a b -> Int.compare a.(0) b.(0))
+      vlinks;
+    let nc = Array.length vlinks in
+    let edge_vlink = Array.make ne (-1) in
+    Array.iteri (fun j members -> Array.iter (fun eid -> edge_vlink.(eid) <- j) members)
+      vlinks;
+    let rows =
+      Array.map
+        (fun (p : Path.t) ->
+          let cols = Array.map (fun eid -> edge_vlink.(eid)) p.Path.edges in
+          let uniq = List.sort_uniq Int.compare (Array.to_list cols) in
+          Array.of_list uniq)
+        paths
+    in
+    { Topology.Routing.matrix = Sparse.create ~cols:nc rows; paths; vlinks; edge_vlink }
 end

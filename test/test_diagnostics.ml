@@ -85,16 +85,33 @@ let test_assumptions_report () =
     Topology.Graph.create ~nodes ~edges:[| (0, 1); (1, 3); (1, 2) |]
   in
   let p = Topology.Path.make ~graph ~nodes:[| 0; 1; 3 |] in
-  let report = Identifiability.assumptions_report graph [| p |] in
+  let report_on paths =
+    Identifiability.assumptions_report graph paths
+      ~removed:(snd (Topology.Flutter.remove_fluttering paths))
+  in
+  let report = report_on [| p |] and dup = report_on [| p; p |] in
   Alcotest.(check bool) "uncovered link detected" true
     (List.assoc "every link covered by a path" report = false);
   Alcotest.(check bool) "no fluttering" true
     (List.assoc "no route fluttering (T.2)" report);
   Alcotest.(check bool) "unique pairs" true
     (List.assoc "single path per beacon/destination pair" report);
-  let dup = Identifiability.assumptions_report graph [| p; p |] in
   Alcotest.(check bool) "duplicate pair flagged" false
     (List.assoc "single path per beacon/destination pair" dup)
+
+(* The report's T.2 line reads what the T.2 repair removed: it must say
+   what the all-pairs oracle's list of offending pairs says. *)
+let prop_report_t2_line =
+  QCheck.Test.make ~count:300
+    ~name:"assumptions report: T.2 line = all-pairs oracle on path sets"
+    Generators.seed_arb
+    (fun seed ->
+      let graph, paths = Generators.random_path_set_on_graph seed in
+      let report =
+        Identifiability.assumptions_report graph paths
+          ~removed:(snd (Topology.Flutter.remove_fluttering paths))
+      in
+      List.assoc "no route fluttering (T.2)" report = (Oracle.Flutter.check paths = []))
 
 (* --- Schedule ------------------------------------------------------------- *)
 
@@ -234,6 +251,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_matrix;
           Alcotest.test_case "assumptions report" `Quick test_assumptions_report;
           QCheck_alcotest.to_alcotest prop_check_matches_float_rank;
+          QCheck_alcotest.to_alcotest prop_report_t2_line;
         ] );
       ( "schedule",
         [

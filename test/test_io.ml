@@ -304,6 +304,267 @@ let test_scanner_edge_cases () =
       tb ^ "beacon 000000000000000000001\n"; tb ^ "node 2 router -0\nedge 2 0\n";
       tb ^ "netloss-testbed 2\n"; tb ^ "edge 0 1 \r"; "# x\r\n" ^ tb ]
 
+(* --- the decimal reader against float_of_string ----------------------------- *)
+
+module Scan = Topology.Scan
+
+(* [w] read as the second cell of a line, by the scanner and by a
+   one-row document, against [float_of_string]: the same double bit for
+   bit, or the same exception. The scanner must also leave its cursor on
+   the whole token, and find nothing after it. *)
+let reads_like_float_of_string w =
+  let same a b = same_outcome Generators.bits_equal (fun () -> a) (fun () -> b) in
+  let want = outcome (fun () -> float_of_string w) () in
+  let a = [| 0.; 0. |] in
+  let c = Scan.create ~path:"t" ("-1 " ^ w) in
+  let scanned =
+    outcome
+      (fun () ->
+        if not (Scan.next_line c && Scan.next_float c a 0 && Scan.next_float c a 1)
+        then failwith "no token";
+        a.(1))
+      ()
+  in
+  let doc = "netloss-measurements 1 1 2\n-1 " ^ w ^ "\n" in
+  let loaded =
+    outcome (fun () -> Matrix.get (Trace_io.of_string ~strict:false doc) 0 1) ()
+  in
+  let loaded_want =
+    match want with
+    | Ok x -> Ok x
+    | Error _ ->
+        Error
+          (Printexc.to_string
+             (Failure (Printf.sprintf "<string>:2: bad measurement %S" w)))
+  in
+  same scanned want
+  && Scan.token c = w
+  && (not (Scan.next_float c a 0))
+  && same loaded loaded_want
+
+(* The exact decimal value of the midpoint between [x >= 0] and the next
+   double, as [%.40g] prints it: exact when it has at most 40
+   significant digits, else rounded to 40. [%.1100f] prints a double's
+   exact expansion (at most 1 074 fractional digits), so the midpoint is
+   the sum of two such expansions, halved. *)
+let midpoint_token x =
+  let exact f = String.concat "" (String.split_on_char '.' (Printf.sprintf "%.1100f" f)) in
+  let a = exact x and b = exact (Float.succ x) in
+  let n = max (String.length a) (String.length b) in
+  let pad s = String.make (n - String.length s) '0' ^ s in
+  let a = pad a and b = pad b in
+  (* digit i of [half] weighs 10^(point - i): [sum.(0)] is the carry,
+     [sum.(n + 1)] room for the halving's last digit *)
+  let point = n - 1100 in
+  let sum = Array.make (n + 2) 0 and carry = ref 0 in
+  for i = n - 1 downto 0 do
+    let d = Char.code a.[i] + Char.code b.[i] - (2 * Char.code '0') + !carry in
+    sum.(i + 1) <- d mod 10;
+    carry := d / 10
+  done;
+  sum.(0) <- !carry;
+  let half = Array.make (n + 2) 0 and r = ref 0 in
+  Array.iteri
+    (fun i d ->
+      let v = (10 * !r) + d in
+      half.(i) <- v / 2;
+      r := v mod 2)
+    sum;
+  let first = ref 0 in
+  while half.(!first) = 0 do incr first done;
+  let last = ref (n + 1) in
+  while half.(!last) = 0 do decr last done;
+  let digits = Array.sub half !first (min 41 (!last - !first + 1)) in
+  let exp10 = ref (point - !first) in
+  let digits =
+    if Array.length digits <= 40 then digits
+    else begin
+      let d = Array.sub digits 0 40 in
+      if digits.(40) >= 5 then begin
+        let k = ref 39 in
+        while !k >= 0 && d.(!k) = 9 do
+          d.(!k) <- 0;
+          decr k
+        done;
+        if !k >= 0 then d.(!k) <- d.(!k) + 1
+        else begin
+          d.(0) <- 1;
+          incr exp10
+        end
+      end;
+      d
+    end
+  in
+  let s = String.concat "" (Array.to_list (Array.map string_of_int digits)) in
+  Printf.sprintf "%c.%se%d" s.[0]
+    (if String.length s > 1 then String.sub s 1 (String.length s - 1) else "0")
+    !exp10
+
+let fallback_tokens =
+  [| "nan"; "-inf"; "0x1p-3"; "1_000"; "+1"; ".5"; "5."; "1e"; "1e+"; "--1"; "1..2";
+     "\t1"; "1e99999" |]
+
+let special_tokens =
+  [| "0"; "-0"; "0.0"; "-0.0"; "-0e7"; "0e-400"; "4.9406564584124654e-324";
+     "2.4703282292062327e-324"; "2.2250738585072009e-308"; "2.2250738585072014e-308";
+     "1.7976931348623157e308"; "-1.7976931348623157e308"; "1.7976931348623158e308";
+     "1.7976931348623159e308"; "9007199254740993"; "123456789012345678";
+     "1234567890123456789" |]
+
+let random_digits rng n =
+  String.init n (fun k -> Char.chr (Char.code (if k = 0 then '1' else '0') + Rng.int rng (if k = 0 then 9 else 10)))
+
+(* One token of each kind: a random double in eleven printf formats, a
+   log success rate, a midpoint between adjacent doubles (anywhere, and
+   in [2^51, 2^60), where its exact value has at most 19 digits), a
+   random 1-20-digit mantissa with an exponent in [-360, 330] (with and
+   without a point), the table's edges and Clinger's (and one step
+   outside), a subnormal, and the fixed special and fallback tokens. *)
+let reader_tokens seed =
+  let rng = Rng.create seed in
+  let x = Int64.float_of_bits (Rng.uint64 rng) in
+  let formats =
+    List.map
+      (fun f -> Printf.sprintf f x)
+      [ "%.17g"; "%.16g"; "%.15g"; "%g"; "%.3g"; "%.18g"; "%.19g"; "%.20g"; "%.17e"; "%f" ]
+  in
+  let log_rate = Printf.sprintf "%.17g" (log (float_of_int (1 + Rng.int rng 1000) /. 1000.)) in
+  let rec finite () =
+    let y = Float.abs (Int64.float_of_bits (Rng.uint64 rng)) in
+    if Float.is_finite (Float.succ y) then y else finite ()
+  in
+  let sign () = if Rng.bool rng 0.5 then "-" else "" in
+  let near_int = Float.ldexp (1. +. Rng.float rng) (51 + Rng.int rng 9) in
+  let nd = 1 + Rng.int rng 20 in
+  let man = random_digits rng nd in
+  let e = Rng.int rng 691 - 360 in
+  let cut = Rng.int rng (nd + 1) in
+  let pointed =
+    if cut = 0 || cut = nd then man
+    else String.sub man 0 cut ^ "." ^ String.sub man cut (nd - cut)
+  in
+  let edge =
+    Rng.choose rng [| -349; -348; -347; -23; -22; 22; 23; 346; 347; 348 |]
+  in
+  let subnormal =
+    Int64.float_of_bits (Int64.shift_right_logical (Rng.uint64 rng) 12)
+  in
+  formats
+  @ [ log_rate;
+      sign () ^ midpoint_token (finite ());
+      sign () ^ midpoint_token near_int;
+      Printf.sprintf "%s%se%d" (sign ()) man e;
+      Printf.sprintf "%s%sE%+d" (sign ()) pointed e;
+      Printf.sprintf "%s%se%d" (sign ()) (random_digits rng (1 + Rng.int rng 18)) edge;
+      Printf.sprintf "%.17g" subnormal;
+      Rng.choose rng special_tokens;
+      Rng.choose rng fallback_tokens ]
+
+let prop_reader_is_float_of_string =
+  QCheck.Test.make ~count:600
+    ~name:"decimal reader = float_of_string, bit for bit, on every kind of token"
+    Generators.seed_arb
+    (fun seed -> List.for_all reads_like_float_of_string (reader_tokens seed))
+
+let test_reader_fixed_tokens () =
+  Array.iter
+    (fun w ->
+      Alcotest.(check bool) (Printf.sprintf "token %S" w) true (reads_like_float_of_string w))
+    (Array.append special_tokens fallback_tokens)
+
+(* Five entries of the reader's power-of-ten table, recomputed by long
+   division one bit at a time on little-endian bit arrays: 5^e's leading
+   128 bits for e >= 0, the first 128 bits of the binary expansion of
+   1 / 5^n for e = -n. *)
+let test_pow10_table () =
+  let len = 1200 in
+  let top a =
+    let t = ref (len - 1) in
+    while a.(!t) = 0 do decr t done;
+    !t
+  in
+  let geq a b =
+    let i = ref (len - 1) in
+    while !i >= 0 && a.(!i) = b.(!i) do decr i done;
+    !i < 0 || a.(!i) > b.(!i)
+  in
+  let sub a b =
+    let borrow = ref 0 in
+    for i = 0 to len - 1 do
+      let d = a.(i) - b.(i) - !borrow in
+      a.(i) <- d land 1;
+      borrow := if d < 0 then 1 else 0
+    done
+  in
+  let add a b =
+    let carry = ref 0 in
+    for i = 0 to len - 1 do
+      let s = a.(i) + b.(i) + !carry in
+      a.(i) <- s land 1;
+      carry := s lsr 1
+    done
+  in
+  let pow5 n =
+    let a = Array.make len 0 in
+    a.(0) <- 1;
+    for _ = 1 to n do
+      let four = Array.init len (fun i -> if i >= 2 then a.(i - 2) else 0) in
+      add a four
+    done;
+    a
+  in
+  let word bits = List.fold_left (fun w b -> Int64.logor (Int64.shift_left w 1) (Int64.of_int b)) 0L bits in
+  let words bits = (word (List.filteri (fun i _ -> i < 64) bits), word (List.filteri (fun i _ -> i >= 64) bits)) in
+  let expected e =
+    if e >= 0 then begin
+      let a = pow5 e in
+      let t = top a in
+      words (List.init 128 (fun k -> if t - k >= 0 then a.(t - k) else 0))
+    end
+    else begin
+      let d = pow5 (-e) and r = Array.make len 0 in
+      r.(0) <- 1;
+      (* quotient bits of 1 / d, from the first 1 on *)
+      let bits = ref [] and started = ref false in
+      while List.length !bits < 128 do
+        (* r <- 2r *)
+        for i = len - 1 downto 1 do r.(i) <- r.(i - 1) done;
+        r.(0) <- 0;
+        let bit = if geq r d then (sub r d; 1) else 0 in
+        if bit = 1 then started := true;
+        if !started then bits := bit :: !bits
+      done;
+      words (List.rev !bits)
+    end
+  in
+  List.iter
+    (fun e ->
+      let hi, lo = expected e in
+      let hi', lo' = Scan.pow10 e in
+      Alcotest.(check (pair int64 int64)) (Printf.sprintf "10^%d" e) (hi, lo) (hi', lo'))
+    [ -348; -123; -1; 28; 347 ];
+  Alcotest.(check (pair int64 int64)) "10^0" (Int64.min_int, 0L) (Scan.pow10 0);
+  Alcotest.(check (pair int64 int64)) "10^1" (0xA000_0000_0000_0000L, 0L) (Scan.pow10 1);
+  Alcotest.(check (pair int64 int64)) "10^-1"
+    (0xCCCC_CCCC_CCCC_CCCCL, 0xCCCC_CCCC_CCCC_CCCCL) (Scan.pow10 (-1))
+
+(* A plain decimal cell, and a row of them, allocate nothing: a 51-row
+   document of [%.17g] cells takes as many minor words as a 1-row one
+   (the cursor, the header's fields and the matrix record). *)
+let test_reader_allocates_nothing_per_cell () =
+  let doc rows =
+    Trace_io.to_string
+      (Matrix.init rows 400 (fun l i -> log (float_of_int (1 + ((l * 400) + i) mod 997) /. 1000.)))
+  in
+  let words d =
+    ignore (Trace_io.of_string d);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Trace_io.of_string d));
+    Gc.minor_words () -. w0
+  in
+  let one = words (doc 1) and many = words (doc 51) in
+  Alcotest.(check (float 0.)) "minor words for 50 more rows of 400 cells" 0. (many -. one)
+
 let () =
   Alcotest.run "io"
     [
@@ -330,7 +591,15 @@ let () =
             test_measurements_preserve_negatives_and_zero;
         ] );
       ( "scanner",
-        [ Alcotest.test_case "edge cases = oracle" `Quick test_scanner_edge_cases ] );
+        [
+          Alcotest.test_case "edge cases = oracle" `Quick test_scanner_edge_cases;
+          Alcotest.test_case "fixed tokens = float_of_string" `Quick
+            test_reader_fixed_tokens;
+          Alcotest.test_case "power-of-ten table = long division" `Quick
+            test_pow10_table;
+          Alcotest.test_case "no allocation per cell" `Quick
+            test_reader_allocates_nothing_per_cell;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -339,5 +608,6 @@ let () =
             prop_testbed_roundtrip;
             prop_trace_io_differential;
             prop_serial_differential;
+            prop_reader_is_float_of_string;
           ] );
     ]

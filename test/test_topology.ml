@@ -676,6 +676,12 @@ let prop_adjacency_scan =
       !ok && Graph.undirected_components g
              = Oracle.Graph.undirected_components (Oracle.Graph.of_graph g))
 
+let same_reduced (a : Routing.reduced) (b : Routing.reduced) =
+  Sparse.equal a.matrix b.matrix
+  && a.paths = b.paths
+  && a.vlinks = b.vlinks
+  && a.edge_vlink = b.edge_vlink
+
 let prop_testbed_routing_oracle =
   QCheck.Test.make ~count:10 ~name:"Testbed.routing = oracle routes, T.2 check, reduce"
     QCheck.(int_range 0 600)
@@ -689,12 +695,28 @@ let prop_testbed_routing_oracle =
             Oracle.Routing.paths_between g ~beacons:tb.Testbed.beacons
               ~destinations:tb.Testbed.destinations
           in
-          let want = Routing.reduce g (fst (Oracle.Flutter.remove_fluttering paths)) in
-          Sparse.equal red.Routing.matrix want.Routing.matrix
-          && red.Routing.paths = want.Routing.paths
-          && red.Routing.vlinks = want.Routing.vlinks
-          && red.Routing.edge_vlink = want.Routing.edge_vlink)
+          let want =
+            Oracle.Routing.reduce g (fst (Oracle.Flutter.remove_fluttering paths))
+          in
+          same_reduced red want)
         (List.init 8 Fun.id))
+
+(* Path sets that repeat edges (walks) and alias them (a few routes on a
+   complete digraph leave many edges with one cover set), with a random
+   subset of the routes kept: the flat-array grouping must give the
+   list-keyed oracle's columns, groups and rows. *)
+let prop_reduce_oracle_on_path_sets =
+  QCheck.Test.make ~count:300 ~name:"reduce = list-keyed oracle on path sets"
+    Generators.seed_arb
+    (fun seed ->
+      let g, paths = Generators.random_path_set_on_graph seed in
+      let rng = Rng.create (seed + 5) in
+      let some = Array.of_list (List.filter (fun _ -> Rng.bool rng 0.7) (Array.to_list paths)) in
+      List.for_all
+        (fun paths ->
+          Array.length paths = 0
+          || same_reduced (Routing.reduce g paths) (Oracle.Routing.reduce g paths))
+        [ paths; some ])
 
 (* Small edge lists, often out of range, looping or repeated, over nodes
    whose ids are sometimes out of place: the first offending edge names
@@ -742,6 +764,7 @@ let properties =
       prop_weighted_routes_oracle;
       prop_adjacency_scan;
       prop_testbed_routing_oracle;
+      prop_reduce_oracle_on_path_sets;
       prop_graph_create_oracle;
     ]
 
