@@ -30,10 +30,10 @@ let run () =
     Matrix.init m (Linalg.Sparse.rows r) (fun l i -> Matrix.get run.Simulator.y l i)
   in
   let variances = Core.Variance_estimator.estimate ~r ~y:y_learn () in
+  let plan = Core.Plan.make ~r ~variances () in
   let results =
     Array.init post (fun t ->
-        Core.Lia.infer_with_variances ~r ~variances
-          ~y_now:run.Simulator.snapshots.(m + t).Snapshot.y)
+        Core.Plan.solve plan run.Simulator.snapshots.(m + t).Snapshot.y)
   in
   Exp_common.subheader "location of congested links (100 snapshots)";
   Exp_common.row "%-8s %-10s %-10s" "tl" "inter-AS" "intra-AS";

@@ -43,7 +43,7 @@ let tests (r, y_learn, target, variances) =
         (Staged.stage (fun () -> Sparse.least_squares r_star y_now));
       Test.make ~name:"phase2-full"
         (Staged.stage (fun () ->
-             Core.Lia.infer_with_variances ~r ~variances ~y_now));
+             Core.Plan.solve (Core.Plan.make ~r ~variances ()) y_now));
       Test.make ~name:"plan-build"
         (Staged.stage (fun () -> Core.Plan.make ~r ~variances ()));
       Test.make ~name:"plan-solve"
@@ -108,8 +108,8 @@ let run () =
       let t_learn = (Unix.gettimeofday () -. t0) *. 1000. in
       let t0 = Unix.gettimeofday () in
       ignore
-        (Core.Lia.infer_with_variances ~r ~variances:v
-           ~y_now:target.Netsim.Snapshot.y);
+        (Core.Plan.solve (Core.Plan.make ~r ~variances:v ())
+           target.Netsim.Snapshot.y);
       let t_phase2 = (Unix.gettimeofday () -. t0) *. 1000. in
       Exp_common.row "%-8d %-8d %-8d %-14.1f %-12.1f %-12.2f" hosts
         (Sparse.rows r) (Sparse.cols r) t_routing t_learn t_phase2)

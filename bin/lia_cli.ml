@@ -33,6 +33,11 @@ let measurements_arg =
     & info [ "y"; "measurements" ] ~docv:"FILE"
         ~doc:"Measurement file (from $(b,sim)).")
 
+(* a flag whose value has no range of its own still has to be a number *)
+let require_finite flag x =
+  if not (Float.is_finite x) then
+    failwith (Printf.sprintf "%s must be a finite number, got %g" flag x)
+
 (* Raised after the health verdict has been printed; mapped to exit 3 in
    [main] so refusals are distinguishable from data errors (exit 2). *)
 exception Refusal
@@ -462,6 +467,7 @@ let infer_cmd =
   in
   let run testbed measurements snapshots fault_spec threshold top jobs solver
       cgls_tol cgls_max_iter precond obs_cfg =
+    require_finite "--threshold" threshold;
     with_obs obs_cfg @@ fun () ->
     let log = Obs.Logger.default in
     let tb = Topology.Serial.load testbed in
@@ -525,7 +531,7 @@ let infer_cmd =
         Obs.Logger.info log "learned variances"
           ~fields:[ ("snapshots", Obs.Field.Int (Matrix.rows y)) ];
         let plan =
-          Core.Lia.Plan.make ~jobs ~backend:(Core.Lia.plan_backend solver) ~r
+          Core.Plan.make ~jobs ~backend:(Core.Lia.plan_backend solver) ~r
             ~variances ()
         in
         Obs.Logger.info log "built inference plan"
@@ -537,7 +543,7 @@ let infer_cmd =
         let ys = Netsim.Trace_io.load file in
         if Matrix.cols ys <> Sparse.rows r then
           failwith "snapshot width does not match the testbed's path count";
-        let results = Core.Lia.Plan.solve_batch ~jobs plan ys in
+        let results = Core.Plan.solve_batch ~jobs plan ys in
         Obs.Logger.info log "served snapshot batch"
           ~fields:[ ("snapshots", Obs.Field.Int (Array.length results)) ];
         Printf.printf "learned variances from %d snapshots\n" (Matrix.rows y);
@@ -582,6 +588,7 @@ let validate_cmd =
       & info [ "epsilon" ] ~docv:"EPS" ~doc:"Tolerance of eq. (11).")
   in
   let run testbed measurements epsilon seed =
+    require_finite "--epsilon" epsilon;
     let tb = Topology.Serial.load testbed in
     let red = routing_of_testbed tb in
     let r = red.Topology.Routing.matrix in
@@ -742,7 +749,7 @@ let crossval_cmd =
           ~doc:
             "Comma-separated backend names from the registry (or $(b,all)): \
              $(b,minc), $(b,em), $(b,mils), $(b,scfs), $(b,clink), \
-             $(b,fourier), $(b,plan), $(b,lia-dense), $(b,lia-cgls).")
+             $(b,fourier), $(b,lia-dense), $(b,lia-cgls).")
   in
   let out_arg =
     Arg.(

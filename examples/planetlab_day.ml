@@ -54,12 +54,11 @@ let () =
     report.Core.Validation.consistent report.Core.Validation.total
     (100. *. report.Core.Validation.fraction);
 
-  (* Diagnose each post-learning snapshot. *)
+  (* Diagnose each post-learning snapshot through one plan. *)
+  let plan = Core.Plan.make ~r ~variances () in
   let verdicts =
     Array.init (total - m) (fun t ->
-        let snap = run.Simulator.snapshots.(m + t) in
-        let res = Core.Lia.infer_with_variances ~r ~variances ~y_now:snap.Snapshot.y in
-        res)
+        Core.Plan.solve plan run.Simulator.snapshots.(m + t).Snapshot.y)
   in
 
   Printf.printf "\n-- congested link location (Table 3 analogue) --\n";

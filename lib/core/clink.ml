@@ -28,11 +28,15 @@ let good_fractions y ~r ~threshold =
   Array.init np (fun i ->
       let len = Array.length (Sparse.row r i) in
       let best_case = float_of_int len *. log (1. -. threshold) in
-      let good = ref 0 in
+      let good = ref 0 and usable = ref 0 in
       for l = 0 to m - 1 do
-        if Matrix.get y l i >= best_case then incr good
+        let v = Matrix.get y l i in
+        if Quarantine.cell_valid v then begin
+          incr usable;
+          if v >= best_case then incr good
+        end
       done;
-      float_of_int !good /. float_of_int m)
+      if !usable = 0 then 1. else float_of_int !good /. float_of_int !usable)
 
 let infer model r ~bad_paths =
   let np = Sparse.rows r and nc = Sparse.cols r in

@@ -27,7 +27,9 @@ val good_fractions :
   Linalg.Matrix.t -> r:Linalg.Sparse.t -> threshold:float -> float array
 (** Binarizes a snapshot matrix of log path transmission rates: path [i]
     is good in a snapshot when its measured transmission exceeds
-    [(1 - threshold) ^ length] (same classification as {!Scfs}). *)
+    [(1 - threshold) ^ length] (same classification as {!Scfs}). A cell
+    that {!Quarantine.cell_valid} rejects is missing, not congested: the
+    fraction counts usable cells only, and a path with none reads 1. *)
 
 val infer : model -> Linalg.Sparse.t -> bad_paths:bool array -> bool array
 (** Congestion verdicts for the current snapshot: links on good paths are

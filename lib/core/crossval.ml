@@ -335,7 +335,7 @@ let evaluate ~threshold ~snapshots ~probes (est : Estimator.t) scenario =
 
 let run ?jobs ?(threshold = 0.01) ?(snapshots = 40) ?(probes = 1000)
     ~estimators ~scenarios () =
-  if threshold <= 0. || threshold >= 1. then
+  if not (0. < threshold && threshold < 1.) then
     invalid_arg "Crossval.run: threshold outside (0, 1)";
   if snapshots < 2 then invalid_arg "Crossval.run: snapshots < 2";
   if probes <= 0 then invalid_arg "Crossval.run: probes <= 0";

@@ -97,8 +97,3 @@ let estimate r ~delivered ~probes =
     ll := ll'
   done;
   { transmission = t; log_likelihood = !ll; sweeps = !sweeps }
-
-let estimate_input (input : Measurement.t) =
-  estimate input.Measurement.r ~delivered:(Measurement.delivered input)
-    ~probes:input.Measurement.probes
-

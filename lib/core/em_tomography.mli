@@ -33,11 +33,3 @@ val estimate :
     start 0.99 until the relative likelihood gain per sweep drops below
     1e-7 or 200 sweeps are done. Raises [Invalid_argument] on dimension
     or range errors. *)
-
-val estimate_input : Measurement.t -> result
-(** The record-shaped entry: reconstructs the per-path delivery counts
-    from the bundle's target snapshot ({!Measurement.delivered}) and runs
-    {!estimate} on them. On clean simulated data the reconstruction is
-    exact, so this is bit-for-bit
-    [estimate input.r ~delivered:(Measurement.delivered input)
-    ~probes:input.probes]. *)

@@ -1,10 +1,8 @@
-module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
 
 type capabilities = {
   tree_only : bool;
   needs_snapshots : bool;
-  needs_variances : bool;
   boolean_verdicts : bool;
 }
 
@@ -28,12 +26,7 @@ type t = {
 }
 
 let no_caps =
-  {
-    tree_only = false;
-    needs_snapshots = false;
-    needs_variances = false;
-    boolean_verdicts = false;
-  }
+  { tree_only = false; needs_snapshots = false; boolean_verdicts = false }
 
 (* ---- shared plumbing ------------------------------------------------- *)
 
@@ -41,7 +34,7 @@ let tree_of (input : Measurement.t) =
   match input.Measurement.routing with
   | None -> Error "skipped(no routing topology attached)"
   | Some routing -> (
-      try Ok (routing, Netsim.Multicast.tree_of_routing routing)
+      try Ok (Netsim.Multicast.tree_of_routing routing)
       with Invalid_argument _ -> Error "skipped(not a single-beacon tree)")
 
 let check e (input : Measurement.t) =
@@ -54,18 +47,12 @@ let check e (input : Measurement.t) =
   | Ok () ->
       if e.caps.needs_snapshots && Matrix.rows input.Measurement.y_learn < 2
       then Error "skipped(needs a learning window of >= 2 snapshots)"
-      else if e.caps.needs_variances && input.Measurement.variances = None then
-        Error "skipped(needs caller-supplied link variances)"
       else Ok ()
 
 let verdicts_of_rates ~threshold rates = Array.map (fun l -> l > threshold) rates
 
 let refused note =
   Ok { loss_rates = None; verdicts = None; health = "refused"; note }
-
-(* the adapters that restrict to the finitely measured paths refuse a
-   target with none *)
-let no_target = refused "no finite target measurements"
 
 (* data faults become a typed refusal, never an exception escape *)
 let guard f = try f () with Invalid_argument msg | Failure msg -> refused msg
@@ -80,12 +67,24 @@ let rate_output ?(health = "clean") ?(note = "") ~threshold rates =
       note;
     }
 
-(* excluded-target accounting shared by the adapters that restrict to the
-   finitely measured paths *)
-let target_health (input : Measurement.t) valid =
-  let missing = Array.length input.Measurement.y_now - Array.length valid in
-  if missing = 0 then ("clean", "")
-  else ("degraded", Printf.sprintf "target: %d invalid paths excluded" missing)
+(* Every adapter that reads the target solves over its usable paths only
+   ([Quarantine.restrict_target]): a target with none is refused, and the
+   excluded paths turn the health to degraded and are counted in the
+   note. [f] gets the restricted system. *)
+let on_target (input : Measurement.t) f =
+  let np = Array.length input.Measurement.y_now in
+  let r, y_now, q =
+    Quarantine.restrict_target input.Measurement.r input.Measurement.y_now
+  in
+  let excluded = np - Array.length q.Quarantine.valid in
+  if excluded = np then refused "no usable target measurements"
+  else if excluded = 0 then f ~health:"clean" ~note:"" r y_now
+  else
+    f ~health:"degraded"
+      ~note:(Printf.sprintf "target: %d invalid paths excluded" excluded)
+      r y_now
+
+let with_note note extra = if note = "" then extra else note ^ "; " ^ extra
 
 (* ---- MINC (multicast gold standard, unicast-approximated gammas) ----- *)
 
@@ -93,8 +92,9 @@ let target_health (input : Measurement.t) valid =
    cross-path independence: gamma_v = 1 - prod_{p in subtree(v)} (1 - phi_p)
    with phi_p = exp y. Exact gammas need joint multicast receptions, which
    unicast measurements cannot carry; the approximation keeps MINC on the
-   identical faulted data path as every other backend. A non-finite
-   measurement is an absent receiver, not a total loss: each node's gamma
+   identical faulted data path as every other backend. A cell that
+   [Quarantine.cell_valid] rejects is an absent receiver, not a total
+   loss (nor, when positive, a full delivery): each node's gamma
    averages only over the snapshots in which its subtree was observed at
    all (nodes never observed keep gamma 0 and degrade to transmission 0,
    MINC's own degenerate-node convention). *)
@@ -109,10 +109,9 @@ let unicast_gammas tree y =
         Array.iter
           (fun p ->
             let v = Matrix.get y l p in
-            if Float.is_finite v then begin
+            if Quarantine.cell_valid v then begin
               observed := true;
-              let phi = Float.max 0. (Float.min 1. (exp v)) in
-              miss := !miss *. (1. -. phi)
+              miss := !miss *. (1. -. exp v)
             end)
           paths;
         if !observed then begin
@@ -128,7 +127,7 @@ let minc =
   let estimate ~threshold (input : Measurement.t) =
     match tree_of input with
     | Error r -> Error r
-    | Ok (_, tree) ->
+    | Ok tree ->
         if Matrix.rows input.Measurement.y_learn < 2 then
           Error "skipped(needs a learning window of >= 2 snapshots)"
         else
@@ -152,28 +151,20 @@ let minc =
 let em =
   let estimate ~threshold (input : Measurement.t) =
     guard (fun () ->
-        let valid = Measurement.valid_target input in
-        if Array.length valid = 0 then no_target
-        else
-          let res =
-            if Array.length valid = Array.length input.Measurement.y_now then
-              Em_tomography.estimate_input input
-            else
-              let r_sub = Sparse.select_rows input.Measurement.r valid in
-              let all = Measurement.delivered input in
-              let delivered = Array.map (fun i -> all.(i)) valid in
-              Em_tomography.estimate r_sub ~delivered
-                ~probes:input.Measurement.probes
-          in
-          let health, note = target_health input valid in
-          let note =
-            let sweeps = Printf.sprintf "%d sweeps" res.Em_tomography.sweeps in
-            if note = "" then sweeps else note ^ "; " ^ sweeps
-          in
-          let rates =
-            Array.map (fun t -> 1. -. t) res.Em_tomography.transmission
-          in
-          rate_output ~health ~note ~threshold rates)
+        on_target input (fun ~health ~note r y_now ->
+            let probes = input.Measurement.probes in
+            let res =
+              Em_tomography.estimate r
+                ~delivered:(Measurement.delivered ~probes y_now)
+                ~probes
+            in
+            let note =
+              with_note note (Printf.sprintf "%d sweeps" res.Em_tomography.sweeps)
+            in
+            let rates =
+              Array.map (fun t -> 1. -. t) res.Em_tomography.transmission
+            in
+            rate_output ~health ~note ~threshold rates))
   in
   {
     name = "em";
@@ -188,18 +179,13 @@ let em =
 let mils =
   let estimate ~threshold (input : Measurement.t) =
     guard (fun () ->
-        let valid = Measurement.valid_target input in
-        if Array.length valid = 0 then no_target
-        else
-          let est = Mils.estimate input in
-          let health, note = target_health input valid in
-          let note =
-            let g =
-              Printf.sprintf "granularity %.2f" est.Mils.mean_segment_length
+        on_target input (fun ~health ~note r y_now ->
+            let est = Mils.estimate r ~y_now in
+            let note =
+              with_note note
+                (Printf.sprintf "granularity %.2f" est.Mils.mean_segment_length)
             in
-            if note = "" then g else note ^ "; " ^ g
-          in
-          rate_output ~health ~note ~threshold est.Mils.loss_rates)
+            rate_output ~health ~note ~threshold est.Mils.loss_rates))
   in
   {
     name = "mils";
@@ -211,28 +197,14 @@ let mils =
 
 (* ---- SCFS / CLINK (boolean diagnosis) -------------------------------- *)
 
-let restrict_target (input : Measurement.t) =
-  let valid = Measurement.valid_target input in
-  if Array.length valid = 0 then None
-  else if Array.length valid = Array.length input.Measurement.y_now then
-    Some (input.Measurement.r, input.Measurement.y_now, valid)
-  else
-    Some
-      ( Sparse.select_rows input.Measurement.r valid,
-        Array.map (fun i -> input.Measurement.y_now.(i)) valid,
-        valid )
-
 let scfs =
   let caps = { no_caps with boolean_verdicts = true } in
   let estimate ~threshold (input : Measurement.t) =
     guard (fun () ->
-        match restrict_target input with
-        | None -> no_target
-        | Some (r, y_now, valid) ->
+        on_target input (fun ~health ~note r y_now ->
             let bad = Scfs.classify_paths r ~y_now ~threshold in
             let verdicts = Scfs.infer r ~bad_paths:bad in
-            let health, note = target_health input valid in
-            Ok { loss_rates = None; verdicts = Some verdicts; health; note })
+            Ok { loss_rates = None; verdicts = Some verdicts; health; note }))
   in
   {
     name = "scfs";
@@ -249,9 +221,7 @@ let clink =
       Error "skipped(needs a learning window of >= 2 snapshots)"
     else
       guard (fun () ->
-          match restrict_target input with
-          | None -> no_target
-          | Some (r, y_now, valid) ->
+          on_target input (fun ~health ~note r y_now ->
               let gf =
                 Clink.good_fractions input.Measurement.y_learn
                   ~r:input.Measurement.r ~threshold
@@ -259,8 +229,7 @@ let clink =
               let model = Clink.learn ~r:input.Measurement.r ~good_fraction:gf in
               let bad = Scfs.classify_paths r ~y_now ~threshold in
               let verdicts = Clink.infer model r ~bad_paths:bad in
-              let health, note = target_health input valid in
-              Ok { loss_rates = None; verdicts = Some verdicts; health; note })
+              Ok { loss_rates = None; verdicts = Some verdicts; health; note }))
   in
   {
     name = "clink";
@@ -277,54 +246,31 @@ let fourier =
   let estimate ~threshold (input : Measurement.t) =
     match tree_of input with
     | Error r -> Error r
-    | Ok (routing, _) ->
+    | Ok tree ->
         if Matrix.rows input.Measurement.y_learn < 2 then
           Error "skipped(needs a learning window of >= 2 snapshots)"
         else
           guard (fun () ->
-              let res =
-                Fourier.infer ~routing ~y_learn:input.Measurement.y_learn
-                  ~y_now:input.Measurement.y_now
+              let variances, unresolved =
+                Fourier.variances ~tree ~y_learn:input.Measurement.y_learn
               in
-              let health, note =
-                if res.Fourier.unresolved = 0 then ("clean", "")
-                else
-                  ( "degraded",
-                    Printf.sprintf "%d unresolved segment variances"
-                      res.Fourier.unresolved )
-              in
-              rate_output ~health ~note ~threshold
-                res.Fourier.result.Plan.loss_rates)
+              on_target input (fun ~health ~note r y_now ->
+                  let res = Plan.solve (Plan.make ~r ~variances ()) y_now in
+                  let health, note =
+                    if unresolved = 0 then (health, note)
+                    else
+                      ( "degraded",
+                        with_note note
+                          (Printf.sprintf "%d unresolved segment variances"
+                             unresolved) )
+                  in
+                  rate_output ~health ~note ~threshold res.Plan.loss_rates))
   in
   {
     name = "fourier";
     descr = "ECF segment-variance estimation on trees (Chen, Cao & Bu)";
     caps;
     golden = Abs_err 0.08;
-    estimate;
-  }
-
-(* ---- Phase-2-only serving plan (caller-supplied variances) ----------- *)
-
-let plan =
-  let caps = { no_caps with needs_variances = true } in
-  let estimate ~threshold (input : Measurement.t) =
-    match input.Measurement.variances with
-    | None -> Error "skipped(needs caller-supplied link variances)"
-    | Some variances ->
-        guard (fun () ->
-            match restrict_target input with
-            | None -> no_target
-            | Some (r, y_now, valid) ->
-                let res = Lia.infer_with_variances ~r ~variances ~y_now in
-                let health, note = target_health input valid in
-                rate_output ~health ~note ~threshold res.Lia.loss_rates)
-  in
-  {
-    name = "plan";
-    descr = "LIA Phase 2 on caller-supplied variances (factor-once serving)";
-    caps;
-    golden = Abs_err 0.05;
     estimate;
   }
 
@@ -368,6 +314,6 @@ let lia_cgls =
 
 (* ---- registry -------------------------------------------------------- *)
 
-let all = [ minc; em; mils; scfs; clink; fourier; plan; lia_dense; lia_cgls ]
+let all = [ minc; em; mils; scfs; clink; fourier; lia_dense; lia_cgls ]
 let names = List.map (fun e -> e.name) all
 let find name = List.find_opt (fun e -> e.name = name) all

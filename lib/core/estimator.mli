@@ -13,7 +13,15 @@
     simulated (and possibly fault-injected) measurements and scores
     them against the same ground truth. Capability mismatches are
     reported as typed skips ([Error reason]), data faults as a
-    ["refused"] health verdict — never as exception escapes. *)
+    ["refused"] health verdict — never as exception escapes.
+
+    Every backend reads cells by {!Quarantine.cell_valid}: a learning
+    cell it rejects is skipped like NaN, and every backend that solves
+    against the target does so over {!Quarantine.restrict_target}'s
+    usable paths. The excluded paths make the output ["degraded"],
+    noted [target: N invalid paths excluded] ([lia-*] report them as
+    [target: M missing, C corrupt]); a target with no usable path is
+    refused. *)
 
 type capabilities = {
   tree_only : bool;
@@ -22,10 +30,6 @@ type capabilities = {
   needs_snapshots : bool;
       (** requires a learning window of at least 2 snapshots
           ([y_learn]); a single target measurement is not enough *)
-  needs_variances : bool;
-      (** requires caller-supplied link variances
-          ([Measurement.variances = Some _]) — the factor-once serving
-          shape, which cannot learn from data on its own *)
   boolean_verdicts : bool;
       (** a topology-diagnosis method: outputs per-link lossy/not-lossy
           verdicts only, no loss-rate magnitudes *)
@@ -68,12 +72,11 @@ type t = {
 val check : t -> Measurement.t -> (unit, string) result
 (** Capability screen only — the exact [Error] the adapter's [estimate]
     would return without running it: tree derivability for [tree_only]
-    backends, learning-window size for [needs_snapshots], supplied
-    variances for [needs_variances]. *)
+    backends, learning-window size for [needs_snapshots]. *)
 
 val all : t list
 (** The registry, ordered baselines-first: [minc], [em], [mils],
-    [scfs], [clink], [fourier], [plan], [lia-dense], [lia-cgls]. *)
+    [scfs], [clink], [fourier], [lia-dense], [lia-cgls]. *)
 
 val names : string list
 (** Registry order. *)

@@ -1,4 +1,3 @@
-module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
 module Multicast = Netsim.Multicast
 
@@ -18,12 +17,12 @@ let subtree_paths (tree : Multicast.tree) =
   done;
   Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) lists
 
-(* population variance over the finite entries; nan with < 2 of them *)
-let var_finite xs =
+(* population variance over the usable entries; nan with < 2 of them *)
+let var_usable xs =
   let n = ref 0 and sum = ref 0. in
   Array.iter
     (fun x ->
-      if Float.is_finite x then begin
+      if Quarantine.cell_valid x then begin
         incr n;
         sum := !sum +. x
       end)
@@ -34,7 +33,7 @@ let var_finite xs =
     let acc = ref 0. in
     Array.iter
       (fun x ->
-        if Float.is_finite x then begin
+        if Quarantine.cell_valid x then begin
           let d = x -. mean in
           acc := !acc +. (d *. d)
         end)
@@ -58,7 +57,7 @@ let ecf_segment_variance y1 y2 =
   Array.iteri
     (fun l x ->
       let y = y2.(l) in
-      if Float.is_finite x && Float.is_finite y then begin
+      if Quarantine.cell_valid x && Quarantine.cell_valid y then begin
         incr n;
         a := x :: !a;
         b := y :: !b
@@ -69,7 +68,7 @@ let ecf_segment_variance y1 y2 =
   else begin
     let a = Array.of_list !a and b = Array.of_list !b in
     let sd v =
-      let s = var_finite v in
+      let s = var_usable v in
       if Float.is_finite s then sqrt s else 0.
     in
     let spread = Float.max 1e-9 (0.5 *. (sd a +. sd b)) in
@@ -102,10 +101,6 @@ let ecf_segment_variance y1 y2 =
         List.fold_left ( +. ) 0. es /. float_of_int (List.length es)
   end
 
-(* [(v, unresolved)]: the per-link variance estimates (clamped at 0) and
-   the number of tree nodes whose segment variance could not be estimated
-   (fewer than 2 usable samples, or a degenerate empirical characteristic
-   function) and fell back to the parent's. *)
 let variances ~tree ~y_learn =
   let nc = Array.length tree.Multicast.parent in
   let m = Matrix.rows y_learn in
@@ -126,7 +121,7 @@ let variances ~tree ~y_learn =
         match List.sort compare terminating.(v) with
         | p :: _ ->
             (* a path ends here: root→v is that whole path, measured *)
-            var_finite (col p)
+            var_usable (col p)
         | [] ->
             let children = tree.Multicast.children.(v) in
             if Array.length children >= 2 then
@@ -155,28 +150,3 @@ let variances ~tree ~y_learn =
         Float.max 0. (segvar.(k) -. above))
   in
   (v, !unresolved)
-
-type result = { result : Plan.result; unresolved : int }
-
-let infer ~routing ~y_learn ~y_now =
-  let tree = Multicast.tree_of_routing routing in
-  let r = routing.Topology.Routing.matrix in
-  if Array.length y_now <> Sparse.rows r then
-    invalid_arg "Fourier.infer: target length <> path count";
-  let vars, unresolved = variances ~tree ~y_learn in
-  let valid = ref [] in
-  for i = Array.length y_now - 1 downto 0 do
-    if Float.is_finite y_now.(i) then valid := i :: !valid
-  done;
-  let valid = Array.of_list !valid in
-  if Array.length valid = 0 then
-    invalid_arg "Fourier.infer: no finite target measurements";
-  let result =
-    if Array.length valid = Array.length y_now then
-      Plan.solve (Plan.make ~r ~variances:vars ()) y_now
-    else
-      let r_sub = Sparse.select_rows r valid in
-      let y_sub = Array.map (fun i -> y_now.(i)) valid in
-      Plan.solve (Plan.make ~r:r_sub ~variances:vars ()) y_sub
-  in
-  { result; unresolved }

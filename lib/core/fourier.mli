@@ -23,39 +23,24 @@
     The estimator is defined only on single-beacon tree topologies
     (where every internal node of the reduced virtual-link tree either
     branches or terminates a path — guaranteed by routing reduction).
-    Missing measurements (NaN cells) are tolerated pairwise-complete;
-    segments whose sample support collapses are counted as [unresolved]
-    and inherit their parent's segment variance (link variance 0). *)
+    A cell that {!Quarantine.cell_valid} rejects is missing, and missing
+    cells are tolerated pairwise-complete; segments whose sample support
+    collapses are counted as [unresolved] and inherit their parent's
+    segment variance (link variance 0). *)
 
 val subtree_paths : Netsim.Multicast.tree -> int array array
 (** Per virtual link: the paths (rows) whose destination lies in its
     subtree, ascending. Every entry is non-empty on a covered tree. *)
 
-type result = {
-  result : Plan.result;
-      (** the Phase-2 solve over the Fourier-learnt variances — same
-          record as {!Lia.infer} *)
-  unresolved : int;
-      (** tree nodes whose segment variance could not be estimated
-          (fewer than 2 usable samples, or a degenerate empirical
-          characteristic function) and fell back to the parent's *)
-}
-
-val infer :
-  routing:Topology.Routing.reduced ->
-  y_learn:Linalg.Matrix.t ->
-  y_now:Linalg.Vector.t ->
-  result
-(** End-to-end: derive the virtual-link tree ([Invalid_argument] when
-    the routing is not a single-beacon tree — same contract as
-    {!Netsim.Multicast.tree_of_routing}), estimate variances in the
-    Fourier domain, and solve Phase 2 through {!Plan}. The
+val variances :
+  tree:Netsim.Multicast.tree -> y_learn:Linalg.Matrix.t -> Linalg.Vector.t * int
+(** [variances ~tree ~y_learn] is [(v, unresolved)]: the per-link
+    variances estimated in the Fourier domain, clamped at 0, and the
+    number of tree nodes whose segment variance could not be estimated
+    (fewer than 2 usable samples, or a degenerate empirical
+    characteristic function) and fell back to the parent's. The
     characteristic functions are evaluated at 4 points [t_j] with
     [t_j · sd] spanning up to 1, [sd] the pooled sample spread of the
-    two representative paths; link variances are clamped at 0. Raises
-    [Invalid_argument] when [y_learn] has fewer than 2 rows.
-    Deterministic: a pure function of the inputs. Non-finite
-    entries of [y_now] are excluded and the solve restricted to the
-    valid paths (the quarantine-aware convention of
-    {!Lia.infer_checked}); raises [Invalid_argument] when none
-    remain. *)
+    two representative paths. Phase 2 is LIA's: a {!Plan} over [v].
+    Raises [Invalid_argument] when [y_learn] has fewer than 2 rows.
+    Deterministic: a pure function of the inputs. *)

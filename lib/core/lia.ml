@@ -1,6 +1,5 @@
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
-module Plan = Plan
 
 type result = Plan.result = {
   variances : float array;
@@ -9,9 +8,6 @@ type result = Plan.result = {
   kept : int array;
   removed : int array;
 }
-
-let infer_with_variances ~r ~variances ~y_now =
-  Plan.solve (Plan.make ~r ~variances ()) y_now
 
 let m_checked =
   Obs.Metrics.counter Obs.Metrics.default
@@ -132,11 +128,8 @@ let health_summary = function
         d.ess.Variance_estimator.samples_min d.target_missing d.target_corrupt
   | Refused reason -> Printf.sprintf "refused (%s)" reason
 
-(* the refusal thresholds of [infer_checked]: the fraction of a learning
-   row's cells that may be missing, and of the linked path pairs that
-   may be skipped *)
-let max_missing_fraction = 0.5
-
+(* the refusal threshold of [infer_checked]: the fraction of the linked
+   path pairs that may be skipped *)
 let max_skipped_pair_fraction = 0.5
 
 let infer_checked ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
@@ -173,12 +166,15 @@ let infer_checked ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
     { health; result }
   in
   let refuse fmt = Printf.ksprintf (fun s -> finish (Refused s) None) fmt in
-  let scrubbed, q = Quarantine.scrub ~max_missing_fraction y_learn in
+  let scrubbed, q = Quarantine.scrub y_learn in
   if Matrix.rows scrubbed < 2 then
     refuse "%d usable learning snapshots after quarantine (need at least 2)"
       (Matrix.rows scrubbed)
   else begin
-    let y_target, tq = Quarantine.scrub_vector y_now in
+    (* Phase 2 solves Y = R* X* over the valid target paths only; the
+       plan's rank reduction works in the full column space, so results
+       scatter back to all links *)
+    let r_target, y_target, tq = Quarantine.restrict_target r y_now in
     if Array.length tq.Quarantine.valid = 0 then
       refuse "target snapshot has no usable measurements"
     else begin
@@ -199,20 +195,11 @@ let infer_checked ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
           else begin
             let target_clean = Array.length tq.Quarantine.valid = Sparse.rows r in
             let backend = plan_backend solver in
-            let solve () =
-              if target_clean then
-                Plan.solve (Plan.make ?jobs ~backend ~r ~variances ()) y_now
-              else begin
-                (* solve Y = R* X* over the valid target paths only; the
-                   plan's rank reduction works in the full column space,
-                   so results scatter back to all links *)
-                let rows = tq.Quarantine.valid in
-                let r_sub = Sparse.select_rows r rows in
-                let y_sub = Array.map (fun i -> y_target.(i)) rows in
-                Plan.solve (Plan.make ?jobs ~backend ~r:r_sub ~variances ()) y_sub
-              end
-            in
-            match solve () with
+            match
+              Plan.solve
+                (Plan.make ?jobs ~backend ~r:r_target ~variances ())
+                y_target
+            with
             | exception Failure msg -> refuse "phase-2 solve failed: %s" msg
             | result ->
                 if

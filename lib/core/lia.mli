@@ -6,14 +6,12 @@
     full column rank, solves [Y = R* X*] on the target snapshot, and
     assigns transmission rate 1 (loss 0) to the eliminated links.
 
-    Both entry points are thin wrappers over {!Plan}: they build a
-    single-use inference plan and solve one measurement through it. A
-    serving loop that diagnoses many snapshots against the same routing
-    matrix and variances should call [Plan.make] once and amortize the
-    factorization across [Plan.solve] / [Plan.solve_batch] calls. *)
-
-module Plan = Plan
-(** The factor-once, solve-many serving path. *)
+    Both entry points build a single-use {!Plan} and solve one
+    measurement through it. Learnt variances reach a diagnosis only
+    through a plan: a serving loop that diagnoses many snapshots against
+    the same routing matrix and variances calls [Plan.make] once and
+    amortizes the factorization across [Plan.solve] /
+    [Plan.solve_batch] calls. *)
 
 type result = Plan.result = {
   variances : float array;
@@ -101,17 +99,6 @@ val infer :
     normal-equation kernels and Phase 2's Gram on a domain pool; the
     inferred rates are bit-for-bit independent of its value. *)
 
-val infer_with_variances :
-  r:Linalg.Sparse.t ->
-  variances:Linalg.Vector.t ->
-  y_now:Linalg.Vector.t ->
-  result
-(** Phase 2 only, for re-using variances learnt once across many target
-    snapshots (as the duration analysis of Section 7.2.2 does).
-    Equivalent to [Plan.solve (Plan.make ~r ~variances ()) y_now]; when
-    calling repeatedly with the same [r] and [variances], build the plan
-    once instead. *)
-
 val congested : result -> threshold:float -> bool array
 (** Links whose inferred loss rate exceeds the threshold [tl]. *)
 
@@ -162,8 +149,9 @@ val infer_checked :
     - variances are learnt pairwise-complete with at least 2
       overlapping snapshots per pair ({!learn}); refused when more than
       half of the linked path pairs had to be skipped;
-    - invalid entries of [y_now] are excluded and Phase 2 solves over
-      the valid paths only; refused when none remain;
+    - the entries of [y_now] that {!Quarantine.cell_valid} rejects are
+      excluded and Phase 2 solves over the valid paths only
+      ({!Quarantine.restrict_target}); refused when none remain;
     - any solver failure or non-finite output becomes [Refused], never
       an exception escape.
 

@@ -87,24 +87,11 @@ let average_length all_segments =
     all_segments;
   if !count = 0 then 0. else float_of_int !total /. float_of_int !count
 
-let estimate (input : Measurement.t) =
-  let r = input.Measurement.r in
+let estimate r ~y_now =
   let nc = Sparse.cols r in
-  (* identifiability is a property of the measurements actually in hand:
-     restrict to the finitely measured target paths before preparing the
-     row-space basis (on clean input this is the full matrix) *)
-  let valid = Measurement.valid_target input in
-  if Array.length valid = 0 then
-    invalid_arg "Mils.estimate: no finite target measurements";
-  let r_used, y_used =
-    if Array.length valid = Sparse.rows r then (r, input.Measurement.y_now)
-    else
-      ( Linalg.Sparse.select_rows r valid,
-        Array.map (fun i -> input.Measurement.y_now.(i)) valid )
-  in
-  let t = prepare r_used in
+  let t = prepare r in
   let segments = decompose t in
-  let rates = segment_loss_rates t ~y_now:y_used segments in
+  let rates = segment_loss_rates t ~y_now segments in
   (* per-link projection: spread each segment's aggregate evenly in the
      log domain, each link taking the value of its shortest (most
      precise) covering segment; uncovered links read loss-free *)

@@ -49,11 +49,11 @@ val average_length : int array list array -> float
 (** Mean number of links per segment — the granularity measure [36]
     reports (LIA's effective granularity is 1.0 by Theorem 1). *)
 
-(** {1 Record-shaped entry}
+(** {1 Per-link projection}
 
-    The normalized call shape shared by the estimator zoo: one
-    {!Measurement.t} in, per-link rates out. The granular entry points
-    above remain the building blocks and are unchanged. *)
+    The call shape of the estimator zoo: the system restricted to the
+    usable target paths ({!Quarantine.restrict_target}) in, per-link
+    rates out. *)
 
 type estimate = {
   loss_rates : float array;
@@ -65,10 +65,8 @@ type estimate = {
   mean_segment_length : float;  (** {!average_length} of [segments] *)
 }
 
-val estimate : Measurement.t -> estimate
-(** [prepare] + {!decompose} + {!segment_loss_rates} on the bundle's
-    routing matrix and target snapshot. Non-finite target measurements
-    are excluded first (identifiability is then judged on the surviving
-    rows); on a clean target this is bit-for-bit the composition of the
-    granular entry points on the full matrix. Raises [Invalid_argument]
-    when no finite measurement remains. *)
+val estimate : Linalg.Sparse.t -> y_now:Linalg.Vector.t -> estimate
+(** [estimate r ~y_now]: {!prepare} + {!decompose} +
+    {!segment_loss_rates} on [r], then the per-link projection.
+    Identifiability is judged on the rows of [r], so pass the rows that
+    were measured. Raises [Invalid_argument] on a length mismatch. *)

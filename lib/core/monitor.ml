@@ -30,21 +30,23 @@ let g_window_fill =
     ~help:"Snapshots currently buffered by the most recent monitor"
     "lia_monitor_window_fill"
 
+(* the learnt variances over the current window, and the plan that
+   serves them, built on the first [infer] *)
 type t = {
   r : Sparse.t;
   window : int;
   buffer : Linalg.Vector.t Queue.t;
-  mutable cached_variances : Linalg.Vector.t option;
+  mutable cached : (Linalg.Vector.t * Plan.t Lazy.t) option;
 }
 
 let create ~r ~window =
   if window < 2 then invalid_arg "Monitor.create: window < 2";
-  { r; window; buffer = Queue.create (); cached_variances = None }
+  { r; window; buffer = Queue.create (); cached = None }
 
 (* [push] takes ownership of [y]; every path into the window goes
    through it, so eviction and cache invalidation can never get out of
-   sync with ingest (a stale cached variance vector after host churn
-   would silently poison every subsequent inference). *)
+   sync with ingest (a stale cached variance vector or plan after host
+   churn would silently poison every subsequent inference). *)
 let push t y =
   Obs.Metrics.incr m_observations;
   Queue.add y t.buffer;
@@ -52,12 +54,12 @@ let push t y =
     ignore (Queue.pop t.buffer);
     Obs.Metrics.incr m_evictions
   end;
-  if t.cached_variances <> None then begin
+  if Option.is_some t.cached then begin
     Obs.Metrics.incr m_invalidations;
     Obs.Event.emit ~kind:"instant" "monitor.invalidate"
   end;
   Obs.Metrics.set g_window_fill (float_of_int (Queue.length t.buffer));
-  t.cached_variances <- None
+  t.cached <- None
 
 let observe t y =
   if Array.length y <> Sparse.rows t.r then
@@ -77,31 +79,20 @@ let observation_to_string = function
   | Rejected reason ->
       Printf.sprintf "rejected (%s)" (Quarantine.reason_to_string reason)
 
-(* a snapshot with more than this fraction of invalid cells is rejected *)
-let max_missing_fraction = 0.5
-
 let observe_checked t y =
   if Array.length y <> Sparse.rows t.r then
     invalid_arg "Monitor.observe_checked: measurement length mismatch";
   let scrubbed, rep = Quarantine.scrub_vector y in
-  let np = Array.length y in
-  let invalid = np - Array.length rep.Quarantine.valid in
-  if invalid = np && np > 0 then begin
-    Obs.Metrics.incr m_quarantined;
-    Rejected Quarantine.All_missing
-  end
-  else if float_of_int invalid > max_missing_fraction *. float_of_int (max 1 np)
-  then begin
-    Obs.Metrics.incr m_quarantined;
-    Rejected (Quarantine.Excess_missing { missing = invalid; total = np })
-  end
-  else begin
-    push t scrubbed;
-    if invalid = 0 then Accepted
-    else
-      Accepted_degraded
-        { missing = rep.Quarantine.v_missing; corrupt = rep.Quarantine.v_corrupt }
-  end
+  match Quarantine.unusable_row rep with
+  | Some reason ->
+      Obs.Metrics.incr m_quarantined;
+      Rejected reason
+  | None ->
+      push t scrubbed;
+      if rep.Quarantine.v_missing + rep.Quarantine.v_corrupt = 0 then Accepted
+      else
+        Accepted_degraded
+          { missing = rep.Quarantine.v_missing; corrupt = rep.Quarantine.v_corrupt }
 
 let size t = Queue.length t.buffer
 
@@ -118,9 +109,9 @@ let window_matrix t =
     t.buffer;
   Matrix.init n (Sparse.rows t.r) (fun l i -> rows.(l).(i))
 
-let variances t =
-  match t.cached_variances with
-  | Some v -> v
+let learnt t =
+  match t.cached with
+  | Some c -> c
   | None ->
       if size t < 2 then failwith "Monitor.variances: fewer than 2 snapshots";
       Obs.Metrics.incr m_relearns;
@@ -128,10 +119,13 @@ let variances t =
         "monitor.relearn"
       @@ fun () ->
       let v = Variance_estimator.estimate ~r:t.r ~y:(window_matrix t) () in
-      t.cached_variances <- Some v;
-      v
+      let c = (v, lazy (Plan.make ~r:t.r ~variances:v ())) in
+      t.cached <- Some c;
+      c
 
-let infer t ~y_now = Lia.infer_with_variances ~r:t.r ~variances:(variances t) ~y_now
+let variances t = fst (learnt t)
+
+let infer t ~y_now = Plan.solve (Lazy.force (snd (learnt t))) y_now
 
 let infer_checked t ~y_now =
   if size t < 2 then

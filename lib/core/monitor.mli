@@ -4,8 +4,9 @@
     last [window] measurements, re-learns variances when asked, and runs
     Phase 2 against any fresh snapshot — the operational mode of the
     PlanetLab experiment (learn on the previous [m] snapshots, diagnose
-    the next). Learnt variances are cached and invalidated whenever the
-    window content changes. *)
+    the next). Learnt variances are cached together with the {!Plan}
+    that serves them, and both are dropped whenever the window content
+    changes. *)
 
 type t
 
@@ -27,14 +28,14 @@ type observation =
 val observation_to_string : observation -> string
 
 val observe_checked : t -> Linalg.Vector.t -> observation
-(** Validating ingest: NaN cells are treated as missing, non-finite or
-    positive log rates as corrupt (neutralized to missing after being
-    counted). A snapshot with more than half of its cells invalid — or
-    that is entirely invalid — is rejected and never enters the window,
-    so a faulty collector cannot push the monitor's variance estimates
-    off a cliff. Accepted snapshots invalidate the variance cache
-    exactly like {!observe}. Raises [Invalid_argument] on a length
-    mismatch only. *)
+(** Validating ingest through {!Quarantine.scrub_vector}: NaN cells are
+    missing, other cells that {!Quarantine.cell_valid} rejects are
+    corrupt (neutralized to missing after being counted). A snapshot
+    that {!Quarantine.unusable_row} rejects (more than half of its cells
+    invalid, or all of them) never enters the window, so a faulty
+    collector cannot push the monitor's variance estimates off a cliff.
+    Accepted snapshots invalidate the cache exactly like {!observe}.
+    Raises [Invalid_argument] on a length mismatch only. *)
 
 val size : t -> int
 (** Snapshots currently held. *)
@@ -50,7 +51,9 @@ val variances : t -> Linalg.Vector.t
     [Failure] when fewer than two snapshots are held. *)
 
 val infer : t -> y_now:Linalg.Vector.t -> Lia.result
-(** Phase 2 on [y_now] with the cached variances. *)
+(** Phase 2 on [y_now] through the cached plan over {!variances}: the
+    first call after a window change builds it ({!Plan.make}), later
+    calls only solve. *)
 
 val infer_checked : t -> y_now:Linalg.Vector.t -> Lia.checked
 (** {!Lia.infer_checked} over the current window: never raises on data

@@ -8,9 +8,10 @@
     sparse [R*], and the Cholesky factorization of its normal equations
     [R*ᵀR*] in a fill-reducing order — and serves each measurement with
     [R*ᵀy] and two sparse triangular sweeps, instead of redoing the rank
-    reduction and the factorization per call as
-    [Lia.infer_with_variances] did before it became a wrapper over this
-    module.
+    reduction and the factorization per snapshot. It is the only way
+    learnt variances reach a diagnosis: {!Lia.infer}, the Fourier
+    estimator, {!Monitor} (which caches its plan next to its variances)
+    and [lia_cli infer --snapshots] all solve through one.
 
     Build-vs-solve complexity, for [n_p] paths, [n_c] links, [k] kept
     columns, [M] snapshots, [|L|] the entries of the factor of

@@ -75,12 +75,23 @@ let summary r =
    missing after being counted. *)
 let cell_valid x = Float.is_finite x && x <= 0.
 
+(* the row rule: a row is dropped when every cell is missing, or when
+   more than [max_missing_fraction] of them are *)
+let max_missing_fraction = 0.5
+
+let missing_reason ~max_missing_fraction ~missing ~total =
+  if missing = total && total > 0 then Some All_missing
+  else if
+    float_of_int missing > max_missing_fraction *. float_of_int (max 1 total)
+  then Some (Excess_missing { missing; total })
+  else None
+
 let row_key row =
   let b = Bytes.create (8 * Array.length row) in
   Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x)) row;
   Bytes.unsafe_to_string b
 
-let scrub ?(max_missing_fraction = 0.5) y =
+let scrub ?(max_missing_fraction = max_missing_fraction) y =
   let m = Matrix.rows y and np = Matrix.cols y in
   let corrupt_cells = ref 0 and missing_cells = ref 0 in
   let kept = ref [] and quarantined = ref [] and n_dup = ref 0 in
@@ -98,25 +109,18 @@ let scrub ?(max_missing_fraction = 0.5) y =
         end)
       row;
     rows.(l) <- row;
-    if !missing = np && np > 0 then
-      quarantined := (l, All_missing) :: !quarantined
-    else if
-      float_of_int !missing
-      > max_missing_fraction *. float_of_int (max 1 np)
-    then
-      quarantined := (l, Excess_missing { missing = !missing; total = np })
-        :: !quarantined
-    else begin
-      let key = row_key row in
-      match Hashtbl.find_opt seen key with
-      | Some first ->
-          incr n_dup;
-          quarantined := (l, Duplicate_of first) :: !quarantined
-      | None ->
-          Hashtbl.add seen key l;
-          missing_cells := !missing_cells + !missing;
-          kept := l :: !kept
-    end
+    match missing_reason ~max_missing_fraction ~missing:!missing ~total:np with
+    | Some reason -> quarantined := (l, reason) :: !quarantined
+    | None -> (
+        let key = row_key row in
+        match Hashtbl.find_opt seen key with
+        | Some first ->
+            incr n_dup;
+            quarantined := (l, Duplicate_of first) :: !quarantined
+        | None ->
+            Hashtbl.add seen key l;
+            missing_cells := !missing_cells + !missing;
+            kept := l :: !kept)
   done;
   let kept = Array.of_list (List.rev !kept) in
   let report =
@@ -157,17 +161,31 @@ type vector_report = {
   v_corrupt : int;
 }
 
-let scrub_vector v =
-  let out = Array.copy v in
+(* the cell rule over one vector, counting the corrupt cells *)
+let classify v =
   let valid = ref [] and missing = ref 0 and corrupt = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if cell_valid x then valid := i :: !valid
-      else begin
-        if Float.is_nan x then incr missing else incr corrupt;
-        out.(i) <- Float.nan
-      end)
-    v;
+  for i = Array.length v - 1 downto 0 do
+    let x = v.(i) in
+    if cell_valid x then valid := i :: !valid
+    else if Float.is_nan x then incr missing
+    else incr corrupt
+  done;
   Obs.Metrics.add m_cells !corrupt;
-  (out, { valid = Array.of_list (List.rev !valid); v_missing = !missing;
-          v_corrupt = !corrupt })
+  { valid = Array.of_list !valid; v_missing = !missing; v_corrupt = !corrupt }
+
+let scrub_vector v =
+  let rep = classify v in
+  (Array.map (fun x -> if cell_valid x then x else Float.nan) v, rep)
+
+let unusable_row rep =
+  let missing = rep.v_missing + rep.v_corrupt in
+  missing_reason ~max_missing_fraction ~missing
+    ~total:(Array.length rep.valid + missing)
+
+let restrict_target r y =
+  let rep = classify y in
+  if Array.length rep.valid = Array.length y then (r, y, rep)
+  else
+    ( Linalg.Sparse.select_rows r rep.valid,
+      Array.map (fun i -> y.(i)) rep.valid,
+      rep )

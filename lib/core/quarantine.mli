@@ -12,6 +12,8 @@
     values (success rate > 1), infinities — is {e corrupt}; corrupt
     cells are counted and neutralized to NaN, i.e. downgraded to
     missing, because a corrupted value carries no usable information.
+    {!cell_valid} is the one rule in the library: every estimator reads
+    a cell it rejects as missing, never as data.
 
     {b Row semantics.} A snapshot row is quarantined (excluded from the
     output matrix) when every cell is missing, when more than
@@ -50,6 +52,11 @@ type report = {
 
 val reason_to_string : reason -> string
 
+val cell_valid : float -> bool
+(** [cell_valid x]: [x] is finite and [<= 0], a usable log success
+    rate. A learning cell that fails it is skipped like NaN; a target
+    cell that fails it is excluded by {!restrict_target}. *)
+
 val clean : report -> bool
 (** No quarantined rows, no missing cells, no corrupt cells. *)
 
@@ -73,6 +80,23 @@ type vector_report = {
 }
 
 val scrub_vector : Linalg.Vector.t -> Linalg.Vector.t * vector_report
-(** Cell-level scrub of a single measurement vector (the inference
-    target): corrupt entries are neutralized to NaN and the indices of
-    valid entries returned. No row-level policy applies. *)
+(** Cell-level scrub of a single measurement vector: corrupt entries are
+    neutralized to NaN and the indices of valid entries returned. No
+    row-level policy applies. *)
+
+val unusable_row : vector_report -> reason option
+(** The row rule of {!scrub} at its default fraction, for one snapshot
+    scrubbed by {!scrub_vector}: [Some All_missing] when no cell is
+    valid, [Some (Excess_missing _)] when more than half are invalid,
+    [None] when the row is usable. *)
+
+val restrict_target :
+  Linalg.Sparse.t ->
+  Linalg.Vector.t ->
+  Linalg.Sparse.t * Linalg.Vector.t * vector_report
+(** [restrict_target r y_now] cuts the system [y_now = r x] down to the
+    paths whose target cell is valid: the rows of [r] and the cells of
+    [y_now] at [report.valid], in ascending order, with the report
+    {!scrub_vector} would give. When every cell is valid it returns [r]
+    and [y_now] themselves. Every estimator that solves against a target
+    calls it; [y_now] must have one entry per row of [r]. *)

@@ -93,6 +93,15 @@ let parse s =
           | _ -> err "unknown fault key %S" key))
     (Ok none) clauses
 
+(* the shortest of 15, 16 and 17 significant digits that reads back as
+   [x]: [0.2] prints as [0.2], and every double round-trips *)
+let number x =
+  let s = Printf.sprintf "%.15g" x in
+  if float_of_string s = x then s
+  else
+    let s = Printf.sprintf "%.16g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
 let to_string t =
   let b = Buffer.create 64 in
   let clause fmt = Printf.ksprintf (fun c ->
@@ -100,14 +109,14 @@ let to_string t =
       Buffer.add_string b c) fmt
   in
   if t.seed <> 0 then clause "seed=%d" t.seed;
-  if t.drop > 0. then clause "drop=%g" t.drop;
-  if t.miss > 0. then clause "miss=%g" t.miss;
-  if t.nan_ > 0. then clause "nan=%g" t.nan_;
-  if t.oor > 0. then clause "oor=%g" t.oor;
-  if t.neg > 0. then clause "neg=%g" t.neg;
-  if t.dup > 0. then clause "dup=%g" t.dup;
-  Option.iter (fun (k, f) -> clause "churn=%d@%g" k f) t.churn;
-  Option.iter (fun f -> clause "route_shift=%g" f) t.route_shift;
+  if t.drop > 0. then clause "drop=%s" (number t.drop);
+  if t.miss > 0. then clause "miss=%s" (number t.miss);
+  if t.nan_ > 0. then clause "nan=%s" (number t.nan_);
+  if t.oor > 0. then clause "oor=%s" (number t.oor);
+  if t.neg > 0. then clause "neg=%s" (number t.neg);
+  if t.dup > 0. then clause "dup=%s" (number t.dup);
+  Option.iter (fun (k, f) -> clause "churn=%d@%s" k (number f)) t.churn;
+  Option.iter (fun f -> clause "route_shift=%s" (number f)) t.route_shift;
   if Buffer.length b = 0 then "none" else Buffer.contents b
 
 (* --- injection ---------------------------------------------------------- *)

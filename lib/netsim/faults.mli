@@ -55,7 +55,9 @@ val parse : string -> (t, string) result
     malformed clauses are reported in the error string. *)
 
 val to_string : t -> string
-(** Canonical round-trippable rendering ([parse (to_string t)] accepts). *)
+(** Canonical round-trippable rendering: [parse (to_string t) = Ok t].
+    Each number takes the shortest of 15, 16 and 17 significant digits
+    that reads back as the same double, so [0.2] prints as [0.2]. *)
 
 (** One injected fault, in matrix coordinates {e before} row
     duplication/dropping renumbers snapshots. *)

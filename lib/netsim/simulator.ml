@@ -12,7 +12,7 @@ type run = { snapshots : Snapshot.t array; y : Matrix.t }
 
 (* Markov step keeping a given stationary probability. *)
 let markov_step rng ~stay ~stationary c =
-  if stay < 0. || stay >= 1. then
+  if not (0. <= stay && stay < 1.) then
     invalid_arg "Simulator: Markov persistence out of [0,1)";
   if c then Rng.bool rng stay
   else begin
@@ -41,7 +41,7 @@ let run ?(dynamics = Static) rng config r ~count =
   let initial, step =
     match dynamics with
     | Hetero { stay; active } ->
-        if active <= 0. || active >= 1. then
+        if not (0. < active && active < 1.) then
           invalid_arg "Simulator: Hetero activity out of (0,1)";
         let prone = Snapshot.draw_statuses rng config ~links in
         let initial = Array.map (fun pr -> pr && Rng.bool rng active) prone in

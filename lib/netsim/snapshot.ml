@@ -30,7 +30,7 @@ type t = {
 
 let validate config =
   if config.probes <= 0 then invalid_arg "Snapshot: probes <= 0";
-  if config.congestion_prob < 0. || config.congestion_prob > 1. then
+  if not (0. <= config.congestion_prob && config.congestion_prob <= 1.) then
     invalid_arg "Snapshot: congestion_prob out of [0,1]"
 
 let link_bad_intervals rng config rate =

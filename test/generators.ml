@@ -35,17 +35,21 @@ let seed_arb = QCheck.int_range 1 5000
 (** The common "seed drives everything" qcheck input. *)
 
 (* Random tree topology + a simulated campaign: 12 snapshots, learn on
-   the first 11, diagnose the last. *)
-let random_tree_trial seed =
+   the first 11, diagnose the last. [random_tree_campaign] keeps the
+   reduced routing, which the tree-aware estimators need. *)
+let random_tree_campaign seed =
   let rng = Rng.create seed in
   let n = 30 + (seed mod 120) in
   let tb = Topology.Tree_gen.generate rng ~nodes:n ~max_branching:5 () in
   let red = Topology.Testbed.routing tb in
-  let r = red.Topology.Routing.matrix in
   let config = Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated in
-  let run = Simulator.run rng config r ~count:12 in
+  let run = Simulator.run rng config red.Topology.Routing.matrix ~count:12 in
   let y_learn, target = Simulator.split_learning run ~learning:11 in
-  (r, y_learn, target)
+  (red, y_learn, target)
+
+let random_tree_trial seed =
+  let red, y_learn, target = random_tree_campaign seed in
+  (red.Topology.Routing.matrix, y_learn, target)
 
 (* Random tree (odd seeds: Waxman mesh) + synthetic variances and log
    measurements; for linear-algebraic identities where no simulator

@@ -20,6 +20,7 @@ module Lia = Core.Lia
 module Plan = Core.Plan
 module Quarantine = Core.Quarantine
 module Monitor = Core.Monitor
+module Rng = Nstats.Rng
 module G = Generators
 
 let result_bits_equal (a : Lia.result) (b : Lia.result) =
@@ -345,6 +346,52 @@ let test_ess_complete_matrix () =
     ess.Core.Variance_estimator.pairs_used;
   Alcotest.(check int) "full overlap" m ess.Core.Variance_estimator.samples_min
 
+(* --- the spec DSL round trip ---------------------------------------------- *)
+
+(* A random spec string: every clause present or not, each number a
+   random double in [0, 1] written with all 17 digits (some exactly 0 or
+   1, some tiny), so [to_string] must keep every digit that matters. *)
+let random_spec_string seed =
+  let rng = Rng.create seed in
+  let number () =
+    match Rng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> 1.
+    | 2 -> Rng.float rng *. 1e-9
+    | _ -> Rng.float rng
+  in
+  let clause fmt =
+    Printf.ksprintf (fun c -> if Rng.bool rng 0.6 then [ c ] else []) fmt
+  in
+  String.concat ","
+    (List.concat
+       [
+         clause "seed=%d" (Rng.int rng 100_000);
+         clause "drop=%.17g" (number ());
+         clause "miss=%.17g" (number ());
+         clause "nan=%.17g" (number ());
+         clause "oor=%.17g" (number ());
+         clause "neg=%.17g" (number ());
+         clause "dup=%.17g" (number ());
+         clause "churn=%d@%.17g" (1 + Rng.int rng 5) (number ());
+         clause "route_shift=%.17g" (number ());
+       ])
+
+let prop_spec_round_trip =
+  QCheck.Test.make ~count:500 ~name:"Faults: parse (to_string t) = Ok t"
+    G.seed_arb (fun seed ->
+      match Faults.parse (random_spec_string seed) with
+      | Error msg -> QCheck.Test.fail_reportf "generated spec rejected: %s" msg
+      | Ok t -> Faults.parse (Faults.to_string t) = Ok t)
+
+(* canonical specs print as themselves: every digit kept, none added *)
+let test_spec_keeps_digits () =
+  List.iter
+    (fun spec ->
+      Alcotest.(check string) spec spec
+        (Faults.to_string (Result.get_ok (Faults.parse spec))))
+    [ "seed=3,drop=0.1234567,churn=2@0.3333333333"; "seed=3,drop=0.2,miss=0.1" ]
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -354,6 +401,7 @@ let properties =
       prop_repair_recovers;
       prop_trichotomy;
       prop_degraded_solve_is_plan;
+      prop_spec_round_trip;
     ]
 
 let units =
@@ -372,6 +420,7 @@ let units =
       test_quarantine_reasons;
     Alcotest.test_case "ess: complete matrix accounting" `Quick
       test_ess_complete_matrix;
+    Alcotest.test_case "fault spec keeps its digits" `Quick test_spec_keeps_digits;
   ]
 
 let () = Alcotest.run "chaos" [ ("fault-injection", properties); ("units", units) ]

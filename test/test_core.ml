@@ -308,7 +308,7 @@ let test_lia_transmission_clamped () =
 let test_lia_with_variances_reuse () =
   let r, y_learn, target = lia_tree_setup 43 in
   let v = VE.estimate ~r ~y:y_learn () in
-  let a = Lia.infer_with_variances ~r ~variances:v ~y_now:target.Netsim.Snapshot.y in
+  let a = Core.Plan.solve (Core.Plan.make ~r ~variances:v ()) target.Netsim.Snapshot.y in
   let b = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   Alcotest.(check bool) "same result" true
     (Vector.approx_equal ~tol:1e-12 a.Lia.loss_rates b.Lia.loss_rates)

@@ -164,9 +164,9 @@ module Estimator = Core.Estimator
 module Measurement = Core.Measurement
 
 (* One clean, identifiable tree campaign shared by the golden checks:
-   every registry backend must be capable on it (variances are supplied
-   so even [plan] runs) and must recover the final snapshot's realized
-   losses within its documented golden bound. *)
+   every registry backend must be capable on it and must recover the
+   final snapshot's realized losses within its documented golden
+   bound. *)
 let golden_campaign () =
   let rng = Rng.create 21 in
   let tb = Topology.Tree_gen.generate rng ~nodes:60 ~max_branching:4 () in
@@ -177,10 +177,8 @@ let golden_campaign () =
   in
   let run = Netsim.Simulator.run rng config r ~count:41 in
   let y_learn, target = Netsim.Simulator.split_learning run ~learning:40 in
-  let lia = Core.Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   let input =
-    Measurement.make ~routing:red ~variances:lia.Core.Lia.variances ~r ~y_learn
-      ~y_now:target.Netsim.Snapshot.y ()
+    Measurement.make ~routing:red ~r ~y_learn ~y_now:target.Netsim.Snapshot.y ()
   in
   (input, target)
 
@@ -240,7 +238,6 @@ let test_registry_names () =
       "scfs";
       "clink";
       "fourier";
-      "plan";
       "lia-dense";
       "lia-cgls";
     ]
@@ -248,17 +245,16 @@ let test_registry_names () =
   Alcotest.(check bool) "find hit" true (Estimator.find "lia-dense" <> None);
   Alcotest.(check bool) "find miss" true (Estimator.find "bogus" = None)
 
-(* A target with no finite measurement: every adapter that restricts to
-   the finitely measured paths refuses it with the same note, [mils]
+(* A target with no usable measurement: every adapter that restricts to
+   the usable paths refuses it with the same note, [mils] and [fourier]
    included, instead of letting a module's exception name itself. *)
 let test_all_nan_target_refused () =
   let input, _ = golden_campaign () in
   let input =
-    Measurement.make ~routing:(Option.get input.Measurement.routing)
-      ?variances:input.Measurement.variances ~r:input.Measurement.r
-      ~y_learn:input.Measurement.y_learn
-      ~y_now:(Array.map (fun _ -> Float.nan) input.Measurement.y_now)
-      ()
+    {
+      input with
+      Measurement.y_now = Array.map (fun _ -> Float.nan) input.Measurement.y_now;
+    }
   in
   List.iter
     (fun name ->
@@ -268,10 +264,10 @@ let test_all_nan_target_refused () =
       | Ok out ->
           Alcotest.(check string) (name ^ " health") "refused" out.Estimator.health;
           Alcotest.(check string)
-            (name ^ " note") "no finite target measurements" out.Estimator.note;
+            (name ^ " note") "no usable target measurements" out.Estimator.note;
           Alcotest.(check bool) (name ^ " no verdicts") true
             (out.Estimator.verdicts = None))
-    [ "em"; "mils"; "scfs"; "clink"; "plan" ]
+    [ "em"; "mils"; "scfs"; "clink"; "fourier" ]
 
 (* --- adapter bit-identity (qcheck) -------------------------------------- *)
 
@@ -290,25 +286,16 @@ let trial_input seed =
   let r, y_learn, target = Generators.random_tree_trial seed in
   Measurement.make ~r ~y_learn ~y_now:target.Netsim.Snapshot.y ()
 
-let prop_em_wrapper_bit_identical =
-  QCheck.Test.make ~count:12 ~name:"estimate_input = estimate (bit-for-bit)"
-    Generators.seed_arb (fun seed ->
-      let input = trial_input seed in
-      let via_input = Em.estimate_input input in
-      let direct =
-        Em.estimate input.Measurement.r
-          ~delivered:(Measurement.delivered input)
-          ~probes:input.Measurement.probes
-      in
-      Generators.vec_bits_equal via_input.Em.transmission
-        direct.Em.transmission
-      && via_input.Em.sweeps = direct.Em.sweeps)
-
 let prop_em_adapter_bit_identical =
   QCheck.Test.make ~count:12 ~name:"em adapter = direct module call"
     Generators.seed_arb (fun seed ->
       let input = trial_input seed in
-      let direct = Em.estimate_input input in
+      let probes = input.Measurement.probes in
+      let direct =
+        Em.estimate input.Measurement.r
+          ~delivered:(Measurement.delivered ~probes input.Measurement.y_now)
+          ~probes
+      in
       Generators.vec_bits_equal
         (adapter_rates "em" input)
         (Array.map (fun t -> 1. -. t) direct.Em.transmission))
@@ -317,7 +304,9 @@ let prop_mils_adapter_bit_identical =
   QCheck.Test.make ~count:12 ~name:"mils adapter = direct module call"
     Generators.seed_arb (fun seed ->
       let input = trial_input seed in
-      let direct = Core.Mils.estimate input in
+      let direct =
+        Core.Mils.estimate input.Measurement.r ~y_now:input.Measurement.y_now
+      in
       Generators.vec_bits_equal
         (adapter_rates "mils" input)
         direct.Core.Mils.loss_rates)
@@ -350,6 +339,117 @@ let prop_scfs_adapter_bit_identical =
       match (adapter "scfs").Estimator.estimate ~threshold input with
       | Ok { Estimator.verdicts = Some v; _ } -> v = direct
       | _ -> false)
+
+(* --- one cell rule (qcheck) ------------------------------------------- *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let outputs_equal (a : Estimator.output) (b : Estimator.output) =
+  (match (a.Estimator.loss_rates, b.Estimator.loss_rates) with
+  | Some x, Some y -> Generators.vec_bits_equal x y
+  | None, None -> true
+  | _ -> false)
+  && a.Estimator.verdicts = b.Estimator.verdicts
+  && a.Estimator.health = b.Estimator.health
+
+let run_backend name input =
+  match (adapter name).Estimator.estimate ~threshold:0.01 input with
+  | Ok out -> out
+  | Error reason -> Alcotest.failf "%s skipped: %s" name reason
+
+(* every kind of corrupt cell: infinite, or a positive log rate (success
+   rate above 1); an unusable cell may also be missing *)
+let corrupt_cell rng =
+  match Rng.int rng 3 with
+  | 0 -> Float.infinity
+  | 1 -> Float.neg_infinity
+  | _ -> Rng.uniform rng 1e-6 0.5
+
+let unusable_cell rng = if Rng.int rng 4 = 0 then Float.nan else corrupt_cell rng
+
+let campaign_input seed =
+  let red, y_learn, target = Generators.random_tree_campaign seed in
+  Measurement.make ~routing:red ~r:red.Topology.Routing.matrix ~y_learn
+    ~y_now:target.Netsim.Snapshot.y ()
+
+(* Random target cells are made unusable (path 0 always positive). Every
+   backend that reads the target must answer as if exactly the cells
+   [Quarantine.scrub_vector] marks invalid were missing, and must count
+   them in its note. *)
+let prop_target_cells_one_rule =
+  QCheck.Test.make ~count:12
+    ~name:"every target reader excludes exactly the invalid paths"
+    Generators.seed_arb (fun seed ->
+      let input = campaign_input seed in
+      let rng = Rng.create (seed + 7919) in
+      let y_now =
+        Array.mapi
+          (fun i y ->
+            if i = 0 then 0.25
+            else if Rng.bool rng 0.3 then unusable_cell rng
+            else y)
+          input.Measurement.y_now
+      in
+      let _, rep = Core.Quarantine.scrub_vector y_now in
+      let missing = rep.Core.Quarantine.v_missing
+      and corrupt = rep.Core.Quarantine.v_corrupt in
+      QCheck.assume (Array.length rep.Core.Quarantine.valid > 0);
+      let faulty = { input with Measurement.y_now } in
+      let as_missing =
+        {
+          input with
+          Measurement.y_now =
+            Array.map
+              (fun y -> if Core.Quarantine.cell_valid y then y else Float.nan)
+              y_now;
+        }
+      in
+      let excluded =
+        Printf.sprintf "target: %d invalid paths excluded" (missing + corrupt)
+      in
+      List.for_all
+        (fun name ->
+          let out = run_backend name faulty in
+          outputs_equal out (run_backend name as_missing)
+          && out.Estimator.health = "degraded"
+          && contains out.Estimator.note excluded)
+        [ "em"; "mils"; "scfs"; "clink"; "fourier" ]
+      &&
+      let out = run_backend "lia-dense" faulty in
+      outputs_equal out (run_backend "lia-dense" as_missing)
+      && contains out.Estimator.note
+           (Printf.sprintf "target: %d missing, %d corrupt" missing corrupt))
+
+(* A learning cell replaced by a positive or infinite value must read
+   exactly like the same cell gone missing. *)
+let prop_learning_cells_one_rule =
+  QCheck.Test.make ~count:12
+    ~name:"minc, fourier, clink: an unusable learning cell reads as NaN"
+    Generators.seed_arb (fun seed ->
+      let input = campaign_input seed in
+      let rng = Rng.create (seed + 104729) in
+      let y = input.Measurement.y_learn in
+      let m = Matrix.rows y and np = Matrix.cols y in
+      let hits =
+        List.init (1 + (np / 4)) (fun _ ->
+            let l = Rng.int rng m in
+            let i = Rng.int rng np in
+            (l, i, corrupt_cell rng))
+      in
+      let with_cells f =
+        let y' = Matrix.init m np (fun l i -> Matrix.get y l i) in
+        List.iter (fun (l, i, v) -> Matrix.set y' l i (f v)) hits;
+        { input with Measurement.y_learn = y' }
+      in
+      let faulty = with_cells Fun.id and as_missing = with_cells (fun _ -> Float.nan) in
+      List.for_all
+        (fun name ->
+          let a = run_backend name faulty and b = run_backend name as_missing in
+          outputs_equal a b && a.Estimator.note = b.Estimator.note)
+        [ "minc"; "fourier"; "clink" ])
 
 let () =
   Alcotest.run "estimators"
@@ -384,10 +484,12 @@ let () =
           Alcotest.test_case "all-NaN target refused" `Quick
             test_all_nan_target_refused;
         ] );
+      ( "cell-rule",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_target_cells_one_rule; prop_learning_cells_one_rule ] );
       ( "adapter-identity",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_em_wrapper_bit_identical;
             prop_em_adapter_bit_identical;
             prop_mils_adapter_bit_identical;
             prop_lia_adapter_bit_identical;

@@ -56,6 +56,16 @@ let test_clink_good_fractions () =
   let gf = Clink.good_fractions y ~r ~threshold:0.002 in
   close ~tol:1e-9 "two of three good" (2. /. 3.) gf.(0)
 
+(* a missing cell is neither good nor congested: loss-free in its two
+   observed snapshots is good every time *)
+let test_clink_good_fractions_skip_missing () =
+  let r = Sparse.create ~cols:1 [| [| 0 |] |] in
+  let y =
+    Matrix.of_arrays [| [| 0. |]; [| Float.nan |]; [| 0. |]; [| Float.nan |] |]
+  in
+  let gf = Clink.good_fractions y ~r ~threshold:0.002 in
+  close ~tol:0. "observed snapshots only" 1. gf.(0)
+
 let test_clink_beats_scfs_with_history () =
   (* Same trial: CLINK's learnt prior should not be worse than SCFS's
      uniform prior on average. Run a static campaign where one specific
@@ -288,6 +298,33 @@ let test_monitor_cache_invalidation () =
   Alcotest.(check bool) "variances refreshed" false
     (Vector.approx_equal ~tol:1e-12 v1 v2)
 
+(* the monitor builds one plan per window: later snapshots only solve *)
+let test_monitor_reuses_plan () =
+  let rng, r = tree_setup 95 in
+  let config = Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated in
+  let run = Simulator.run rng config r ~count:34 in
+  let mon = Monitor.create ~r ~window:30 in
+  for l = 0 to 29 do
+    Monitor.observe mon (Matrix.row run.Simulator.y l)
+  done;
+  let builds = Obs.Metrics.histogram Obs.Metrics.default "plan_build_seconds" in
+  Obs.Metrics.reset Obs.Metrics.default;
+  Obs.Metrics.enable Obs.Metrics.default;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.disable Obs.Metrics.default;
+      Obs.Metrics.reset Obs.Metrics.default)
+    (fun () ->
+      for l = 30 to 32 do
+        ignore (Monitor.infer mon ~y_now:(Matrix.row run.Simulator.y l))
+      done;
+      Alcotest.(check int) "one build for three snapshots" 1
+        (Obs.Metrics.histogram_count builds);
+      Monitor.observe mon (Matrix.row run.Simulator.y 33);
+      ignore (Monitor.infer mon ~y_now:(Matrix.row run.Simulator.y 33));
+      Alcotest.(check int) "a new window builds again" 2
+        (Obs.Metrics.histogram_count builds))
+
 let test_monitor_errors () =
   let r = Sparse.create ~cols:2 [| [| 0 |]; [| 1 |] |] in
   Alcotest.check_raises "window too small"
@@ -339,6 +376,8 @@ let () =
           Alcotest.test_case "prior breaks ties" `Quick test_clink_prior_breaks_ties;
           Alcotest.test_case "good paths exonerate" `Quick test_clink_good_paths_exonerate;
           Alcotest.test_case "good fractions" `Quick test_clink_good_fractions;
+          Alcotest.test_case "good fractions skip missing cells" `Quick
+            test_clink_good_fractions_skip_missing;
           Alcotest.test_case "history helps vs SCFS" `Slow
             test_clink_beats_scfs_with_history;
         ] );
@@ -373,6 +412,7 @@ let () =
           Alcotest.test_case "window" `Quick test_monitor_window;
           Alcotest.test_case "matches batch" `Slow test_monitor_matches_batch_inference;
           Alcotest.test_case "cache invalidation" `Quick test_monitor_cache_invalidation;
+          Alcotest.test_case "one plan per window" `Quick test_monitor_reuses_plan;
           Alcotest.test_case "errors" `Quick test_monitor_errors;
         ] );
       ("properties", properties);

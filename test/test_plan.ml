@@ -62,18 +62,6 @@ let prop_plan_solve_matches_seed =
       && removed = res.Core.Plan.removed
       && vec_bits_equal variances res.Core.Plan.variances)
 
-let prop_infer_with_variances_matches_plan =
-  QCheck.Test.make ~count:10
-    ~name:"Lia.infer_with_variances: still the seed pipeline"
-    QCheck.(int_range 1 5000)
-    (fun seed ->
-      let r, variances, y = random_instance seed in
-      let y_now = Matrix.row y 0 in
-      let res = Core.Lia.infer_with_variances ~r ~variances ~y_now in
-      let transmission, loss_rates, _, _ = seed_phase2 ~r ~variances ~y_now in
-      vec_bits_equal transmission res.Core.Lia.transmission
-      && vec_bits_equal loss_rates res.Core.Lia.loss_rates)
-
 let prop_solve_batch_matches_solve =
   QCheck.Test.make ~count:20
     ~name:"Plan.solve_batch: row l = Plan.solve on snapshot l, jobs in {1,2,4}"
@@ -195,7 +183,6 @@ let properties =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_plan_solve_matches_seed;
-      prop_infer_with_variances_matches_plan;
       prop_solve_batch_matches_solve;
       prop_plan_matches_qr;
     ]
