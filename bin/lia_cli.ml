@@ -747,9 +747,12 @@ let crossval_cmd =
       value & opt string "all"
       & info [ "estimators" ] ~docv:"NAMES"
           ~doc:
-            "Comma-separated backend names from the registry (or $(b,all)): \
-             $(b,minc), $(b,em), $(b,mils), $(b,scfs), $(b,clink), \
-             $(b,fourier), $(b,lia-dense), $(b,lia-cgls).")
+            (Printf.sprintf
+               "Comma-separated backend names from the registry (or \
+                $(b,all)): %s."
+               (String.concat ", "
+                  (List.map (fun name -> "$(b," ^ name ^ ")")
+                     Core.Estimator.names))))
   in
   let out_arg =
     Arg.(

@@ -8,20 +8,27 @@ let std_floor = 1e-4
 (* standard deviations below baseline that make a path anomalous *)
 let z_threshold = 3.
 
+(* each path's moments over its usable cells, summed in row order (a
+   complete column keeps [Descriptive.mean_vector]'s bits); a path with
+   fewer than 2 has no baseline: a NaN mean never scores below -3 *)
 let learn y =
-  let m = Matrix.rows y and np = Matrix.cols y in
+  let m = Matrix.rows y in
   if m < 2 then invalid_arg "Anomaly.learn: need at least 2 snapshots";
-  let mean = Nstats.Descriptive.mean_vector y in
-  let std =
-    Array.init np (fun i ->
-        let acc = ref 0. in
-        for l = 0 to m - 1 do
-          let d = Matrix.get y l i -. mean.(i) in
-          acc := !acc +. (d *. d)
-        done;
-        Float.max std_floor (sqrt (!acc /. float_of_int (m - 1))))
+  let moments =
+    Array.init (Matrix.cols y) (fun i ->
+        let cells =
+          List.filter Quarantine.cell_valid
+            (List.init m (fun l -> Matrix.get y l i))
+        in
+        let n = float_of_int (List.length cells) in
+        if n < 2. then (Float.nan, std_floor)
+        else
+          let mu = List.fold_left ( +. ) 0. cells /. n in
+          let sq s v = s +. ((v -. mu) *. (v -. mu)) in
+          let ss = List.fold_left sq 0. cells in
+          (mu, Float.max std_floor (sqrt (ss /. (n -. 1.)))))
   in
-  { mean; std }
+  { mean = Array.map fst moments; std = Array.map snd moments }
 
 (* standardized residuals; negative = worse than baseline *)
 let path_scores model ~y_now =

@@ -10,15 +10,19 @@
     same snapshots LIA already collects, detection is essentially free. *)
 
 type model = {
-  mean : float array;  (** per-path baseline mean of [Y] *)
+  mean : float array;
+      (** per-path baseline mean of [Y]; [nan] for a path with no
+          baseline *)
   std : float array;  (** per-path baseline standard deviation (>= 1e-4) *)
 }
 
 val learn : Linalg.Matrix.t -> model
-(** [learn y] from the learning window (rows = snapshots). The standard
-    deviation is floored at [1e-4], so zero-variance paths do not fire
-    on any noise. Raises [Invalid_argument] with fewer than two
-    snapshots. *)
+(** [learn y] from the learning window (rows = snapshots), each path
+    over its cells that {!Quarantine.cell_valid} accepts: a missing cell
+    costs one sample, not the baseline. A path with fewer than 2 usable
+    cells has no baseline and is never flagged. The standard deviation
+    is floored at [1e-4], so zero-variance paths do not fire on any
+    noise. Raises [Invalid_argument] with fewer than two snapshots. *)
 
 val anomalous_paths : model -> y_now:Linalg.Vector.t -> bool array
 (** Paths whose measurement is more than 3 standard deviations {e below}

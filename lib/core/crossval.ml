@@ -159,7 +159,7 @@ type score = {
 }
 
 type outcome =
-  | Scored of { score : score; health : string; note : string }
+  | Scored of { score : score; health : Estimator.health; note : string }
   | Refused of string
   | Skipped of string
 
@@ -216,15 +216,16 @@ let build ~snapshots ~probes s =
   let y, _schedule = Faults.apply s.fault sim.Simulator.y in
   let rows = Matrix.rows y in
   if rows < 2 then
-    failwith
-      (Printf.sprintf "fault injection left %d snapshot(s), need >= 2" rows);
-  let y_learn =
-    Matrix.init (rows - 1) (Matrix.cols y) (fun l i -> Matrix.get y l i)
-  in
-  let y_now = Matrix.row y (rows - 1) in
-  let input = Measurement.make ~routing:red ~probes ~r ~y_learn ~y_now () in
-  let truth = sim.Simulator.snapshots.(snapshots - 1) in
-  (input, truth)
+    Error
+      (Printf.sprintf "scenario: fault injection left %d snapshot(s), need >= 2"
+         rows)
+  else
+    let y_learn =
+      Matrix.init (rows - 1) (Matrix.cols y) (fun l i -> Matrix.get y l i)
+    in
+    let y_now = Matrix.row y (rows - 1) in
+    let input = Measurement.make ~routing:red ~probes ~r ~y_learn ~y_now () in
+    Ok (input, sim.Simulator.snapshots.(snapshots - 1))
 
 (* --- scoring ----------------------------------------------------------- *)
 
@@ -232,43 +233,29 @@ let mean xs =
   if Array.length xs = 0 then Float.nan
   else Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
 
-let score_output ~threshold ~(truth : Snapshot.t) (out : Estimator.output) =
-  match out.Estimator.verdicts with
-  | None ->
-      Refused
-        (if out.Estimator.note <> "" then out.Estimator.note
-         else out.Estimator.health)
-  | Some verdicts ->
-      let actual_rates = truth.Snapshot.realized in
-      let actual = Array.map (fun q -> q > threshold) actual_rates in
-      let loc = Metrics.location ~actual ~inferred:verdicts in
-      let abs_mean, abs_max, err_factor_median =
-        match out.Estimator.loss_rates with
-        | None -> (None, None, None)
-        | Some rates ->
-            let errs =
-              Metrics.absolute_errors ~actual:actual_rates ~inferred:rates
-            in
-            let ef =
-              Metrics.error_factors ~actual:actual_rates ~inferred:rates
-            in
-            ( Some (mean errs),
-              Some (Metrics.spread errs).Metrics.max,
-              Some (Metrics.spread ef).Metrics.median )
-      in
-      Scored
-        {
-          score =
-            {
-              abs_mean;
-              abs_max;
-              err_factor_median;
-              dr = loc.Metrics.dr;
-              fpr = loc.Metrics.fpr;
-            };
-          health = out.Estimator.health;
-          note = out.Estimator.note;
-        }
+let score_answer ~threshold ~(truth : Snapshot.t) (a : Estimator.answer) =
+  let actual_rates = truth.Snapshot.realized in
+  let actual = Array.map (fun q -> q > threshold) actual_rates in
+  let loc = Metrics.location ~actual ~inferred:a.Estimator.verdicts in
+  let abs_mean, abs_max, err_factor_median =
+    match a.Estimator.loss_rates with
+    | None -> (None, None, None)
+    | Some rates ->
+        let errs =
+          Metrics.absolute_errors ~actual:actual_rates ~inferred:rates
+        in
+        let ef = Metrics.error_factors ~actual:actual_rates ~inferred:rates in
+        ( Some (mean errs),
+          Some (Metrics.spread errs).Metrics.max,
+          Some (Metrics.spread ef).Metrics.median )
+  in
+  {
+    abs_mean;
+    abs_max;
+    err_factor_median;
+    dr = loc.Metrics.dr;
+    fpr = loc.Metrics.fpr;
+  }
 
 (* --- the runner -------------------------------------------------------- *)
 
@@ -297,20 +284,15 @@ let allocated_words () =
   Gc.minor_words () +. g.Gc.major_words -. g.Gc.promoted_words
 
 let evaluate ~threshold ~snapshots ~probes (est : Estimator.t) scenario =
-  let refused reason =
-    {
-      scenario;
-      estimator = est.Estimator.name;
-      outcome = Refused reason;
-      wall_s = 0.;
-      alloc_words = 0.;
-    }
-  in
-  match
-    try Ok (build ~snapshots ~probes scenario) with
-    | Invalid_argument msg | Failure msg -> Error ("scenario: " ^ msg)
-  with
-  | Error msg -> refused msg
+  match build ~snapshots ~probes scenario with
+  | Error reason ->
+      {
+        scenario;
+        estimator = est.Estimator.name;
+        outcome = Refused reason;
+        wall_s = 0.;
+        alloc_words = 0.;
+      }
   | Ok (input, truth) ->
       let g0 = allocated_words () in
       let t0 = Obs.Clock.now_ns () in
@@ -321,15 +303,19 @@ let evaluate ~threshold ~snapshots ~probes (est : Estimator.t) scenario =
       Obs.Metrics.observe m_cell_seconds wall_s;
       let outcome =
         match res with
-        | Error reason ->
+        | Estimator.Answer a ->
+            Scored
+              {
+                score = score_answer ~threshold ~truth a;
+                health = a.Estimator.health;
+                note = a.Estimator.note;
+              }
+        | Estimator.Refused reason ->
+            Obs.Metrics.incr m_refused;
+            Refused reason
+        | Estimator.Skipped reason ->
             Obs.Metrics.incr m_skipped;
             Skipped reason
-        | Ok out -> (
-            match score_output ~threshold ~truth out with
-            | Refused _ as o ->
-                Obs.Metrics.incr m_refused;
-                o
-            | o -> o)
       in
       { scenario; estimator = est.Estimator.name; outcome; wall_s; alloc_words }
 
@@ -353,6 +339,10 @@ let run ?jobs ?(threshold = 0.01) ?(snapshots = 40) ?(probes = 1000)
   Array.map (function Some c -> c | None -> assert false) cells
 
 (* --- rendering --------------------------------------------------------- *)
+
+let health_label = function
+  | Estimator.Clean -> "clean"
+  | Estimator.Degraded -> "degraded"
 
 type agg = {
   mutable seeds : int;  (** scored + refused + skipped = cells seen *)
@@ -424,7 +414,7 @@ let render ?(timing = false) cells =
       agg.alloc <- agg.alloc +. c.alloc_words;
       match c.outcome with
       | Scored { score; health; note } ->
-          bump_status agg health;
+          bump_status agg (health_label health);
           agg.scores <- score :: agg.scores;
           add_note agg note
       | Refused reason ->
@@ -516,7 +506,8 @@ let to_jsonl cells =
         | Scored { score; health; note } ->
             Printf.sprintf
               "\"outcome\":\"scored\",\"health\":%s,\"note\":%s,\"abs_mean\":%s,\"abs_max\":%s,\"err_factor_median\":%s,\"dr\":%s,\"fpr\":%s"
-              (Field.json_string health) (Field.json_string note)
+              (Field.json_string (health_label health))
+              (Field.json_string note)
               (json_opt score.abs_mean) (json_opt score.abs_max)
               (json_opt score.err_factor_median)
               (json_float score.dr) (json_float score.fpr)

@@ -21,11 +21,10 @@
     allocation are telemetry only: {!render} omits them unless asked,
     and the cram suite diffs the default rendering.
 
-    Fault outcomes are typed, never exception escapes: a backend that
-    cannot run a scenario at all reports [Skipped reason] (capability
-    mismatch), one that inspects the data and declines reports
-    [Refused reason], and degraded-but-successful runs carry their
-    health label into the grid. *)
+    Each cell keeps the backend's {!Estimator.outcome} as given: an
+    answer is scored and keeps its health and note, a refusal or a skip
+    keeps its reason. A scenario whose fault injection leaves fewer than
+    2 snapshots is refused for every backend. *)
 
 type grid = {
   families : string list;
@@ -69,9 +68,9 @@ type score = {
 }
 
 type outcome =
-  | Scored of { score : score; health : string; note : string }
-  | Refused of string  (** ran, but declined or died on the data *)
-  | Skipped of string  (** capability mismatch; never ran *)
+  | Scored of { score : score; health : Estimator.health; note : string }
+  | Refused of string  (** {!Estimator.Refused}, or no campaign *)
+  | Skipped of string  (** {!Estimator.Skipped} *)
 
 type cell = {
   scenario : scenario;

@@ -28,11 +28,11 @@ let infer ~r ~y_learn ~y_now =
   (* Phase 2 on the queueing excess over per-path baselines *)
   let base = baselines y_learn in
   let excess = Array.mapi (fun i y -> Float.max 0. (y -. base.(i))) y_now in
-  let { Rank_reduction.kept; removed } = Rank_reduction.eliminate r variances in
-  let q_star = Sparse.least_squares (Sparse.select_cols r kept) excess in
+  let plan = Plan.make ~r ~variances () in
+  let q_star = Plan.least_squares plan excess and kept = Plan.kept plan in
   let queueing = Array.make nc 0. in
   Array.iteri (fun k j -> queueing.(j) <- Float.max 0. q_star.(k)) kept;
-  { variances; queueing; kept; removed }
+  { variances; queueing; kept; removed = Plan.removed plan }
 
 let congested result ~threshold =
   Array.map (fun q -> q > threshold) result.queueing

@@ -11,7 +11,9 @@
     {e baseline-subtracted} measurements: each path's baseline is its
     minimum over the learning window (the classic RTT baselining trick),
     leaving only the queueing excess, which is ~0 on un-congested links —
-    the exact analogue of the loss setting. *)
+    the exact analogue of the loss setting. Phase 2 is a {!Plan} over the
+    delay variances: the same rank reduction and normal equations as
+    loss inference, solved by {!Plan.least_squares}. *)
 
 type result = {
   variances : float array;  (** learnt delay variance per link *)
@@ -31,7 +33,8 @@ val infer :
   y_now:Linalg.Vector.t ->
   result
 (** Full two-phase inference on delay measurements (ms). Raises
-    [Invalid_argument] on dimension mismatches. *)
+    [Invalid_argument] on dimension mismatches, and [Failure] when
+    {!Plan.make} does. *)
 
 val congested : result -> threshold:float -> bool array
 (** Links whose inferred queueing delay exceeds [threshold] ms. *)

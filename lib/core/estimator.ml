@@ -1,90 +1,90 @@
 module Matrix = Linalg.Matrix
 
-type capabilities = {
-  tree_only : bool;
-  needs_snapshots : bool;
-  boolean_verdicts : bool;
-}
-
 type golden_bound =
   | Abs_err of float
   | Detection of { min_dr : float; max_fpr : float }
 
-type output = {
+type health = Clean | Degraded
+
+type answer = {
   loss_rates : float array option;
-  verdicts : bool array option;
-  health : string;
+  verdicts : bool array;
+  health : health;
   note : string;
 }
+
+type outcome = Answer of answer | Refused of string | Skipped of string
 
 type t = {
   name : string;
   descr : string;
-  caps : capabilities;
   golden : golden_bound;
-  estimate : threshold:float -> Measurement.t -> (output, string) result;
+  estimate : threshold:float -> Measurement.t -> outcome;
 }
-
-let no_caps =
-  { tree_only = false; needs_snapshots = false; boolean_verdicts = false }
 
 (* ---- shared plumbing ------------------------------------------------- *)
 
-let tree_of (input : Measurement.t) =
+let tree_of (input : Measurement.t) f =
   match input.Measurement.routing with
-  | None -> Error "skipped(no routing topology attached)"
+  | None -> Skipped "skipped(no routing topology attached)"
   | Some routing -> (
-      try Ok (Netsim.Multicast.tree_of_routing routing)
-      with Invalid_argument _ -> Error "skipped(not a single-beacon tree)")
+      match Netsim.Multicast.tree_of_routing routing with
+      | tree -> f tree
+      | exception Invalid_argument _ ->
+          Skipped "skipped(not a single-beacon tree)")
 
-let check e (input : Measurement.t) =
-  let tree =
-    if not e.caps.tree_only then Ok ()
-    else match tree_of input with Error r -> Error r | Ok _ -> Ok ()
-  in
-  match tree with
-  | Error _ as err -> err
-  | Ok () ->
-      if e.caps.needs_snapshots && Matrix.rows input.Measurement.y_learn < 2
-      then Error "skipped(needs a learning window of >= 2 snapshots)"
-      else Ok ()
-
-let verdicts_of_rates ~threshold rates = Array.map (fun l -> l > threshold) rates
-
-let refused note =
-  Ok { loss_rates = None; verdicts = None; health = "refused"; note }
-
-(* data faults become a typed refusal, never an exception escape *)
-let guard f = try f () with Invalid_argument msg | Failure msg -> refused msg
-
-let rate_output ?(health = "clean") ?(note = "") ~threshold rates =
-  let rates = Array.map (fun l -> if Float.is_finite l then l else 0.) rates in
-  Ok
+(* An adapter threads [faults], the notes of what degraded its input so
+   far: none is [Clean]. They lead the answer's note, [info] follows. *)
+let answer ~faults ~info loss_rates verdicts =
+  Answer
     {
-      loss_rates = Some rates;
-      verdicts = Some (verdicts_of_rates ~threshold rates);
-      health;
-      note;
+      loss_rates;
+      verdicts;
+      health = (if faults = [] then Clean else Degraded);
+      note = String.concat "; " (faults @ info);
     }
+
+let rate_answer ~threshold ~faults ~info rates =
+  let rates = Array.map (fun l -> if Float.is_finite l then l else 0.) rates in
+  answer ~faults ~info (Some rates) (Array.map (fun l -> l > threshold) rates)
+
+let short_window = Skipped "skipped(needs a learning window of >= 2 snapshots)"
+
+(* Every adapter that learns from the window reads [Quarantine.scrub]'s
+   rows, as [Lia.infer_checked] does: fewer than 2 kept rows is a
+   refusal, and a report that is not clean degrades the answer. Corrupt
+   cells were neutralized to missing, so the note counts a kept row's
+   unusable cells as one number. [f] gets the scrubbed window. *)
+let on_window (input : Measurement.t) faults f =
+  if Matrix.rows input.Measurement.y_learn < 2 then short_window
+  else
+    let y, q = Quarantine.scrub input.Measurement.y_learn in
+    if Matrix.rows y < 2 then
+      Refused
+        (Printf.sprintf
+           "%d usable learning snapshots after quarantine (need at least 2)"
+           (Matrix.rows y))
+    else
+      let note =
+        Printf.sprintf "window: %s; %d invalid cells" (Quarantine.summary q)
+          q.Quarantine.missing_cells
+      in
+      f (if Quarantine.clean q then faults else faults @ [ note ]) y
 
 (* Every adapter that reads the target solves over its usable paths only
    ([Quarantine.restrict_target]): a target with none is refused, and the
-   excluded paths turn the health to degraded and are counted in the
-   note. [f] gets the restricted system. *)
-let on_target (input : Measurement.t) f =
+   excluded paths degrade the answer and are counted in its note. [f]
+   gets the restricted system. *)
+let on_target (input : Measurement.t) faults f =
   let np = Array.length input.Measurement.y_now in
   let r, y_now, q =
     Quarantine.restrict_target input.Measurement.r input.Measurement.y_now
   in
   let excluded = np - Array.length q.Quarantine.valid in
-  if excluded = np then refused "no usable target measurements"
-  else if excluded = 0 then f ~health:"clean" ~note:"" r y_now
+  if excluded = np then Refused "no usable target measurements"
   else
-    f ~health:"degraded"
-      ~note:(Printf.sprintf "target: %d invalid paths excluded" excluded)
-      r y_now
-
-let with_note note extra = if note = "" then extra else note ^ "; " ^ extra
+    let note = Printf.sprintf "target: %d invalid paths excluded" excluded in
+    f (if excluded = 0 then faults else faults @ [ note ]) r y_now
 
 (* ---- MINC (multicast gold standard, unicast-approximated gammas) ----- *)
 
@@ -123,25 +123,17 @@ let unicast_gammas tree y =
     sub
 
 let minc =
-  let caps = { no_caps with tree_only = true; needs_snapshots = true } in
-  let estimate ~threshold (input : Measurement.t) =
-    match tree_of input with
-    | Error r -> Error r
-    | Ok tree ->
-        if Matrix.rows input.Measurement.y_learn < 2 then
-          Error "skipped(needs a learning window of >= 2 snapshots)"
-        else
-          guard (fun () ->
-              let gamma = unicast_gammas tree input.Measurement.y_learn in
-              let r = Minc.infer tree ~gamma in
-              let rates = Array.map (fun t -> 1. -. t) r.Minc.transmission in
-              rate_output ~threshold
-                ~note:"gammas approximated from unicast snapshots" rates)
+  let estimate ~threshold input =
+    tree_of input @@ fun tree ->
+    on_window input [] @@ fun faults y ->
+    let r = Minc.infer tree ~gamma:(unicast_gammas tree y) in
+    rate_answer ~threshold ~faults
+      ~info:[ "gammas approximated from unicast snapshots" ]
+      (Array.map (fun t -> 1. -. t) r.Minc.transmission)
   in
   {
     name = "minc";
     descr = "MINC multicast tree estimator (Caceres et al. 1999)";
-    caps;
     golden = Abs_err 0.05;
     estimate;
   }
@@ -150,26 +142,20 @@ let minc =
 
 let em =
   let estimate ~threshold (input : Measurement.t) =
-    guard (fun () ->
-        on_target input (fun ~health ~note r y_now ->
-            let probes = input.Measurement.probes in
-            let res =
-              Em_tomography.estimate r
-                ~delivered:(Measurement.delivered ~probes y_now)
-                ~probes
-            in
-            let note =
-              with_note note (Printf.sprintf "%d sweeps" res.Em_tomography.sweeps)
-            in
-            let rates =
-              Array.map (fun t -> 1. -. t) res.Em_tomography.transmission
-            in
-            rate_output ~health ~note ~threshold rates))
+    on_target input [] @@ fun faults r y_now ->
+    let probes = input.Measurement.probes in
+    let res =
+      Em_tomography.estimate r
+        ~delivered:(Measurement.delivered ~probes y_now)
+        ~probes
+    in
+    rate_answer ~threshold ~faults
+      ~info:[ Printf.sprintf "%d sweeps" res.Em_tomography.sweeps ]
+      (Array.map (fun t -> 1. -. t) res.Em_tomography.transmission)
   in
   {
     name = "em";
     descr = "unicast max-likelihood coordinate ascent (refs [12, 29])";
-    caps = no_caps;
     golden = Abs_err 0.1;
     estimate;
   }
@@ -177,20 +163,17 @@ let em =
 (* ---- MILS ------------------------------------------------------------ *)
 
 let mils =
-  let estimate ~threshold (input : Measurement.t) =
-    guard (fun () ->
-        on_target input (fun ~health ~note r y_now ->
-            let est = Mils.estimate r ~y_now in
-            let note =
-              with_note note
-                (Printf.sprintf "granularity %.2f" est.Mils.mean_segment_length)
-            in
-            rate_output ~health ~note ~threshold est.Mils.loss_rates))
+  let estimate ~threshold input =
+    on_target input [] @@ fun faults r y_now ->
+    let est = Mils.estimate r ~y_now in
+    rate_answer ~threshold ~faults
+      ~info:
+        [ Printf.sprintf "granularity %.2f" est.Mils.mean_segment_length ]
+      est.Mils.loss_rates
   in
   {
     name = "mils";
     descr = "minimal identifiable link sequences (Zhao et al. 2006, [36])";
-    caps = no_caps;
     golden = Abs_err 0.1;
     estimate;
   }
@@ -198,43 +181,31 @@ let mils =
 (* ---- SCFS / CLINK (boolean diagnosis) -------------------------------- *)
 
 let scfs =
-  let caps = { no_caps with boolean_verdicts = true } in
-  let estimate ~threshold (input : Measurement.t) =
-    guard (fun () ->
-        on_target input (fun ~health ~note r y_now ->
-            let bad = Scfs.classify_paths r ~y_now ~threshold in
-            let verdicts = Scfs.infer r ~bad_paths:bad in
-            Ok { loss_rates = None; verdicts = Some verdicts; health; note }))
+  let estimate ~threshold input =
+    on_target input [] @@ fun faults r y_now ->
+    let bad = Scfs.classify_paths r ~y_now ~threshold in
+    answer ~faults ~info:[] None (Scfs.infer r ~bad_paths:bad)
   in
   {
     name = "scfs";
     descr = "smallest consistent failure set diagnosis (Duffield 2006)";
-    caps;
     golden = Detection { min_dr = 0.3; max_fpr = 0.5 };
     estimate;
   }
 
 let clink =
-  let caps = { no_caps with needs_snapshots = true; boolean_verdicts = true } in
   let estimate ~threshold (input : Measurement.t) =
-    if Matrix.rows input.Measurement.y_learn < 2 then
-      Error "skipped(needs a learning window of >= 2 snapshots)"
-    else
-      guard (fun () ->
-          on_target input (fun ~health ~note r y_now ->
-              let gf =
-                Clink.good_fractions input.Measurement.y_learn
-                  ~r:input.Measurement.r ~threshold
-              in
-              let model = Clink.learn ~r:input.Measurement.r ~good_fraction:gf in
-              let bad = Scfs.classify_paths r ~y_now ~threshold in
-              let verdicts = Clink.infer model r ~bad_paths:bad in
-              Ok { loss_rates = None; verdicts = Some verdicts; health; note }))
+    on_window input [] @@ fun faults y ->
+    on_target input faults @@ fun faults r y_now ->
+    let full = input.Measurement.r in
+    let gf = Clink.good_fractions y ~r:full ~threshold in
+    let model = Clink.learn ~r:full ~good_fraction:gf in
+    let bad = Scfs.classify_paths r ~y_now ~threshold in
+    answer ~faults ~info:[] None (Clink.infer model r ~bad_paths:bad)
   in
   {
     name = "clink";
     descr = "prior-weighted failure-set diagnosis (Nguyen & Thiran 2007)";
-    caps;
     golden = Detection { min_dr = 0.3; max_fpr = 0.5 };
     estimate;
   }
@@ -242,34 +213,26 @@ let clink =
 (* ---- Fourier-domain segment variances (Chen, Cao & Bu) --------------- *)
 
 let fourier =
-  let caps = { no_caps with tree_only = true; needs_snapshots = true } in
-  let estimate ~threshold (input : Measurement.t) =
-    match tree_of input with
-    | Error r -> Error r
-    | Ok tree ->
-        if Matrix.rows input.Measurement.y_learn < 2 then
-          Error "skipped(needs a learning window of >= 2 snapshots)"
-        else
-          guard (fun () ->
-              let variances, unresolved =
-                Fourier.variances ~tree ~y_learn:input.Measurement.y_learn
-              in
-              on_target input (fun ~health ~note r y_now ->
-                  let res = Plan.solve (Plan.make ~r ~variances ()) y_now in
-                  let health, note =
-                    if unresolved = 0 then (health, note)
-                    else
-                      ( "degraded",
-                        with_note note
-                          (Printf.sprintf "%d unresolved segment variances"
-                             unresolved) )
-                  in
-                  rate_output ~health ~note ~threshold res.Plan.loss_rates))
+  let estimate ~threshold input =
+    tree_of input @@ fun tree ->
+    on_window input [] @@ fun faults y ->
+    let variances, unresolved = Fourier.variances ~tree ~y_learn:y in
+    on_target input faults @@ fun faults r y_now ->
+    match Plan.make ~r ~variances () with
+    | exception Failure msg -> Refused ("phase-2 solve failed: " ^ msg)
+    | plan ->
+        let faults =
+          if unresolved = 0 then faults
+          else
+            faults
+            @ [ Printf.sprintf "%d unresolved segment variances" unresolved ]
+        in
+        rate_answer ~threshold ~faults ~info:[]
+          (Plan.solve plan y_now).Plan.loss_rates
   in
   {
     name = "fourier";
     descr = "ECF segment-variance estimation on trees (Chen, Cao & Bu)";
-    caps;
     golden = Abs_err 0.08;
     estimate;
   }
@@ -277,28 +240,22 @@ let fourier =
 (* ---- LIA ------------------------------------------------------------- *)
 
 let lia_adapter ~name ~descr ~solver ~golden =
-  let caps = { no_caps with needs_snapshots = true } in
   let estimate ~threshold (input : Measurement.t) =
-    if Matrix.rows input.Measurement.y_learn < 2 then
-      Error "skipped(needs a learning window of >= 2 snapshots)"
+    if Matrix.rows input.Measurement.y_learn < 2 then short_window
     else
-      guard (fun () ->
-          let checked =
-            Lia.infer_checked ~solver ~r:input.Measurement.r
-              ~y_learn:input.Measurement.y_learn
-              ~y_now:input.Measurement.y_now ()
-          in
-          let health = Lia.health_label checked.Lia.health in
-          let note =
-            match checked.Lia.health with
-            | Lia.Clean -> ""
-            | h -> Lia.health_summary h
-          in
-          match checked.Lia.result with
-          | None -> refused note
-          | Some res -> rate_output ~health ~note ~threshold res.Lia.loss_rates)
+      let checked =
+        Lia.infer_checked ~solver ~r:input.Measurement.r
+          ~y_learn:input.Measurement.y_learn ~y_now:input.Measurement.y_now ()
+      in
+      let summary = Lia.health_summary checked.Lia.health in
+      match (checked.Lia.health, checked.Lia.result) with
+      | _, None -> Refused summary
+      | Lia.Clean, Some res ->
+          rate_answer ~threshold ~faults:[] ~info:[] res.Lia.loss_rates
+      | _, Some res ->
+          rate_answer ~threshold ~faults:[ summary ] ~info:[] res.Lia.loss_rates
   in
-  { name; descr; caps; golden; estimate }
+  { name; descr; golden; estimate }
 
 let lia_dense =
   lia_adapter ~name:"lia-dense"

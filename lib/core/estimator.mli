@@ -4,36 +4,25 @@
     both solver flavors, the related-work baselines it compares against
     in Table 1 (MINC, unicast maximum likelihood, MILS, SCFS, CLINK),
     and the Fourier-domain segment-variance estimator of Chen, Cao & Bu
-    — is wrapped as a first-class {!t}: a name, a capability record
-    saying what inputs and topologies it can consume, and one
-    [estimate] function over the shared {!Measurement.t} bundle.
+    — is wrapped as a first-class {!t}: a name, a golden accuracy bound
+    and one [estimate] function over the shared {!Measurement.t} bundle
+    that returns a typed {!outcome}.
 
     The registry makes apples-to-apples comparison mechanical: the
-    {!Crossval} runner hands every capable backend the {e same}
-    simulated (and possibly fault-injected) measurements and scores
-    them against the same ground truth. Capability mismatches are
-    reported as typed skips ([Error reason]), data faults as a
-    ["refused"] health verdict — never as exception escapes.
+    {!Crossval} runner hands every backend the {e same} simulated (and
+    possibly fault-injected) measurements and scores them against the
+    same ground truth.
 
-    Every backend reads cells by {!Quarantine.cell_valid}: a learning
-    cell it rejects is skipped like NaN, and every backend that solves
-    against the target does so over {!Quarantine.restrict_target}'s
-    usable paths. The excluded paths make the output ["degraded"],
-    noted [target: N invalid paths excluded] ([lia-*] report them as
-    [target: M missing, C corrupt]); a target with no usable path is
-    refused. *)
-
-type capabilities = {
-  tree_only : bool;
-      (** only sound on single-beacon tree topologies (the multicast
-          family); general mesh routing is a typed skip *)
-  needs_snapshots : bool;
-      (** requires a learning window of at least 2 snapshots
-          ([y_learn]); a single target measurement is not enough *)
-  boolean_verdicts : bool;
-      (** a topology-diagnosis method: outputs per-link lossy/not-lossy
-          verdicts only, no loss-rate magnitudes *)
-}
+    Every backend judges its input by one rule. Each one that learns
+    from the window (minc, clink, fourier, [lia-*]) reads the rows
+    {!Quarantine.scrub} keeps: fewer than 2 is refused, and a report
+    that is not clean makes the answer [Degraded], noted [window: kept
+    K/T snapshots (quarantined ...); N invalid cells] ([lia-*] note
+    {!Lia.health_summary}). Each one that solves against the target
+    does so over {!Quarantine.restrict_target}'s usable paths: the
+    excluded paths make the answer [Degraded], noted [target: N invalid
+    paths excluded] ([lia-*]: [target: M missing, C corrupt]), and a
+    target with no usable path is refused. *)
 
 (** What "recovers ground truth" means for each backend on a clean,
     identifiable tree — the contract the golden consistency suite in
@@ -45,34 +34,39 @@ type golden_bound =
       (** lossy-link detection rate / false-positive rate at the
           paper's 1% threshold *)
 
-type output = {
+type health =
+  | Clean
+  | Degraded  (** the backend answered on the usable part of its input *)
+
+type answer = {
   loss_rates : float array option;
       (** per-link loss-rate estimates, always finite when present;
           [None] for pure-diagnosis backends *)
-  verdicts : bool array option;
+  verdicts : bool array;
       (** per-link lossy verdicts at the requested threshold; derived
           from [loss_rates] for rate estimators, native for diagnosis
-          backends. [None] only when the backend refused. *)
-  health : string;  (** ["clean"], ["degraded"], or ["refused"] *)
-  note : string;  (** short deterministic diagnostic (may be empty) *)
+          backends *)
+  health : health;
+  note : string;
+      (** short deterministic diagnostic (may be empty): what degraded
+          the input, then backend details *)
 }
+
+type outcome =
+  | Answer of answer
+  | Refused of string  (** the backend looked at the data and declined *)
+  | Skipped of string
+      (** the input cannot carry the method: no single-beacon tree for
+          minc and fourier, a learning window under 2 snapshots *)
 
 type t = {
   name : string;  (** registry key, e.g. ["lia-dense"] *)
   descr : string;  (** one-line provenance *)
-  caps : capabilities;
   golden : golden_bound;
-  estimate : threshold:float -> Measurement.t -> (output, string) result;
-      (** [Error reason] is a capability skip (wrong topology family,
-          missing inputs); data-quality failures surface as
-          [Ok { health = "refused"; _ }] instead. Deterministic: same
-          bundle, same output. *)
+  estimate : threshold:float -> Measurement.t -> outcome;
+      (** Deterministic: same bundle, same outcome. An exception is a
+          bug, never a verdict on the data. *)
 }
-
-val check : t -> Measurement.t -> (unit, string) result
-(** Capability screen only — the exact [Error] the adapter's [estimate]
-    would return without running it: tree derivability for [tree_only]
-    backends, learning-window size for [needs_snapshots]. *)
 
 val all : t list
 (** The registry, ordered baselines-first: [minc], [em], [mils],

@@ -120,10 +120,15 @@ let health_label = function
 let health_summary = function
   | Clean -> "clean"
   | Degraded d ->
+      let q = d.quarantine in
       Printf.sprintf
         "degraded (%s; pairs used %d/%d, min overlap %d; target: %d missing, \
          %d corrupt)"
-        (Quarantine.summary d.quarantine)
+        (if Quarantine.clean q then "clean: " ^ Quarantine.summary q
+         else
+           Printf.sprintf "%s; %d missing cells, %d corrupt cells"
+             (Quarantine.summary q) q.Quarantine.missing_cells
+             q.Quarantine.corrupt_cells)
         d.ess.Variance_estimator.pairs_used d.ess.Variance_estimator.pairs_total
         d.ess.Variance_estimator.samples_min d.target_missing d.target_corrupt
   | Refused reason -> Printf.sprintf "refused (%s)" reason

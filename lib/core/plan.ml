@@ -169,7 +169,7 @@ let result_of_x p x_star =
     removed = Array.copy p.removed;
   }
 
-let least_squares_x p y_now =
+let least_squares p y_now =
   match p.fact with
   | Direct { r_star; factor } ->
       Cholesky.solve_ordered_vec factor (Sparse.tmul_vec r_star y_now)
@@ -179,7 +179,7 @@ let least_squares_x p y_now =
 let solve p y_now =
   if Array.length y_now <> p.np then invalid_arg "Lia: measurement length mismatch";
   Obs.Event.kernel ~hist:m_solve "plan.solve" @@ fun () ->
-  result_of_x p (least_squares_x p y_now)
+  result_of_x p (least_squares p y_now)
 
 let solve_batch ?jobs p y =
   if Matrix.cols y <> p.np then invalid_arg "Lia: measurement length mismatch";
@@ -195,7 +195,7 @@ let solve_batch ?jobs p y =
      every [jobs] value *)
   let out = Array.make snapshots (result_of_x p (Array.make (rank p) 0.)) in
   Parallel.Pool.parallel_for ?jobs ~min_block:1 ~n:snapshots (fun l ->
-      out.(l) <- result_of_x p (least_squares_x p (Matrix.row y l)));
+      out.(l) <- result_of_x p (least_squares p (Matrix.row y l)));
   if Obs.Metrics.enabled Obs.Metrics.default && snapshots > 0 then begin
     (* the batch is timed as one pass; attribute the per-snapshot
        average to each so the histogram stays per-snapshot *)

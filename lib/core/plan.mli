@@ -10,8 +10,8 @@
     [R*ᵀy] and two sparse triangular sweeps, instead of redoing the rank
     reduction and the factorization per snapshot. It is the only way
     learnt variances reach a diagnosis: {!Lia.infer}, the Fourier
-    estimator, {!Monitor} (which caches its plan next to its variances)
-    and [lia_cli infer --snapshots] all solve through one.
+    estimator, {!Monitor} (which caches its plan next to its variances),
+    {!Delay_lia} and [lia_cli infer --snapshots] all solve through one.
 
     Build-vs-solve complexity, for [n_p] paths, [n_c] links, [k] kept
     columns, [M] snapshots, [|L|] the entries of the factor of
@@ -95,8 +95,8 @@ val make :
     backend (default {!Dense_qr}). Raises [Invalid_argument] when
     [variances] does not have one entry per column of [r], and [Failure]
     when {!Dense_qr}'s [R*ᵀR*] is not positive definite to working
-    precision (a pivot at or below zero; [Lia.infer_checked] reports it
-    as a refused Phase 2). [jobs] (default
+    precision (a pivot at or below zero; [Lia.infer_checked] and the
+    fourier estimator report it as a refused Phase 2). [jobs] (default
     [Parallel.Pool.default_jobs ()]) parallelizes the Gram build and the
     block-Jacobi factors; the plan is bit-for-bit identical for every
     value. *)
@@ -108,6 +108,12 @@ val solve : t -> Linalg.Vector.t -> result
 (** [solve p y_now] infers per-link loss rates for one measurement
     vector (length = paths of the plan's [r]; raises [Invalid_argument]
     otherwise). *)
+
+val least_squares : t -> Linalg.Vector.t -> Linalg.Vector.t
+(** [least_squares p y] solves [R* x = y] in the least-squares sense,
+    [x] indexed like {!kept}: the vector {!solve} exponentiates, for
+    measurements that are not log rates ({!Delay_lia}). Raises
+    [Invalid_argument] unless [y] has one entry per path. *)
 
 val solve_batch : ?jobs:int -> t -> Linalg.Matrix.t -> result array
 (** [solve_batch p y] solves every row of the [M × n_p] snapshot matrix

@@ -42,33 +42,26 @@ let clean r =
   r.quarantined = [] && r.missing_cells = 0 && r.corrupt_cells = 0
 
 let summary r =
-  if clean r then
-    Printf.sprintf "clean: kept %d/%d snapshots" (Array.length r.kept) r.total
-  else begin
-    let all = ref 0 and excess = ref 0 and dup = ref 0 in
-    List.iter
-      (fun (_, reason) ->
-        match reason with
-        | All_missing -> incr all
-        | Excess_missing _ -> incr excess
-        | Duplicate_of _ -> incr dup)
-      r.quarantined;
-    let reasons =
-      List.filter_map
-        (fun (n, label) ->
-          if !n > 0 then Some (Printf.sprintf "%d %s" !n label) else None)
-        [ (all, "all-missing"); (excess, "excess-missing"); (dup, "duplicate") ]
-    in
-    Printf.sprintf
-      "kept %d/%d snapshots%s; %d missing cells, %d corrupt cells"
-      (Array.length r.kept) r.total
-      (if reasons = [] then ""
-       else
-         Printf.sprintf " (quarantined %d: %s)"
-           (List.length r.quarantined)
-           (String.concat ", " reasons))
-      r.missing_cells r.corrupt_cells
-  end
+  let all = ref 0 and excess = ref 0 and dup = ref 0 in
+  List.iter
+    (fun (_, reason) ->
+      match reason with
+      | All_missing -> incr all
+      | Excess_missing _ -> incr excess
+      | Duplicate_of _ -> incr dup)
+    r.quarantined;
+  let reasons =
+    List.filter_map
+      (fun (n, label) ->
+        if !n > 0 then Some (Printf.sprintf "%d %s" !n label) else None)
+      [ (all, "all-missing"); (excess, "excess-missing"); (dup, "duplicate") ]
+  in
+  Printf.sprintf "kept %d/%d snapshots%s" (Array.length r.kept) r.total
+    (if reasons = [] then ""
+     else
+       Printf.sprintf " (quarantined %d: %s)"
+         (List.length r.quarantined)
+         (String.concat ", " reasons))
 
 (* A valid measurement is a finite log success rate <= 0. NaN is a
    missing measurement; everything else is corrupt and downgraded to

@@ -61,9 +61,9 @@ val clean : report -> bool
 (** No quarantined rows, no missing cells, no corrupt cells. *)
 
 val summary : report -> string
-(** One line, e.g. ["kept 9/12 snapshots (quarantined 3: 1 all-missing, 1
-    excess-missing, 1 duplicate); 14 missing cells, 5 corrupt cells"];
-    ["clean: kept 12/12 snapshots"] when {!clean}. *)
+(** The row accounting in one line, e.g. ["kept 9/12 snapshots
+    (quarantined 3: 1 all-missing, 1 excess-missing, 1 duplicate)"], or
+    ["kept 12/12 snapshots"]. Each reader words the cell counts itself. *)
 
 val scrub :
   ?max_missing_fraction:float -> Linalg.Matrix.t -> Linalg.Matrix.t * report

@@ -15,9 +15,9 @@ let links rng ~nodes ~m =
   let endpoint_array = ref (Array.of_list !endpoints) in
   for v = m + 1 to nodes - 1 do
     let chosen = Hashtbl.create m in
-    let guard = ref 0 in
-    while Hashtbl.length chosen < m && !guard < 10000 do
-      incr guard;
+    let draws = ref 0 in
+    while Hashtbl.length chosen < m && !draws < 10000 do
+      incr draws;
       let u = Rng.choose rng !endpoint_array in
       if u <> v then Hashtbl.replace chosen u ()
     done;

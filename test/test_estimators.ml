@@ -189,16 +189,13 @@ let test_golden_registry () =
   let actual = Array.map (fun q -> q > threshold) actual_rates in
   List.iter
     (fun (e : Estimator.t) ->
-      (match Estimator.check e input with
-      | Ok () -> ()
-      | Error reason ->
-          Alcotest.failf "%s not capable on the golden tree: %s"
-            e.Estimator.name reason);
       match e.Estimator.estimate ~threshold input with
-      | Error reason -> Alcotest.failf "%s skipped: %s" e.Estimator.name reason
-      | Ok out -> (
-          Alcotest.(check string)
-            (e.Estimator.name ^ " health") "clean" out.Estimator.health;
+      | Estimator.Skipped reason | Estimator.Refused reason ->
+          Alcotest.failf "%s skipped or refused: %s" e.Estimator.name reason
+      | Estimator.Answer out -> (
+          Alcotest.(check bool)
+            (e.Estimator.name ^ " health clean") true
+            (out.Estimator.health = Estimator.Clean);
           match e.Estimator.golden with
           | Estimator.Abs_err tol -> (
               match out.Estimator.loss_rates with
@@ -214,18 +211,16 @@ let test_golden_registry () =
                   if mean > tol then
                     Alcotest.failf "%s mean abs error %.4f exceeds %.4f"
                       e.Estimator.name mean tol)
-          | Estimator.Detection { min_dr; max_fpr } -> (
-              match out.Estimator.verdicts with
-              | None ->
-                  Alcotest.failf "%s: no verdicts returned" e.Estimator.name
-              | Some verdicts ->
-                  let loc = Core.Metrics.location ~actual ~inferred:verdicts in
-                  if loc.Core.Metrics.dr < min_dr then
-                    Alcotest.failf "%s detection rate %.2f below %.2f"
-                      e.Estimator.name loc.Core.Metrics.dr min_dr;
-                  if loc.Core.Metrics.fpr > max_fpr then
-                    Alcotest.failf "%s false-positive rate %.2f above %.2f"
-                      e.Estimator.name loc.Core.Metrics.fpr max_fpr)))
+          | Estimator.Detection { min_dr; max_fpr } ->
+              let loc =
+                Core.Metrics.location ~actual ~inferred:out.Estimator.verdicts
+              in
+              if loc.Core.Metrics.dr < min_dr then
+                Alcotest.failf "%s detection rate %.2f below %.2f"
+                  e.Estimator.name loc.Core.Metrics.dr min_dr;
+              if loc.Core.Metrics.fpr > max_fpr then
+                Alcotest.failf "%s false-positive rate %.2f above %.2f"
+                  e.Estimator.name loc.Core.Metrics.fpr max_fpr))
     Estimator.all
 
 let test_registry_names () =
@@ -260,13 +255,11 @@ let test_all_nan_target_refused () =
     (fun name ->
       let e = Option.get (Estimator.find name) in
       match e.Estimator.estimate ~threshold:0.01 input with
-      | Error reason -> Alcotest.failf "%s skipped: %s" name reason
-      | Ok out ->
-          Alcotest.(check string) (name ^ " health") "refused" out.Estimator.health;
+      | Estimator.Refused note ->
           Alcotest.(check string)
-            (name ^ " note") "no usable target measurements" out.Estimator.note;
-          Alcotest.(check bool) (name ^ " no verdicts") true
-            (out.Estimator.verdicts = None))
+            (name ^ " note") "no usable target measurements" note
+      | Estimator.Skipped reason -> Alcotest.failf "%s skipped: %s" name reason
+      | Estimator.Answer _ -> Alcotest.failf "%s answered" name)
     [ "em"; "mils"; "scfs"; "clink"; "fourier" ]
 
 (* --- adapter bit-identity (qcheck) -------------------------------------- *)
@@ -278,9 +271,10 @@ let adapter name =
 
 let adapter_rates name input =
   match (adapter name).Estimator.estimate ~threshold:0.01 input with
-  | Ok { Estimator.loss_rates = Some rates; _ } -> rates
-  | Ok _ -> Alcotest.failf "%s returned no rates" name
-  | Error reason -> Alcotest.failf "%s skipped: %s" name reason
+  | Estimator.Answer { Estimator.loss_rates = Some rates; _ } -> rates
+  | Estimator.Answer _ -> Alcotest.failf "%s returned no rates" name
+  | Estimator.Skipped reason | Estimator.Refused reason ->
+      Alcotest.failf "%s skipped or refused: %s" name reason
 
 let trial_input seed =
   let r, y_learn, target = Generators.random_tree_trial seed in
@@ -337,8 +331,8 @@ let prop_scfs_adapter_bit_identical =
       in
       let direct = Core.Scfs.infer input.Measurement.r ~bad_paths:bad in
       match (adapter "scfs").Estimator.estimate ~threshold input with
-      | Ok { Estimator.verdicts = Some v; _ } -> v = direct
-      | _ -> false)
+      | Estimator.Answer { Estimator.verdicts; _ } -> verdicts = direct
+      | Estimator.Skipped _ | Estimator.Refused _ -> false)
 
 (* --- one cell rule (qcheck) ------------------------------------------- *)
 
@@ -347,18 +341,20 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let outputs_equal (a : Estimator.output) (b : Estimator.output) =
+let same_estimates (a : Estimator.answer) (b : Estimator.answer) =
   (match (a.Estimator.loss_rates, b.Estimator.loss_rates) with
   | Some x, Some y -> Generators.vec_bits_equal x y
   | None, None -> true
   | _ -> false)
   && a.Estimator.verdicts = b.Estimator.verdicts
-  && a.Estimator.health = b.Estimator.health
+
+let outputs_equal a b = same_estimates a b && a.Estimator.health = b.Estimator.health
 
 let run_backend name input =
   match (adapter name).Estimator.estimate ~threshold:0.01 input with
-  | Ok out -> out
-  | Error reason -> Alcotest.failf "%s skipped: %s" name reason
+  | Estimator.Answer out -> out
+  | Estimator.Skipped reason | Estimator.Refused reason ->
+      Alcotest.failf "%s skipped or refused: %s" name reason
 
 (* every kind of corrupt cell: infinite, or a positive log rate (success
    rate above 1); an unusable cell may also be missing *)
@@ -414,7 +410,7 @@ let prop_target_cells_one_rule =
         (fun name ->
           let out = run_backend name faulty in
           outputs_equal out (run_backend name as_missing)
-          && out.Estimator.health = "degraded"
+          && out.Estimator.health = Estimator.Degraded
           && contains out.Estimator.note excluded)
         [ "em"; "mils"; "scfs"; "clink"; "fourier" ]
       &&
@@ -449,6 +445,37 @@ let prop_learning_cells_one_rule =
         (fun name ->
           let a = run_backend name faulty and b = run_backend name as_missing in
           outputs_equal a b && a.Estimator.note = b.Estimator.note)
+        [ "minc"; "fourier"; "clink" ])
+
+(* Every backend that learns from the window reads [Quarantine.scrub]'s
+   rows. A window with a replayed row and some missing and corrupt cells
+   must answer bit for bit what the scrubbed window answers, degraded,
+   with the kept and total rows in the note. *)
+let prop_window_rule =
+  QCheck.Test.make ~count:12
+    ~name:"minc, fourier, clink learn on the rows scrub keeps"
+    Generators.seed_arb (fun seed ->
+      let input = campaign_input seed in
+      let rng = Rng.create (seed + 15485863) in
+      let y = input.Measurement.y_learn in
+      let m = Matrix.rows y and np = Matrix.cols y in
+      let y' = Matrix.init m np (fun l i -> Matrix.get y l i) in
+      for _ = 0 to np / 8 do
+        Matrix.set y' (Rng.int rng m) (Rng.int rng np) Float.nan;
+        Matrix.set y' (Rng.int rng m) (Rng.int rng np) (corrupt_cell rng)
+      done;
+      for i = 0 to np - 1 do
+        Matrix.set y' 1 i (Matrix.get y' 0 i)
+      done;
+      let scrubbed = fst (Core.Quarantine.scrub y') in
+      let kept = Printf.sprintf "kept %d/%d snapshots" (Matrix.rows scrubbed) m in
+      List.for_all
+        (fun name ->
+          let a = run_backend name { input with Measurement.y_learn = y' } in
+          same_estimates a
+            (run_backend name { input with Measurement.y_learn = scrubbed })
+          && a.Estimator.health = Estimator.Degraded
+          && contains a.Estimator.note kept)
         [ "minc"; "fourier"; "clink" ])
 
 let () =
@@ -486,7 +513,11 @@ let () =
         ] );
       ( "cell-rule",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_target_cells_one_rule; prop_learning_cells_one_rule ] );
+          [
+            prop_target_cells_one_rule;
+            prop_learning_cells_one_rule;
+            prop_window_rule;
+          ] );
       ( "adapter-identity",
         List.map QCheck_alcotest.to_alcotest
           [

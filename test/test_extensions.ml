@@ -256,6 +256,31 @@ let test_anomaly_end_to_end () =
   Alcotest.(check bool) "the congested link is a suspect" true
     links.(Sparse.cols r / 2)
 
+(* A missing learning cell costs its path one sample, not the baseline:
+   with one NaN in path 1's window, a target far below both baselines
+   flags both paths. *)
+let nan_window =
+  [|
+    [| -0.1; -0.2 |]; [| -0.12; Float.nan |]; [| -0.11; -0.18 |]; [| -0.09; -0.22 |];
+  |]
+
+let test_anomaly_skips_missing_cells () =
+  let model = Anomaly.learn (Matrix.of_arrays nan_window) in
+  close ~tol:1e-12 "mean over usable cells" (-0.2) model.Anomaly.mean.(1);
+  Alcotest.(check (array bool)) "both paths flagged" [| true; true |]
+    (Anomaly.anomalous_paths model ~y_now:[| -2.; -2. |])
+
+let test_anomaly_monitor_missing_cell () =
+  let m = Monitor.create ~r:(Sparse.create ~cols:2 [| [| 0 |]; [| 1 |] |]) ~window:4 in
+  Array.iter
+    (fun y ->
+      match Monitor.observe_checked m y with
+      | Monitor.Accepted | Monitor.Accepted_degraded _ -> ()
+      | Monitor.Rejected _ -> Alcotest.fail "snapshot rejected")
+    nan_window;
+  Alcotest.(check (array bool)) "both paths flagged" [| true; true |]
+    (Anomaly.anomalous_paths (Monitor.anomaly_model m) ~y_now:[| -2.; -2. |])
+
 (* --- Monitor ------------------------------------------------------------------------ *)
 
 let test_monitor_window () =
@@ -406,6 +431,10 @@ let () =
           Alcotest.test_case "detects degradation" `Quick test_anomaly_detects_degradation;
           Alcotest.test_case "localization" `Quick test_anomaly_localization;
           Alcotest.test_case "end to end" `Slow test_anomaly_end_to_end;
+          Alcotest.test_case "missing cells keep the baseline" `Quick
+            test_anomaly_skips_missing_cells;
+          Alcotest.test_case "monitor window with a missing cell" `Quick
+            test_anomaly_monitor_missing_cell;
         ] );
       ( "monitor",
         [
