@@ -70,8 +70,12 @@ let run () =
         let { Core.Rank_reduction.kept; _ } =
           eliminate t.Exp_common.r t.Exp_common.result.Core.Lia.variances
         in
-        let r_star = Linalg.Sparse.dense_cols t.Exp_common.r kept in
-        let x = Linalg.Qr.solve r_star t.Exp_common.target.Snapshot.y in
+        (* eq. (9) on the kept columns: the normal equations Plan solves *)
+        let x =
+          Linalg.Sparse.least_squares
+            (Linalg.Sparse.select_cols t.Exp_common.r kept)
+            t.Exp_common.target.Snapshot.y
+        in
         let nc = Linalg.Sparse.cols t.Exp_common.r in
         let loss = Array.make nc 0. in
         Array.iteri (fun k j -> loss.(j) <- 1. -. Float.min 1. (exp x.(k))) kept;

@@ -19,7 +19,12 @@ let run () =
   let tb = Topology.Waxman.generate rng ~nodes:24 ~hosts:10 ~alpha:0.4 ~beta:0.3 () in
   let tm, od = Tm.of_testbed tb in
   let n_flows = Array.length od and n_links = Sparse.rows tm.Tm.routes in
-  let rank = Linalg.Qr.matrix_rank (Sparse.to_dense tm.Tm.routes) in
+  (* the first-moment rank, exactly: the links' rows into one basis *)
+  let basis = Linalg.Exact_basis.create ~dim:n_flows in
+  for l = 0 to n_links - 1 do
+    ignore (Linalg.Exact_basis.try_add basis (Sparse.row tm.Tm.routes l))
+  done;
+  let rank = Linalg.Exact_basis.size basis in
   Exp_common.note "%d OD flows over %d links; first-moment rank %d < %d flows"
     n_flows n_links rank n_flows;
   Exp_common.note "second-moment system identifiable: %b" (Tm.identifiable tm);

@@ -33,10 +33,16 @@ let measurements_arg =
     & info [ "y"; "measurements" ] ~docv:"FILE"
         ~doc:"Measurement file (from $(b,sim)).")
 
-(* a flag whose value has no range of its own still has to be a number *)
-let require_finite flag x =
-  if not (Float.is_finite x) then
-    failwith (Printf.sprintf "%s must be a finite number, got %g" flag x)
+(* Range checks of flag values, run before any file is opened. A float
+   flag must be a number first, so nan and inf fail the same way
+   everywhere. *)
+let require_float flag ~range ok x =
+  let fail what = failwith (Printf.sprintf "%s must be %s, got %g" flag what x) in
+  if not (Float.is_finite x) then fail "a finite number"
+  else if not (ok x) then fail range
+
+let require_count flag n =
+  if n < 0 then failwith (Printf.sprintf "%s must be at least 0, got %d" flag n)
 
 (* Raised after the health verdict has been printed; mapped to exit 3 in
    [main] so refusals are distinguishable from data errors (exit 2). *)
@@ -467,7 +473,11 @@ let infer_cmd =
   in
   let run testbed measurements snapshots fault_spec threshold top jobs solver
       cgls_tol cgls_max_iter precond obs_cfg =
-    require_finite "--threshold" threshold;
+    require_float "--threshold" ~range:"in (0, 1)"
+      (fun x -> 0. < x && x < 1.)
+      threshold;
+    require_count "--top" top;
+    if jobs < 1 then failwith "--jobs must be at least 1";
     with_obs obs_cfg @@ fun () ->
     let log = Obs.Logger.default in
     let tb = Topology.Serial.load testbed in
@@ -484,7 +494,6 @@ let infer_cmd =
           ("paths", Obs.Field.Int (Sparse.rows r));
           ("links", Obs.Field.Int (Sparse.cols r));
         ];
-    if jobs < 1 then failwith "--jobs must be at least 1";
     match snapshots with
     | None ->
         (* The default diagnosis path is quarantine-aware: it loads
@@ -588,7 +597,7 @@ let validate_cmd =
       & info [ "epsilon" ] ~docv:"EPS" ~doc:"Tolerance of eq. (11).")
   in
   let run testbed measurements epsilon seed =
-    require_finite "--epsilon" epsilon;
+    require_float "--epsilon" ~range:"at least 0" (fun x -> x >= 0.) epsilon;
     let tb = Topology.Serial.load testbed in
     let red = routing_of_testbed tb in
     let r = red.Topology.Routing.matrix in
@@ -690,6 +699,8 @@ let report_cmd =
   in
   let read path = In_channel.with_open_text path In_channel.input_all in
   let run recorder trace metrics convergence top tail =
+    require_count "--top" top;
+    require_count "--tail" tail;
     if recorder = None && trace = None && metrics = None && convergence = None
     then
       failwith

@@ -48,15 +48,26 @@ let () =
   let pa = path_rates assignment_a and pb = path_rates assignment_b in
   Printf.printf "assignment A -> path rates: %.3f %.3f %.3f\n" pa.(0) pa.(1) pa.(2);
   Printf.printf "assignment B -> path rates: %.3f %.3f %.3f\n" pb.(0) pb.(1) pb.(2);
+  (* rank(R), exactly: the paths' rows into one basis *)
+  let basis = Linalg.Exact_basis.create ~dim:(Sparse.cols r) in
+  for i = 0 to Sparse.rows r - 1 do
+    ignore (Linalg.Exact_basis.try_add basis (Sparse.row r i))
+  done;
   Printf.printf "rank(R) = %d < %d links: means alone cannot tell A from B\n"
-    (Linalg.Qr.matrix_rank (Sparse.to_dense r))
-    (Sparse.cols r);
+    (Linalg.Exact_basis.size basis) (Sparse.cols r);
 
   section "Second moments are identifiable (Theorem 1)";
-  let a = Core.Augmented.build r in
+  (* rank(A) is the link count less the columns Theorem 1's exact test
+     finds dependent *)
+  let dependent =
+    match Core.Identifiability.check r with
+    | Core.Identifiability.Identifiable -> 0
+    | Core.Identifiability.Dependent js -> List.length js
+  in
   Printf.printf "augmented matrix A: %d rows x %d cols, rank %d (full)\n"
-    (Sparse.rows a) (Sparse.cols a)
-    (Linalg.Qr.matrix_rank (Sparse.to_dense a));
+    (Core.Augmented.row_count ~np:(Sparse.rows r))
+    (Sparse.cols r)
+    (Sparse.cols r - dependent);
 
   section "Simulate a campaign and run LIA";
   let rng = Nstats.Rng.create 2024 in

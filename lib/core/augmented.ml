@@ -7,39 +7,6 @@ let row_index ~np ~i ~j =
   (* rows for pairs with i = 0 first: i full blocks of decreasing size *)
   (i * np) - (i * (i - 1) / 2) + (j - i)
 
-let row_pair ~np k =
-  if k < 0 || k >= row_count ~np then invalid_arg "Augmented.row_pair: bad row";
-  let rec find i k =
-    let block = np - i in
-    if k < block then (i, i + k) else find (i + 1) (k - block)
-  in
-  find 0 k
-
-let m_build =
-  Obs.Metrics.histogram Obs.Metrics.default
-    ~help:"Seconds per augmented-matrix assembly (Definition 1)"
-    "lia_augmented_build_seconds"
-
-let build ?jobs r =
-  let np = Sparse.rows r in
-  let nc = Sparse.cols r in
-  let total = row_count ~np in
-  Obs.Event.kernel ~hist:m_build
-    ~fields:[ ("np", Obs.Field.Int np); ("rows", Obs.Field.Int total) ]
-    "augmented.build"
-  @@ fun () ->
-  let rows = Array.make total [||] in
-  (* each augmented row is written by exactly one block, so the result is
-     independent of the jobs value *)
-  let blocks = Parallel.Chunk.block_count total in
-  Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-      let lo, hi = Parallel.Chunk.range ~blocks ~n:total bk in
-      Parallel.Chunk.iter_pairs ~np ~lo ~hi (fun k i j ->
-          rows.(k) <-
-            (if i = j then Sparse.row r i
-             else Sparse.row_product (Sparse.row r i) (Sparse.row r j))));
-  Sparse.create ~cols:nc rows
-
 (* --- the non-empty pairs ------------------------------------------------ *)
 
 (* First position of [x] or above in the increasing array [c]. *)

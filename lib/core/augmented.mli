@@ -5,25 +5,18 @@
     (which is [Ri∗] itself when [i = j], since [R] is 0/1). Lemma 1 turns
     [Σ = R diag(v) Rᵀ] into the linear system [Σ* = A v], and Theorem 1
     shows [A] has full column rank for every valid topology — this is what
-    makes the link variances identifiable. *)
+    makes the link variances identifiable.
+
+    The library never forms [A]: with n_p(n_p+1)/2 rows it is quadratic
+    in the path count, and most of its rows are empty ({!pairs}). *)
 
 val row_index : np:int -> i:int -> j:int -> int
 (** Row of the pair [(i, j)], [0 <= i <= j < np], in the canonical
     upper-triangular order: all pairs [(0, j)], then [(1, j)], etc.
     Raises [Invalid_argument] on a bad pair. *)
 
-val row_pair : np:int -> int -> int * int
-(** Inverse of {!row_index}. *)
-
 val row_count : np:int -> int
 (** [np * (np+1) / 2]. *)
-
-val build : ?jobs:int -> Linalg.Sparse.t -> Linalg.Sparse.t
-(** The full augmented matrix, rows in {!row_index} order. For [n_p] paths
-    this has [n_p (n_p + 1) / 2] rows; it stays cheap because rows are
-    stored sparsely. Row generation is spread over [jobs] domains
-    (default [Parallel.Pool.default_jobs ()]); each row is produced by
-    exactly one block, so the result is identical for every [jobs]. *)
 
 (** {1 The non-empty rows}
 
@@ -38,8 +31,8 @@ val pairs :
 (** [pairs r] is [(is, js, s)]: entry [p] is the pair [(is.(p), js.(p))],
     [is.(p) <= js.(p)], whose routing rows intersect, and row [p] of [s]
     is that intersection — row {!row_index}[ ~i:is.(p) ~j:js.(p)] of
-    {!build}. Every such pair appears once, in increasing {!row_index}
-    order; pairs with an empty intersection do not appear.
+    [A]. Every such pair appears once, in increasing {!row_index} order;
+    pairs with an empty intersection do not appear.
 
     The pairs are found through the link→paths index
     ({!Linalg.Sparse.cols_index}), so the cost follows the number of

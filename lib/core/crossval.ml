@@ -277,12 +277,6 @@ let m_cell_seconds =
     ~help:"Wall seconds per estimate call (excluding data generation)"
     "lia_crossval_cell_seconds"
 
-(* [Gc.minor_words ()] reads the allocation pointer; the [quick_stat]
-   field is only refreshed at GC events in native code *)
-let allocated_words () =
-  let g = Gc.quick_stat () in
-  Gc.minor_words () +. g.Gc.major_words -. g.Gc.promoted_words
-
 let evaluate ~threshold ~snapshots ~probes (est : Estimator.t) scenario =
   match build ~snapshots ~probes scenario with
   | Error reason ->
@@ -294,11 +288,11 @@ let evaluate ~threshold ~snapshots ~probes (est : Estimator.t) scenario =
         alloc_words = 0.;
       }
   | Ok (input, truth) ->
-      let g0 = allocated_words () in
+      let g0 = Obs.Event.alloc_words () in
       let t0 = Obs.Clock.now_ns () in
       let res = est.Estimator.estimate ~threshold input in
       let wall_s = Obs.Clock.seconds_since t0 in
-      let alloc_words = allocated_words () -. g0 in
+      let alloc_words = Obs.Event.alloc_words () -. g0 in
       Obs.Metrics.incr m_cells;
       Obs.Metrics.observe m_cell_seconds wall_s;
       let outcome =

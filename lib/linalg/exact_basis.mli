@@ -11,8 +11,9 @@
     first, only by the basis vectors whose pivot it holds.
 
     Rank over GF(p) equals rank over the rationals unless p divides
-    every maximal minor of the vectors; the test suite checks it against
-    {!Qr.matrix_rank} on every topology family. *)
+    every maximal minor of the vectors; the test suite checks it on every
+    topology family against the float rank of a pivoted Householder QR
+    ([matrix_rank] of the tests' [Oracle.Qr], which is not shipped). *)
 
 type t
 (** Mutable, and both queries use its scratch space: do not use one

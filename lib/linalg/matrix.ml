@@ -134,33 +134,6 @@ let diag v =
   let n = Array.length v in
   init n n (fun i j -> if i = j then v.(i) else 0.)
 
-let diagonal m = Array.init (min m.rows m.cols) (fun i -> get m i i)
-
-let select_cols m idx =
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= m.cols then invalid_arg "Matrix.select_cols: index out of bounds")
-    idx;
-  init m.rows (Array.length idx) (fun i k -> get m i idx.(k))
-
-let drop_cols m to_drop =
-  let dropped = Array.make m.cols false in
-  List.iter
-    (fun j ->
-      if j < 0 || j >= m.cols then invalid_arg "Matrix.drop_cols: index out of bounds";
-      dropped.(j) <- true)
-    to_drop;
-  let kept = ref [] in
-  for j = m.cols - 1 downto 0 do
-    if not dropped.(j) then kept := j :: !kept
-  done;
-  select_cols m (Array.of_list !kept)
-
-let hstack a b =
-  if a.rows <> b.rows then invalid_arg "Matrix.hstack: row mismatch";
-  init a.rows (a.cols + b.cols) (fun i j ->
-      if j < a.cols then get a i j else get b i (j - a.cols))
-
 let vstack a b =
   if a.cols <> b.cols then invalid_arg "Matrix.vstack: column mismatch";
   init (a.rows + b.rows) a.cols (fun i j ->

@@ -69,18 +69,6 @@ val gram : t -> t
 val diag : Vector.t -> t
 (** Square matrix with the given diagonal. *)
 
-val diagonal : t -> Vector.t
-(** Diagonal of a matrix (length [min rows cols]). *)
-
-val select_cols : t -> int array -> t
-(** [select_cols m idx] keeps columns [idx] in the given order. *)
-
-val drop_cols : t -> int list -> t
-(** [drop_cols m idx] removes the listed columns (duplicates allowed). *)
-
-val hstack : t -> t -> t
-(** Horizontal concatenation (same number of rows). *)
-
 val vstack : t -> t -> t
 (** Vertical concatenation (same number of columns). *)
 

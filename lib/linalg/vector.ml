@@ -14,15 +14,9 @@ let check_same_dim name x y =
   if Array.length x <> Array.length y then
     invalid_arg (name ^ ": dimension mismatch")
 
-let add x y =
-  check_same_dim "Vector.add" x y;
-  Array.mapi (fun i xi -> xi +. y.(i)) x
-
 let sub x y =
   check_same_dim "Vector.sub" x y;
   Array.mapi (fun i xi -> xi -. y.(i)) x
-
-let scale a x = Array.map (fun xi -> a *. xi) x
 
 let axpy a x y =
   check_same_dim "Vector.axpy" x y;
@@ -38,40 +32,11 @@ let dot x y =
   done;
   !acc
 
-(* Scaled two-norm: factor out the largest magnitude so that squaring never
-   overflows or underflows to zero for representable inputs. *)
-let norm2 x =
-  let scale_max = Array.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0. x in
-  if scale_max = 0. || Float.is_nan scale_max then scale_max
-  else begin
-    let acc = ref 0. in
-    for i = 0 to Array.length x - 1 do
-      let r = x.(i) /. scale_max in
-      acc := !acc +. (r *. r)
-    done;
-    scale_max *. sqrt !acc
-  end
-
 let norm_inf x = Array.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0. x
-
-let dist2 x y =
-  check_same_dim "Vector.dist2" x y;
-  let acc = ref 0. in
-  for i = 0 to Array.length x - 1 do
-    let d = x.(i) -. y.(i) in
-    acc := !acc +. (d *. d)
-  done;
-  sqrt !acc
 
 let hadamard x y =
   check_same_dim "Vector.hadamard" x y;
   Array.mapi (fun i xi -> xi *. y.(i)) x
-
-let sum x = Array.fold_left ( +. ) 0. x
-
-let mean x =
-  if Array.length x = 0 then invalid_arg "Vector.mean: empty vector";
-  sum x /. float_of_int (Array.length x)
 
 let extreme_index name better x =
   if Array.length x = 0 then invalid_arg name;
@@ -82,8 +47,6 @@ let extreme_index name better x =
   !best
 
 let max_index x = extreme_index "Vector.max_index: empty vector" ( > ) x
-
-let min_index x = extreme_index "Vector.min_index: empty vector" ( < ) x
 
 let sort_indices ?(descending = false) x =
   let idx = Array.init (Array.length x) (fun i -> i) in

@@ -15,14 +15,8 @@ val copy : t -> t
 
 val of_list : float list -> t
 
-val add : t -> t -> t
-(** Element-wise sum. *)
-
 val sub : t -> t -> t
 (** Element-wise difference. *)
-
-val scale : float -> t -> t
-(** [scale a x] is [a * x]. *)
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] updates [y <- a*x + y] in place. *)
@@ -30,28 +24,14 @@ val axpy : float -> t -> t -> unit
 val dot : t -> t -> float
 (** Inner product. *)
 
-val norm2 : t -> float
-(** Euclidean norm, computed with scaling to avoid overflow. *)
-
 val norm_inf : t -> float
 (** Maximum absolute entry ([0.] for the empty vector). *)
-
-val dist2 : t -> t -> float
-(** [dist2 x y] is [norm2 (sub x y)] without allocating. *)
 
 val hadamard : t -> t -> t
 (** Element-wise (Hadamard) product, the [⊗] of the paper. *)
 
-val sum : t -> float
-
-val mean : t -> float
-(** Arithmetic mean. Raises [Invalid_argument] on the empty vector. *)
-
 val max_index : t -> int
 (** Index of a maximal entry. Raises [Invalid_argument] on empty input. *)
-
-val min_index : t -> int
-(** Index of a minimal entry. Raises [Invalid_argument] on empty input. *)
 
 val sort_indices : ?descending:bool -> t -> int array
 (** [sort_indices v] is the permutation that sorts [v] increasingly

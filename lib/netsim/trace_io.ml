@@ -1,12 +1,16 @@
 module Matrix = Linalg.Matrix
 
+(* the primitive Printf calls for "%.17g", without interpreting the
+   format again for every cell *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_string y =
   let b = Buffer.create 65536 in
   Printf.bprintf b "netloss-measurements 1 %d %d\n" (Matrix.rows y) (Matrix.cols y);
   for l = 0 to Matrix.rows y - 1 do
     for i = 0 to Matrix.cols y - 1 do
       if i > 0 then Buffer.add_char b ' ';
-      Printf.bprintf b "%.17g" (Matrix.get y l i)
+      Buffer.add_string b (format_float "%.17g" (Matrix.get y l i))
     done;
     Buffer.add_char b '\n'
   done;

@@ -25,14 +25,14 @@ let route ~ts_us ~fields ~kind name =
 let emit ?(fields = []) ~kind name =
   if on () then route ~ts_us:(Clock.now_us ()) ~fields ~kind name
 
-(* words allocated by this domain so far; quick_stat never walks the
-   heap. Gc.minor_words () reads the live young-pointer (quick_stat's
-   minor_words only updates at minor collections, so short spans would
-   read as zero); the major terms add direct major-heap allocations
-   without double-counting promotions. *)
+(* Gc.minor_words () reads the live young-pointer: quick_stat's minor
+   count only moves at minor collections, and Gc.counters' reads short.
+   Gc.counters' major count includes the words allocated directly in the
+   major heap since the last slice, which quick_stat's lags behind.
+   Subtracting promotions counts a promoted word once. *)
 let alloc_words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* the begin stamp doubles as the span's start, so dur_us is the
    difference of the two events' stamps *)

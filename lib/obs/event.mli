@@ -32,6 +32,12 @@ val span : ?fields:(string * Field.t) list -> string -> (unit -> 'a) -> 'a
     [dur_us] (microseconds) and [alloc_words] (words the span allocated
     on its domain). With every output off: exactly [f ()]. *)
 
+val alloc_words : unit -> float
+(** Words allocated by the calling domain so far, minor and major heap
+    alike; a promoted word counts once. The difference of two readings is
+    what ran between them allocated, plus the few words of a reading
+    itself. Walks no heap. *)
+
 val kernel :
   ?fields:(string * Field.t) list ->
   hist:Metrics.histogram ->

@@ -20,11 +20,3 @@ val range : blocks:int -> n:int -> int -> int * int
     in a balanced partition of [0 .. n-1]: sizes differ by at most one and
     the ranges tile [0, n) in order. Raises [Invalid_argument] if [b] is
     not in [0 .. blocks-1]. *)
-
-val iter_pairs : np:int -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
-(** [iter_pairs ~np ~lo ~hi f] calls [f k i j] for every flattened
-    upper-triangle index [k] in [lo .. hi-1], in increasing order, where
-    [(i, j)] with [0 <= i <= j < np] is pair number [k] in the canonical
-    row-major order — the same order as [Core.Augmented.row_index]. The
-    start pair is located once and then advanced incrementally, so a
-    block of [hi - lo] pairs costs O(np + hi - lo). *)

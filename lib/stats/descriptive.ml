@@ -95,36 +95,3 @@ let mean_vector obs =
     done
   done;
   Array.map (fun s -> s /. float_of_int m) mu
-
-let centered_columns ?jobs obs =
-  let m = Matrix.rows obs and p = Matrix.cols obs in
-  let mu = mean_vector obs in
-  let cols = Array.make p [||] in
-  Parallel.Pool.parallel_for ?jobs ~min_block:64 ~n:p (fun j ->
-      let muj = mu.(j) in
-      cols.(j) <- Array.init m (fun i -> Matrix.get obs i j -. muj));
-  cols
-
-let covariance_matrix ?jobs obs =
-  let m = Matrix.rows obs and p = Matrix.cols obs in
-  if m < 2 then invalid_arg "Descriptive.covariance_matrix: need at least 2 rows";
-  (* pairwise covariance over centered columns, never materializing the
-     dense m×p centered matrix. Each Σ entry is written by exactly one
-     block, so the result is bit-for-bit identical for every [jobs]. *)
-  let cols = centered_columns ?jobs obs in
-  let sigma = Matrix.zeros p p in
-  let scale = 1. /. float_of_int (m - 1) in
-  let npairs = p * (p + 1) / 2 in
-  let blocks = Parallel.Chunk.block_count npairs in
-  Parallel.Pool.for_blocks ?jobs blocks (fun bk ->
-      let lo, hi = Parallel.Chunk.range ~blocks ~n:npairs bk in
-      Parallel.Chunk.iter_pairs ~np:p ~lo ~hi (fun _ j k ->
-          let cj = cols.(j) and ck = cols.(k) in
-          let acc = ref 0. in
-          for i = 0 to m - 1 do
-            acc := !acc +. (cj.(i) *. ck.(i))
-          done;
-          let v = scale *. !acc in
-          Matrix.set sigma j k v;
-          if j <> k then Matrix.set sigma k j v));
-  sigma

@@ -28,14 +28,5 @@ val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [0,1], with linear interpolation between
     order statistics (type-7, the numpy default). *)
 
-val covariance_matrix : ?jobs:int -> Linalg.Matrix.t -> Linalg.Matrix.t
-(** Rows are observations (snapshots), columns are variables (paths). This
-    is the [Σ̂] of eq. (7). Requires at least two rows. Computed as
-    pairwise covariances of centered columns — the dense centered matrix
-    is never materialized — with the pair triangle cut into blocks run on
-    [jobs] domains (default [Parallel.Pool.default_jobs ()]); every entry
-    is written by exactly one block, so the result is bit-for-bit
-    identical for every [jobs]. *)
-
 val mean_vector : Linalg.Matrix.t -> Linalg.Vector.t
 (** Column means of an observation matrix. *)

@@ -1,9 +1,13 @@
-(* The materialized-A Phase-1 solve, kept as the test oracle for the
-   library's estimators, which never form A: the least-squares solution
-   of Σ̂* = A v (eq. 8) over an explicit augmented matrix (Definition 1,
-   Augmented.build) and an explicit Σ̂* (eq. 7, Covariance.sigma_star),
-   through the sparse normal equations or, as in the paper, a dense
-   Householder QR.
+(* The dense references the library's kernels are tested against. None
+   of them is shipped: the library answers every rank question exactly
+   (Linalg.Exact_basis), solves least squares by the ordered sparse
+   Cholesky, and never forms the augmented matrix A or the full Σ̂*.
+
+   The first part is the materialized-A Phase-1 solve: the least-squares
+   solution of Σ̂* = A v (eq. 8) over an explicit augmented matrix
+   (Definition 1, [Augmented.build]) and an explicit Σ̂* (eq. 7,
+   [Covariance.sigma_star]), through the sparse normal equations or, as
+   in the paper, a dense Householder QR ([Qr]).
 
    The default stays the regularized normal equations: the drop-negative
    rule can cost A column rank (on test_estimators' 80-node tree, seed
@@ -11,7 +15,324 @@
    such a system. *)
 
 module Sparse = Linalg.Sparse
-module Qr = Linalg.Qr
+
+(* Householder orthogonal-triangular factorization, the solver the paper
+   uses for the moment systems (Golub & Van Loan): A = Q R with Q
+   orthogonal and R upper triangular, the Householder vectors kept in
+   factored form. It is the accuracy reference of eqs. (8)-(9) and the
+   float rank the exact rank kernel is checked against.
+
+   A factorization keeps its own row-major copy of the matrix as a plain
+   [float array]; every kernel here reads and writes that array directly,
+   so none of them allocates per entry. *)
+module Qr = struct
+  module Matrix = Linalg.Matrix
+  module Vector = Linalg.Vector
+
+  type t = {
+    m : int;
+    n : int;
+    a : float array;
+        (* m × n, row-major: R in and above the diagonal, Householder
+           vectors below *)
+    beta : float array; (* Householder coefficients, one per reflection *)
+    piv : int array; (* piv.(j) = original index of factored column j *)
+  }
+
+  (* monomorphic and local, so that they inline to a plain float load or
+     store instead of boxing every entry *)
+  let get (a : float array) w i j = Array.unsafe_get a ((i * w) + j) [@@inline]
+
+  let set (a : float array) w i j (x : float) =
+    Array.unsafe_set a ((i * w) + j) x
+  [@@inline]
+
+  (* the row-major payload of [mat], copied *)
+  let flat mat =
+    let rows = Matrix.rows mat and cols = Matrix.cols mat in
+    let a = Array.make (rows * cols) 0. in
+    for i = 0 to rows - 1 do
+      Array.blit (Matrix.row mat i) 0 a (i * cols) cols
+    done;
+    a
+
+  (* Build the Householder reflection annihilating a.(k+1..m-1, k); store
+     the vector below the diagonal with the implicit convention
+     v.(k) = 1. *)
+  let house_column a m n k =
+    let alpha = ref 0. in
+    for i = k to m - 1 do
+      let x = get a n i k in
+      alpha := !alpha +. (x *. x)
+    done;
+    let alpha = sqrt !alpha in
+    if alpha = 0. then 0.
+    else begin
+      let akk = get a n k k in
+      let alpha = if akk > 0. then -.alpha else alpha in
+      let v0 = akk -. alpha in
+      (* v = x - alpha e1; normalize so v.(k) = 1 *)
+      if v0 = 0. then 0.
+      else begin
+        for i = k + 1 to m - 1 do
+          set a n i k (get a n i k /. v0)
+        done;
+        let vtv = ref 1. in
+        for i = k + 1 to m - 1 do
+          let v = get a n i k in
+          vtv := !vtv +. (v *. v)
+        done;
+        set a n k k alpha;
+        2. /. !vtv
+      end
+    end
+
+  let apply_house_to_col a m n k beta j =
+    (* column j of the trailing matrix: x <- x - beta v (v' x) *)
+    let vtx = ref (get a n k j) in
+    for i = k + 1 to m - 1 do
+      vtx := !vtx +. (get a n i k *. get a n i j)
+    done;
+    let s = beta *. !vtx in
+    set a n k j (get a n k j -. s);
+    for i = k + 1 to m - 1 do
+      set a n i j (get a n i j -. (s *. get a n i k))
+    done
+
+  let factorize_gen ~pivot mat =
+    let m = Matrix.rows mat and n = Matrix.cols mat in
+    let a = flat mat in
+    let steps = min m n in
+    let beta = Array.make (max steps 0) 0. in
+    let piv = Array.init n (fun j -> j) in
+    let colnorm2 =
+      if pivot then
+        Array.init n (fun j -> Vector.dot (Matrix.col mat j) (Matrix.col mat j))
+      else [||]
+    in
+    let swap_cols j1 j2 =
+      if j1 <> j2 then begin
+        for i = 0 to m - 1 do
+          let x = get a n i j1 in
+          set a n i j1 (get a n i j2);
+          set a n i j2 x
+        done;
+        let p = piv.(j1) in
+        piv.(j1) <- piv.(j2);
+        piv.(j2) <- p;
+        let c = colnorm2.(j1) in
+        colnorm2.(j1) <- colnorm2.(j2);
+        colnorm2.(j2) <- c
+      end
+    in
+    for k = 0 to steps - 1 do
+      if pivot then begin
+        let best = ref k in
+        for j = k + 1 to n - 1 do
+          if colnorm2.(j) > colnorm2.(!best) then best := j
+        done;
+        swap_cols k !best
+      end;
+      let b = house_column a m n k in
+      beta.(k) <- b;
+      if b <> 0. then
+        for j = k + 1 to n - 1 do
+          apply_house_to_col a m n k b j
+        done;
+      if pivot then
+        for j = k + 1 to n - 1 do
+          let rkj = get a n k j in
+          colnorm2.(j) <- Float.max 0. (colnorm2.(j) -. (rkj *. rkj))
+        done
+    done;
+    { m; n; a; beta; piv }
+
+  (* Householder QR without pivoting; the input is copied *)
+  let factorize mat = factorize_gen ~pivot:false mat
+
+  (* QR with column pivoting (greedy largest remaining column norm), for
+     rank decisions on rank-deficient matrices *)
+  let factorize_pivoted mat = factorize_gen ~pivot:true mat
+
+  (* factored column position -> original column index *)
+  let pivots f = Array.copy f.piv
+
+  (* the upper-triangular factor, min m n × n *)
+  let r f =
+    let k = min f.m f.n in
+    Matrix.init k f.n (fun i j -> if j >= i then get f.a f.n i j else 0.)
+
+  (* Every tolerance decision here is relative to the largest diagonal
+     magnitude of R; [rank] and [solve_r] differ only in their rtol. *)
+  let max_abs_diag f =
+    let k = min f.m f.n in
+    let dmax = ref 0. in
+    for i = 0 to k - 1 do
+      dmax := Float.max !dmax (Float.abs (get f.a f.n i i))
+    done;
+    !dmax
+
+  let negligible ~rtol ~dmax d = d = 0. || Float.abs d <= rtol *. dmax
+
+  let rank f =
+    let rtol = 1e-10 in
+    let k = min f.m f.n in
+    let dmax = max_abs_diag f in
+    if dmax = 0. then 0
+    else begin
+      let cnt = ref 0 in
+      for i = 0 to k - 1 do
+        if not (negligible ~rtol ~dmax (get f.a f.n i i)) then incr cnt
+      done;
+      !cnt
+    end
+
+  let apply_qt f b =
+    if Array.length b <> f.m then invalid_arg "Qr.apply_qt: dimension mismatch";
+    let y = Array.copy b in
+    for k = 0 to Array.length f.beta - 1 do
+      let beta = f.beta.(k) in
+      if beta <> 0. then begin
+        let vty = ref (Array.unsafe_get y k) in
+        for i = k + 1 to f.m - 1 do
+          vty := !vty +. (get f.a f.n i k *. Array.unsafe_get y i)
+        done;
+        let s = beta *. !vty in
+        Array.unsafe_set y k (Array.unsafe_get y k -. s);
+        for i = k + 1 to f.m - 1 do
+          Array.unsafe_set y i
+            (Array.unsafe_get y i -. (s *. get f.a f.n i k))
+        done
+      end
+    done;
+    y
+
+  (* Back-substitution on the leading n × n block of R; raises [Failure]
+     if a diagonal entry is at most [rtol * max_diag] in magnitude *)
+  let solve_r ?(rtol = 1e-13) f c =
+    let n = f.n in
+    if f.m < n then failwith "Qr.solve_r: underdetermined system";
+    if Array.length c < n then invalid_arg "Qr.solve_r: dimension mismatch";
+    let dmax = max_abs_diag f in
+    for i = 0 to n - 1 do
+      if negligible ~rtol ~dmax (get f.a n i i) then
+        failwith "Qr.solve_r: singular triangular factor"
+    done;
+    let x = Array.make n 0. in
+    for i = n - 1 downto 0 do
+      let d = get f.a n i i in
+      let acc = ref (Array.unsafe_get c i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (get f.a n i j *. Array.unsafe_get x j)
+      done;
+      Array.unsafe_set x i (!acc /. d)
+    done;
+    x
+
+  let least_squares ?rtol f b =
+    let qtb = apply_qt f b in
+    let x = solve_r ?rtol f qtb in
+    let out = Array.make f.n 0. in
+    for j = 0 to f.n - 1 do
+      out.(f.piv.(j)) <- x.(j)
+    done;
+    out
+
+  (* numerical rank: diagonal entries of the pivoted R above
+     1e-10 * max_diag *)
+  let matrix_rank mat = rank (factorize_pivoted mat)
+
+  (* min ‖A x - b‖₂ through an unpivoted factorization; requires full
+     column rank under [solve_r]'s rule *)
+  let solve ?rtol mat b = least_squares ?rtol (factorize mat) b
+end
+
+(* The augmented matrix A of Definition 1, materialized: one row per
+   ordered pair (i, j), i <= j, in [Core.Augmented.row_index] order, the
+   element-wise product of the two routing rows. *)
+module Augmented = struct
+  (* [iter_pairs ~np ~lo ~hi f] calls [f k i j] for every flattened
+     upper-triangle index [k] in [lo .. hi-1], in increasing order, where
+     (i, j) is pair number k. The start pair is located once and then
+     advanced incrementally. *)
+  let iter_pairs ~np ~lo ~hi f =
+    if lo < 0 || hi > np * (np + 1) / 2 || lo > hi then
+      invalid_arg "Augmented.iter_pairs: bad range";
+    (* row i owns the np - i indices starting at i*np - i*(i-1)/2 *)
+    let i = ref 0 and base = ref 0 in
+    while !i < np && !base + (np - !i) <= lo do
+      base := !base + (np - !i);
+      incr i
+    done;
+    let j = ref (!i + (lo - !base)) in
+    for k = lo to hi - 1 do
+      f k !i !j;
+      incr j;
+      if !j >= np then begin
+        incr i;
+        j := !i
+      end
+    done
+
+  (* the inverse of [Core.Augmented.row_index] *)
+  let row_pair ~np k =
+    if k < 0 || k >= Core.Augmented.row_count ~np then
+      invalid_arg "Augmented.row_pair: bad row";
+    let rec find i k =
+      let block = np - i in
+      if k < block then (i, i + k) else find (i + 1) (k - block)
+    in
+    find 0 k
+
+  let build r =
+    let np = Sparse.rows r in
+    let total = Core.Augmented.row_count ~np in
+    let rows = Array.make total [||] in
+    iter_pairs ~np ~lo:0 ~hi:total (fun k i j ->
+        rows.(k) <-
+          (if i = j then Sparse.row r i
+           else Sparse.row_product (Sparse.row r i) (Sparse.row r j)));
+    Sparse.create ~cols:(Sparse.cols r) rows
+end
+
+(* The sample covariances of eq. (7), materialized: the full Σ̂ and its
+   flattening Σ̂*, aligned with the rows of [Augmented.build]. *)
+module Covariance = struct
+  module Matrix = Linalg.Matrix
+
+  (* Σ̂ of an m × p observation matrix (rows are snapshots), as pairwise
+     covariances of centered columns *)
+  let matrix obs =
+    let m = Matrix.rows obs and p = Matrix.cols obs in
+    if m < 2 then invalid_arg "Covariance.matrix: need at least 2 rows";
+    let mu = Nstats.Descriptive.mean_vector obs in
+    let cols =
+      Array.init p (fun j -> Array.init m (fun i -> Matrix.get obs i j -. mu.(j)))
+    in
+    let sigma = Matrix.zeros p p in
+    let scale = 1. /. float_of_int (m - 1) in
+    Augmented.iter_pairs ~np:p ~lo:0 ~hi:(p * (p + 1) / 2) (fun _ j k ->
+        let cj = cols.(j) and ck = cols.(k) in
+        let acc = ref 0. in
+        for i = 0 to m - 1 do
+          acc := !acc +. (cj.(i) *. ck.(i))
+        done;
+        let v = scale *. !acc in
+        Matrix.set sigma j k v;
+        if j <> k then Matrix.set sigma k j v);
+    sigma
+
+  (* an explicit n_p × n_p covariance matrix, flattened in row order *)
+  let of_sigma_matrix sigma =
+    let np = Matrix.rows sigma in
+    if Matrix.cols sigma <> np then
+      invalid_arg "Covariance.of_sigma_matrix: not square";
+    Array.init (Core.Augmented.row_count ~np) (fun k ->
+        let i, j = Augmented.row_pair ~np k in
+        Matrix.get sigma i j)
+
+  let sigma_star y = of_sigma_matrix (matrix y)
+end
 
 type method_ = Normal_equations | Dense_qr
 
@@ -42,8 +363,7 @@ let solve ?(options = default_options) ?jobs ~a ~sigma_star () =
 (* [solve] over the A and Σ̂* built from a routing matrix and a snapshot
    matrix *)
 let estimate ?options ~r ~y () =
-  solve ?options ~a:(Core.Augmented.build r)
-    ~sigma_star:(Core.Covariance.sigma_star y) ()
+  solve ?options ~a:(Augmented.build r) ~sigma_star:(Covariance.sigma_star y) ()
 
 (* The dense left-looking Cholesky factorization, kept as the oracle of
    the library's sparse kernel: on inputs without -0.0 the sparse kernel

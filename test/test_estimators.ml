@@ -97,8 +97,8 @@ let test_streaming_equals_explicit_a () =
   let y = run.Netsim.Simulator.y in
   let streaming = VE.estimate ~r ~y () in
   (* explicit A + normal equations, same drop-negative convention *)
-  let a = Core.Augmented.build r in
-  let sigma = Core.Covariance.sigma_star y in
+  let a = Oracle.Augmented.build r in
+  let sigma = Oracle.Covariance.sigma_star y in
   let explicit = Oracle.solve ~a ~sigma_star:sigma () in
   Alcotest.(check bool) "same solution" true
     (Vector.approx_equal ~tol:1e-6 streaming explicit)

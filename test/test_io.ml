@@ -466,6 +466,26 @@ let prop_reader_is_float_of_string =
     Generators.seed_arb
     (fun seed -> List.for_all reads_like_float_of_string (reader_tokens seed))
 
+(* The writer prints a cell through the primitive Printf calls for
+   "%.17g": its bytes must be Printf's, on the doubles the reader
+   property's tokens denote and on every special value (nan, +-inf, -0.,
+   subnormals). *)
+let prop_writer_is_printf =
+  QCheck.Test.make ~count:600
+    ~name:"measurement writer = Printf \"%.17g\", byte for byte, on every kind of double"
+    Generators.seed_arb
+    (fun seed ->
+      let cells =
+        Array.concat
+          [ Array.of_list (List.filter_map float_of_string_opt (reader_tokens seed));
+            nonpositive_specials; permissive_specials ]
+      in
+      let expected =
+        Printf.sprintf "netloss-measurements 1 1 %d\n%s\n" (Array.length cells)
+          (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.17g") cells)))
+      in
+      Trace_io.to_string (Matrix.of_arrays [| cells |]) = expected)
+
 let test_reader_fixed_tokens () =
   Array.iter
     (fun w ->
@@ -609,5 +629,6 @@ let () =
             prop_trace_io_differential;
             prop_serial_differential;
             prop_reader_is_float_of_string;
+            prop_writer_is_printf;
           ] );
     ]

@@ -615,8 +615,6 @@ let test_metric_names_conform () =
   touch Core.Monitor.create;
   touch Core.Quarantine.scrub;
   touch Core.Plan.make;
-  touch Core.Covariance.sigma_star;
-  touch Core.Augmented.build;
   touch Core.Variance_estimator.estimate;
   touch Linalg.Conjugate_gradient.cgls_iterations;
   touch Pool.get;
@@ -681,10 +679,46 @@ let metrics_tests =
       test_metric_names_conform;
   ]
 
+(* --- the allocation counter ------------------------------------------- *)
+
+(* [Obs.Event.alloc_words] must count a known allocation whether it lands
+   in the minor heap (small blocks) or goes straight to the major heap
+   (blocks above 256 words). The slack covers the two readings' own
+   words. *)
+let test_alloc_words_minor_and_major () =
+  let keep = ref [] in
+  let words f =
+    Gc.full_major ();
+    let w0 = Obs.Event.alloc_words () in
+    f ();
+    Obs.Event.alloc_words () -. w0
+  in
+  let within what expected got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words, %d expected" what got expected)
+      true
+      (got >= float_of_int expected && got <= float_of_int (expected + 64))
+  in
+  (* a ref is 2 words, a list cell 3 *)
+  within "1 000 refs in a list (minor heap)" 5_000
+    (words (fun () ->
+         for i = 1 to 1_000 do
+           keep := Obj.repr (ref i) :: !keep
+         done));
+  (* a 10 000-word array is 10 001 words, allocated in the major heap *)
+  within "ten 10 000-word arrays (major heap)" 100_040
+    (words (fun () ->
+         for _ = 1 to 10 do
+           keep := Obj.repr (Array.make 10_000 0) :: !keep
+         done));
+  ignore (Sys.opaque_identity !keep)
+
 let trace_tests =
   [
     Alcotest.test_case "pool spans emit well-formed JSONL" `Quick
       test_pool_spans_well_formed_jsonl;
+    Alcotest.test_case "alloc_words counts the minor and the major heap" `Quick
+      test_alloc_words_minor_and_major;
   ]
 
 let recorder_tests =

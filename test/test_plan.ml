@@ -8,7 +8,7 @@
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
 module Vector = Linalg.Vector
-module Qr = Linalg.Qr
+module Qr = Oracle.Qr
 module Rng = Nstats.Rng
 
 let vec_bits_equal = Generators.vec_bits_equal

@@ -119,7 +119,7 @@ let prop_augmented_row_count =
       let tb = Topology.Tree_gen.generate rng ~nodes:(20 + (seed mod 40)) ~max_branching:4 () in
       let red = Topology.Testbed.routing tb in
       let r = red.Topology.Routing.matrix in
-      let a = Core.Augmented.build r in
+      let a = Oracle.Augmented.build r in
       let np = Sparse.rows r in
       Sparse.rows a = np * (np + 1) / 2
       && Array.for_all

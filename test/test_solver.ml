@@ -10,7 +10,7 @@
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
 module Vector = Linalg.Vector
-module Qr = Linalg.Qr
+module Qr = Oracle.Qr
 module Lsqr = Linalg.Lsqr
 module Rng = Nstats.Rng
 module Augmented = Core.Augmented
@@ -109,7 +109,7 @@ let prop_live_rows_match_build =
     (fun seed ->
       let r = routing_of_seed seed in
       let a_live, ks = live_rows seed r in
-      let explicit = Lsqr.of_sparse (Sparse.select_rows (Augmented.build r) ks) in
+      let explicit = Lsqr.of_sparse (Sparse.select_rows (Oracle.Augmented.build r) ks) in
       let implicit = Lsqr.of_sparse a_live in
       let rng = Rng.create (seed + 17) in
       implicit.Lsqr.rows = explicit.Lsqr.rows
@@ -153,7 +153,7 @@ let prop_column_counts_exact =
     (fun seed ->
       let r = routing_of_seed seed in
       let a_live, ks = live_rows seed r in
-      let a = Augmented.build r in
+      let a = Oracle.Augmented.build r in
       let expected = Array.make (Sparse.cols a) 0. in
       Array.iter
         (fun k ->
@@ -229,7 +229,7 @@ let all_pairs_streaming ~solve ~drop_negative ~clamp ~min_pair_samples ~r ~y =
   for bk = 0 to blocks - 1 do
     let lo, hi = Parallel.Chunk.range ~blocks ~n:npairs bk in
     let b = partial_b.(bk) in
-    Parallel.Chunk.iter_pairs ~np ~lo ~hi (fun _ i j ->
+    Oracle.Augmented.iter_pairs ~np ~lo ~hi (fun _ i j ->
         let row =
           if i = j then Sparse.row r i
           else Sparse.row_product (Sparse.row r i) (Sparse.row r j)
@@ -369,7 +369,7 @@ let prop_theorem1_every_family =
           let scale =
             Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. v_qr
           in
-          Qr.matrix_rank (Sparse.to_dense (Augmented.build r)) = Sparse.cols r
+          Qr.matrix_rank (Sparse.to_dense (Oracle.Augmented.build r)) = Sparse.cols r
           && Array.for_all2
                (fun a b -> Float.abs (a -. b) <= 1e-9 *. scale)
                v v_qr)

